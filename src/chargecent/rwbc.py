@@ -1,11 +1,12 @@
 """Random-walk betweenness for directed graphs and its charge-aware variant.
 
-For a source-target pair the walk is restricted to the subgraph of nodes that
-lie on some s-to-t walk, so that absorption at the target is certain. The
-expected per-arc usage follows from one linear solve against the restricted
-out-degree Laplacian; a node's score is half the sum of absolute net usages
-over its incident unordered neighbor pairs, which on symmetrized graphs
-reduces to current-flow betweenness.
+Walks toward a target t are restricted to the nodes that can reach t, so that
+absorption at t is certain. The expected per-arc usage follows from a linear
+solve against the restricted out-degree Laplacian, which depends only on t:
+one sparse factorization per distinct target serves every source that shares
+it, solved as a block of right-hand sides. A node's score is half the sum of
+absolute net usages over its incident unordered neighbor pairs, which on
+symmetrized graphs reduces to current-flow betweenness.
 
 The charge-aware variant runs the same computation on the state graph with
 all of the target's arrival states contracted into a single absorbing node,
@@ -22,14 +23,17 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .errors import NumericalError
 from .graph import Graph, SocInstance
 from .scores import ScoreVector
 from .statespace import StateGraph, build_state_graph, frontier_bfs_distances
 
 logger = logging.getLogger(__name__)
 
-# Above this subgraph size the solve switches to sparse factorization.
-DENSE_SOLVE_LIMIT = 2000
+# Minimum-degree ordering on A^T + A: on a 2.8k-state target system it leaves
+# 8x fewer factor nonzeros than the default COLAMD, and factors 5x faster.
+ORDERING = "MMD_AT_PLUS_A"
+SOLVE_BLOCK = 64  # right-hand sides per block solve; bounds the dense (pairs x starts) block
 
 
 @dataclass
@@ -37,7 +41,6 @@ class WalkSubgraph:
     """Nodes lying on at least one s-to-t walk, with the induced arc set."""
 
     nodes: np.ndarray          # global ids, ascending
-    local_of: dict[int, int]
     arc_src: np.ndarray        # local ids
     arc_dst: np.ndarray
     source: int                # local id of s
@@ -61,14 +64,12 @@ def walk_subgraph(g: Graph, s: int, t: int) -> WalkSubgraph:
     bwd = frontier_bfs_distances(rptr, ridx, g.n, [t])
     keep = (fwd >= 0) & (bwd >= 0)
     if not (keep[s] and keep[t]):
-        return WalkSubgraph(np.empty(0, np.int64), {}, np.empty(0, np.int64), np.empty(0, np.int64), -1, -1)
+        return WalkSubgraph(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), -1, -1)
     nodes = np.flatnonzero(keep)
-    local = np.full(g.n, -1, dtype=np.int64)
-    local[nodes] = np.arange(nodes.shape[0])
+    local = np.cumsum(keep) - 1  # node id -> position among the kept nodes
     amask = keep[g.arc_src] & keep[g.indices]
     return WalkSubgraph(
         nodes,
-        {int(v): int(local[v]) for v in nodes},
         local[g.arc_src[amask]],
         local[g.indices[amask]],
         int(local[s]),
@@ -86,39 +87,78 @@ class FlowSolution:
     subgraph: WalkSubgraph | None = None
 
 
-def _solve_usage(sub: WalkSubgraph) -> np.ndarray:
-    """Row of the inverse restricted Laplacian: expected per-out-arc usage."""
-    m = sub.n
-    t = sub.target
-    outdeg = np.bincount(sub.arc_src, minlength=m).astype(float)
-    keep = np.arange(m) != t
-    dead = np.flatnonzero((outdeg == 0) & keep)
-    if dead.size:  # cannot happen for a correctly built subgraph
-        raise RuntimeError(f"restricted system singular: node {sub.nodes[dead[0]]} has no out-arc")
-    idx_of = np.cumsum(keep) - 1  # position among non-target rows
-    amask = (sub.arc_src != t) & (sub.arc_dst != t)
-    rows = idx_of[sub.arc_src[amask]]
-    cols = idx_of[sub.arc_dst[amask]]
-    k = m - 1
-    rhs = np.zeros(k)
-    rhs[idx_of[sub.source]] = 1.0
-    if k <= DENSE_SOLVE_LIMIT:
-        mat = np.zeros((k, k))
-        np.fill_diagonal(mat, outdeg[keep])
-        mat[rows, cols] -= 1.0
-        try:
-            sol = np.linalg.solve(mat.T, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by subgraph
-            raise RuntimeError(f"singular restricted system for subgraph of {m} nodes") from exc
-    else:
-        data = np.concatenate([outdeg[keep], -np.ones(rows.shape[0])])
-        coo_r = np.concatenate([np.arange(k), rows])
-        coo_c = np.concatenate([np.arange(k), cols])
-        mat = scipy.sparse.csc_matrix((data, (coo_r, coo_c)), shape=(k, k))
-        sol = scipy.sparse.linalg.splu(mat.T.tocsc()).solve(rhs)
-    f = np.zeros(m)
-    f[keep] = sol
-    return f
+@dataclass
+class AbsorbingFlows:
+    """Walks from a block of starts absorbed at one target, summed over the feasible starts."""
+
+    usage: np.ndarray      # per node: expected use of each of its out-arcs
+    net: np.ndarray        # per node: half the absolute net flow over its neighbor pairs
+    feasible: np.ndarray   # per start: whether it can reach the target
+    residual: float        # largest ||K x - b||_inf over the block solves; 0.0 if none ran
+
+
+def _absorbing_flows(n: int, src: np.ndarray, dst: np.ndarray, t: int, starts) -> AbsorbingFlows:
+    """Random walks on the digraph ``src -> dst`` over n nodes, absorbed at t.
+
+    The walk is restricted to the nodes that can reach t, so absorption is
+    certain and the restricted system K = (D - A)^T is nonsingular. It depends
+    only on t, so one LU factorization serves every start.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    live = src != t  # the target absorbs: its out-arcs carry nothing
+    # into[v, u] = 1 for each arc u -> v, so the CSR rows list in-neighbors.
+    into = scipy.sparse.csr_matrix((np.ones(int(live.sum())), (dst[live], src[live])), shape=(n, n))
+    reach = frontier_bfs_distances(into.indptr, into.indices, n, [t]) >= 0
+    feasible = reach[starts]
+    usage, net = np.zeros(n), np.zeros(n)
+    if not feasible.any():
+        return AbsorbingFlows(usage, net, feasible, 0.0)
+
+    keep = np.flatnonzero(reach & (np.arange(n) != t))
+    k, local = keep.shape[0], np.append(keep, t)  # local ids: the k unknowns, then t as k
+    into = into[local][:, keep].tocsc()
+    mat = (scipy.sparse.diags(np.asarray(into.sum(axis=0)).ravel()) - into[:k]).tocsc()
+    try:
+        lu = scipy.sparse.linalg.splu(mat, permc_spec=ORDERING)
+    except RuntimeError as exc:
+        raise NumericalError(f"absorbing system for target {t} is singular: {exc}") from exc
+
+    # Signed incidence of unordered neighbor pairs: +1 for the arc lo -> hi, -1 for hi -> lo.
+    ld, ls = (a.astype(np.int64) for a in into.nonzero())  # int64: pair keys pass 2**31 at k > 46340
+    proper = ls != ld
+    lo, hi = np.minimum(ls, ld)[proper], np.maximum(ls, ld)[proper]
+    keys, pair_of = np.unique(lo * (k + 1) + hi, return_inverse=True)
+    incidence = scipy.sparse.csr_matrix(
+        (np.where(ls[proper] < ld[proper], 1.0, -1.0), (pair_of, ls[proper])), shape=(keys.shape[0], k)
+    )
+    rows = np.searchsorted(keep, starts[feasible])
+    pair_total = np.zeros(keys.shape[0])
+    residual = 0.0
+    for b0 in range(0, rows.shape[0], SOLVE_BLOCK):
+        block = rows[b0 : b0 + SOLVE_BLOCK]
+        rhs = np.zeros((k, block.shape[0]))
+        rhs[block, np.arange(block.shape[0])] = 1.0
+        x = lu.solve(rhs)
+        r = float(np.abs(mat @ x - rhs).max())
+        if not r <= 1e-9 * max(1.0, float(np.abs(x).max())):
+            raise NumericalError(f"absorbing solve for target {t} has residual {r:.3e}")
+        residual = max(residual, r)
+        usage[keep] += x.sum(axis=1)
+        pair_total += np.abs(incidence @ x).sum(axis=1)
+    ends = np.bincount(keys // (k + 1), pair_total, k + 1) + np.bincount(keys % (k + 1), pair_total, k + 1)
+    net[local] = 0.5 * ends
+    return AbsorbingFlows(usage, net, feasible, residual)
+
+
+def _solver_meta(solved: list[AbsorbingFlows]) -> dict:
+    """Deterministic diagnostics of the target solves, for a score vector's meta."""
+    return {
+        "skipped_pairs": sum(int((~fl.feasible).sum()) for fl in solved),
+        "solver": "splu",
+        "ordering": ORDERING,
+        "factorizations": sum(1 for fl in solved if fl.feasible.any()),
+        "max_residual": max((fl.residual for fl in solved), default=0.0),
+    }
 
 
 def directed_rwbc_pair(g: Graph, s: int, t: int, sub: WalkSubgraph | None = None) -> FlowSolution:
@@ -127,34 +167,12 @@ def directed_rwbc_pair(g: Graph, s: int, t: int, sub: WalkSubgraph | None = None
         sub = walk_subgraph(g, s, t)
     if sub.empty:
         raise ValueError(f"no walk from {s} to {t}")
-    f_local = _solve_usage(sub)
-    flow = f_local[sub.arc_src]  # usage of each induced arc
-
-    m = sub.n
-    # Net flow per unordered neighbor pair, half credited to each endpoint.
-    pair_key = sub.arc_src * m + sub.arc_dst
-    signed = {}
-    for k_, fl in zip(pair_key, flow):
-        signed[int(k_)] = signed.get(int(k_), 0.0) + float(fl)
-    net_local = np.zeros(m)
-    seen: set[tuple[int, int]] = set()
-    for k_ in signed:
-        u, v = divmod(k_, m)
-        a, b = (u, v) if u < v else (v, u)
-        if (a, b) in seen or a == b:
-            continue
-        seen.add((a, b))
-        net = abs(signed.get(a * m + b, 0.0) - signed.get(b * m + a, 0.0))
-        net_local[a] += 0.5 * net
-        net_local[b] += 0.5 * net
-
-    f = np.zeros(g.n)
-    f[sub.nodes] = f_local
-    net = np.zeros(g.n)
-    net[sub.nodes] = net_local
+    flows = _absorbing_flows(sub.n, sub.arc_src, sub.arc_dst, sub.target, [sub.source])
+    f, net = np.zeros(g.n), np.zeros(g.n)
+    f[sub.nodes], net[sub.nodes] = flows.usage, flows.net
     arc_flow = {
-        (int(sub.nodes[u]), int(sub.nodes[v])): float(fl)
-        for u, v, fl in zip(sub.arc_src, sub.arc_dst, flow)
+        (int(sub.nodes[u]), int(sub.nodes[v])): float(flows.usage[u])
+        for u, v in zip(sub.arc_src, sub.arc_dst)
     }
     return FlowSolution(f, net, arc_flow, sub)
 
@@ -169,26 +187,35 @@ class StPair:
             raise ValueError("source and target must differ")
 
 
-def _contract_target(sg: StateGraph, t: int) -> tuple[Graph, np.ndarray, int]:
-    """State graph with all (t, charge) states merged into one absorbing node.
+def _sources_by_target(pairs: Sequence[StPair | tuple[int, int]]) -> dict[int, list[int]]:
+    """Sources of each distinct target, targets in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for p in pairs:
+        s, t = (p.source, p.target) if isinstance(p, StPair) else (int(p[0]), int(p[1]))
+        if s == t:
+            raise ValueError("source and target must differ")
+        groups.setdefault(t, []).append(s)
+    return groups
 
-    Returns the contracted digraph, the map state-index -> contracted id, and
-    the absorbing node's id (which is the last one).
+
+def _contract_target(sg: StateGraph, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Arcs of the state graph with all (t, charge) states merged into one absorbing state.
+
+    Returns the contracted arcs (source and destination ids; arcs out of t's
+    states are dropped), the map state index -> contracted id, and the
+    absorbing state's id, which is the last one.
     """
-    n = sg.n
-    node_of = np.arange(sg.n_numeric) % n
-    is_t = node_of == t
-    mapping = np.cumsum(~is_t) - 1
+    is_t = np.arange(sg.n_numeric) % sg.n == t
     tau = int(sg.n_numeric - (sg.kappa + 1))
-    mapping = np.where(is_t, tau, mapping)
-    src_is_t = is_t[sg.arc_src]
-    src = mapping[sg.arc_src[~src_is_t]]
-    dst = mapping[sg.indices[~src_is_t]]
-    contracted = Graph(tau + 1, list(zip(src.tolist(), dst.tolist())), directed=True)
+    mapping = np.where(is_t, tau, np.cumsum(~is_t) - 1)
+    live = ~is_t[sg.arc_src]
+    src, dst = mapping[sg.arc_src[live]], mapping[sg.indices[live]]
     # Each state has at most one arc into the target's states, so contraction
     # must not merge arcs (that would skew the transition probabilities).
-    assert contracted.duplicates_collapsed == 0
-    return contracted, mapping, tau
+    keys = src * (tau + 1) + dst
+    if np.unique(keys).shape[0] != keys.shape[0]:
+        raise NumericalError(f"contracting target {t} merged parallel arcs")
+    return src, dst, mapping, tau
 
 
 def soc_rwbc(
@@ -201,56 +228,34 @@ def soc_rwbc(
     """
     if not pairs:
         raise ValueError("at least one source-target pair required")
+    groups = _sources_by_target(pairs)
     if sg is None:
         sg = build_state_graph(inst, starred=False)
-    n = inst.graph.n
-    node_of = np.arange(sg.n_numeric) % n
     y_states = np.zeros(sg.n_numeric)
-    skipped: list[tuple[int, int]] = []
-    for p in pairs:
-        s, t = (p.source, p.target) if isinstance(p, StPair) else (int(p[0]), int(p[1]))
-        if s == t:
-            raise ValueError("source and target must differ")
-        contracted, mapping, tau = _contract_target(sg, t)
-        src = int(mapping[sg.source_state(s)])
-        sub = walk_subgraph(contracted, src, tau)
-        if sub.empty:
-            skipped.append((s, t))
-            continue
-        sol = directed_rwbc_pair(contracted, src, tau, sub)
-        back = np.flatnonzero(node_of != t)  # contracted id -> state index
-        y_states[back] += sol.net_flow[:tau]
-    if skipped:
-        logger.info("%d of %d pairs had no feasible walk", len(skipped), len(pairs))
-    node_scores = y_states.reshape(inst.kappa + 1, n).sum(axis=0)
-    meta = {
-        "measure": "soc-rwbc",
-        "kappa": inst.kappa,
-        "omega": inst.omega.sorted_members(),
-        "pairs": len(pairs),
-        "skipped_pairs": len(skipped),
-    }
+    solved: list[AbsorbingFlows] = []
+    for t, sources in groups.items():
+        src, dst, mapping, tau = _contract_target(sg, t)
+        flows = _absorbing_flows(tau + 1, src, dst, tau, mapping[[sg.source_state(s) for s in sources]])
+        y_states[mapping < tau] += flows.net[:tau]
+        solved.append(flows)
+    diagnostics = _solver_meta(solved)
+    if diagnostics["skipped_pairs"]:
+        logger.info("%d of %d pairs had no feasible walk", diagnostics["skipped_pairs"], len(pairs))
+    node_scores = y_states.reshape(inst.kappa + 1, inst.graph.n).sum(axis=0)
+    meta = {"measure": "soc-rwbc", "kappa": inst.kappa, "omega": inst.omega.sorted_members(),
+            "pairs": len(pairs), **diagnostics}
     return ScoreVector.for_graph(inst.graph, node_scores, meta)
-
-
-def dump_flow(sol: FlowSolution, labels: Sequence[str], fh) -> None:
-    """Debug dump of one pair's solution: ``node,usage,net_flow`` per line."""
-    fh.write("node_label,f,net_flow\n")
-    for i, lab in enumerate(labels):
-        fh.write(f"{lab},{float(sol.f[i])!r},{float(sol.net_flow[i])!r}\n")
 
 
 def rwbc_all_pairs(g: Graph, pairs: Sequence[tuple[int, int]]) -> ScoreVector:
     """Plain directed random-walk betweenness summed over the given pairs."""
     total = np.zeros(g.n)
-    skipped = 0
-    for s, t in pairs:
-        sub = walk_subgraph(g, int(s), int(t))
-        if sub.empty:
-            skipped += 1
-            continue
-        total += directed_rwbc_pair(g, int(s), int(t), sub).net_flow
-    meta = {"measure": "rwbc", "pairs": len(pairs), "skipped_pairs": skipped}
+    solved: list[AbsorbingFlows] = []
+    for t, sources in _sources_by_target(pairs).items():
+        flows = _absorbing_flows(g.n, g.arc_src, g.indices, t, sources)
+        total += flows.net
+        solved.append(flows)
+    meta = {"measure": "rwbc", "pairs": len(pairs), **_solver_meta(solved)}
     return ScoreVector.for_graph(g, total, meta)
 
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from chargecent.cli import main
 from chargecent.scores import ScoreVector
@@ -49,6 +50,17 @@ def test_rwbc_measures_need_pairs(graph_file, tmp_path, measure):
     assert run("centrality", "--input", graph_file, "--kappa", "2",
                "--measure", measure, "--pairs", "4", "--seed", "2",
                "--out", out) == 0
+
+
+def test_rwbc_numerical_failure_exits_2(graph_file, tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    assert run("centrality", "--input", graph_file, "--kappa", "2",
+               "--measure", "soc-rwbc", "--pairs", "2", "--seed", "2",
+               "--out", tmp_path / "r") == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_centrality_verify_mode(graph_file, tmp_path):

@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from chargecent import (
     Graph,
+    NumericalError,
     StPair,
     directed_rwbc_pair,
     make_instance,
@@ -11,8 +15,9 @@ from chargecent import (
     soc_rwbc,
     walk_subgraph,
 )
-from chargecent.generators import gnp_random_graph, path_graph
+from chargecent.generators import barabasi_albert_graph, cycle_graph, gnp_random_graph, path_graph
 from chargecent.oracles import current_flow_throughflow, monte_carlo_rwbc
+from chargecent.rwbc import _contract_target
 
 from conftest import random_graph
 
@@ -217,16 +222,116 @@ def test_rwbc_all_pairs_sums_per_pair_flows():
     assert sv.meta["skipped_pairs"] == skipped
 
 
-def test_dump_flow_triples():
-    import io
+def _grouped_corpus(seed, count):
+    """Sparse random digraphs with pair lists that repeat targets and mix in infeasible pairs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(5, 13))
+        g = gnp_random_graph(n, 0.2, seed=int(rng.integers(2**31)), directed=True)
+        targets = rng.choice(n, size=3, replace=False)
+        pairs = [(int(s), int(t)) for t in targets for s in rng.integers(n, size=4) if s != t]
+        yield g, rng, pairs
 
-    from chargecent.rwbc import dump_flow
 
-    g = Graph(3, [(0, 1), (1, 2)], directed=True)
-    sol = directed_rwbc_pair(g, 0, 2)
-    buf = io.StringIO()
-    dump_flow(sol, g.labels, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "node_label,f,net_flow"
-    assert lines[1] == "0,1.0,0.5"
-    assert lines[2] == "1,1.0,1.0"
+def test_grouping_by_target_matches_pair_by_pair():
+    repeated = infeasible = 0
+    for g, rng, pairs in _grouped_corpus(51, 25):
+        repeated += len(pairs) - len({t for _, t in pairs})
+        plain = rwbc_all_pairs(g, pairs)
+        expect = np.zeros(g.n)
+        skipped = 0
+        for s, t in pairs:
+            sub = walk_subgraph(g, s, t)
+            if sub.empty:
+                skipped += 1
+            else:
+                expect += directed_rwbc_pair(g, s, t, sub).net_flow
+        assert np.allclose(plain.values, expect, rtol=1e-12, atol=1e-12)
+        assert plain.meta["skipped_pairs"] == skipped
+        infeasible += skipped
+
+        inst = make_instance(g, rng.choice(g.n, size=2, replace=False), 2)
+        soc = soc_rwbc(inst, pairs)
+        singles = [soc_rwbc(inst, [p]) for p in pairs]
+        assert np.allclose(soc.values, sum(sv.values for sv in singles), rtol=1e-12, atol=1e-12)
+        assert soc.meta["skipped_pairs"] == sum(sv.meta["skipped_pairs"] for sv in singles)
+    assert repeated > 0 and infeasible > 0
+
+
+def test_one_factorization_per_distinct_target(monkeypatch):
+    real = scipy.sparse.linalg.splu
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    inst = make_instance(cycle_graph(6), [0, 3], 2)
+    pairs = [(0, 2), (1, 2), (5, 2), (0, 4), (3, 4), (2, 1)]
+    for measure in (lambda: soc_rwbc(inst, pairs), lambda: rwbc_all_pairs(inst.graph, pairs)):
+        calls.clear()
+        sv = measure()
+        assert len(calls) == len({t for _, t in pairs})
+        assert sv.meta["skipped_pairs"] == 0
+        assert sv.meta["factorizations"] == len({t for _, t in pairs})
+        assert sv.meta["solver"] == "splu" and sv.meta["ordering"] == "MMD_AT_PLUS_A"
+        assert 0.0 <= sv.meta["max_residual"] <= 1e-9
+
+
+def test_rwbc_beyond_int32_pair_keys():
+    # 46,500 unknowns: unordered-pair keys lo * (k + 1) + hi exceed 2**31.
+    n = 46_501
+    sv = rwbc_all_pairs(path_graph(n), [(0, n - 1)])
+    expect = np.ones(n)
+    expect[[0, -1]] = 0.5  # a unit current passes every inner node of the path
+    # Usages reach ~2n visits per node, so net flows carry cancellation error near 1e-10.
+    assert np.allclose(sv.values, expect, rtol=0, atol=1e-7)
+
+
+def test_matches_networkx_current_flow_betweenness():
+    nx = pytest.importorskip("networkx")
+    g = barabasi_albert_graph(100, 3, seed=8)
+    pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+    sv = rwbc_all_pairs(g, pairs)
+    assert sv.meta["factorizations"] == g.n
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    cfb = nx.current_flow_betweenness_centrality(G, normalized=False)
+    expect = np.array([cfb[v] for v in range(g.n)])
+    assert np.max(np.abs(sv.values / 2 - (g.n - 1) / 2 - expect)) <= 1e-9
+
+
+def test_singular_system_is_numerical_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    inst = make_instance(path_graph(3), [], 2)
+    with pytest.raises(NumericalError, match="singular"):
+        soc_rwbc(inst, [(0, 2)])
+    with pytest.raises(NumericalError, match="singular"):
+        rwbc_all_pairs(inst.graph, [(0, 2)])
+
+
+def test_failed_residual_check_is_numerical_error(monkeypatch):
+    real = scipy.sparse.linalg.splu
+
+    class Skewed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return self.lu.solve(b) * (1 + 1e-6)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *a, **k: Skewed(real(*a, **k)))
+    with pytest.raises(NumericalError, match="residual"):
+        directed_rwbc_pair(Graph(3, [(0, 1), (1, 2), (1, 0)], directed=True), 0, 2)
+
+
+def test_contraction_rejects_merged_arcs():
+    # State 0 has arcs into two charge levels of node 1, which contraction would merge.
+    sg = SimpleNamespace(n=2, n_numeric=4, kappa=1, arc_src=np.array([0, 0]), indices=np.array([1, 3]))
+    with pytest.raises(NumericalError, match="parallel arcs"):
+        _contract_target(sg, 1)
