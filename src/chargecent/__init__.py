@@ -11,12 +11,9 @@ __version__ = "0.1.0"
 
 from .betweenness import (
     BcScores,
-    DependencyState,
-    bfs_shortest_paths,
     soc_betweenness,
     soc_betweenness_scores,
     standard_betweenness,
-    target_restricted_dependency,
 )
 from .errors import NumericalError
 from .graph import (
@@ -64,7 +61,6 @@ from .stats import kendall_tau, kendall_tau_naive
 __all__ = [
     "AlphaBound",
     "BcScores",
-    "DependencyState",
     "FlowSolution",
     "Graph",
     "GraphParseError",
@@ -84,7 +80,6 @@ __all__ = [
     "WalkSubgraph",
     "align_scores",
     "apply_bkappa",
-    "bfs_shortest_paths",
     "build_state_graph",
     "count_feasible_walks",
     "directed_rwbc_pair",
@@ -106,7 +101,6 @@ __all__ = [
     "spectral_radius",
     "standard_betweenness",
     "standard_katz",
-    "target_restricted_dependency",
     "walk_subgraph",
     "write_snap_tsv",
 ]

@@ -19,45 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, SocInstance
+from .graph import Graph, SocInstance, bfs
 from .scores import ScoreVector
 from .statespace import StateGraph, build_state_graph
 
 ENDPOINT_CONVENTIONS = ("target", "none")
-
-
-def _forward_levels(indptr, indices, n_states, source):
-    """Level-synchronous BFS; returns distances, path counts and tree arcs per level."""
-    d = np.full(n_states, -1, dtype=np.int64)
-    sigma = np.zeros(n_states, dtype=np.int64)
-    d[source] = 0
-    sigma[source] = 1
-    frontier = np.array([source], dtype=np.int64)
-    level_nodes = [frontier]
-    tree_arcs: list[tuple[np.ndarray, np.ndarray]] = []
-    level = 0
-    while True:
-        starts = indptr[frontier]
-        cnt = indptr[frontier + 1] - starts
-        total = int(cnt.sum())
-        if total == 0:
-            break
-        offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        asrc = np.repeat(frontier, cnt)
-        adst = indices[np.repeat(starts, cnt) + offs]
-        fresh = adst[d[adst] == -1]
-        if fresh.size:
-            d[fresh] = level + 1
-        tree = d[adst] == level + 1
-        tsrc, tdst = asrc[tree], adst[tree]
-        if tsrc.size == 0:
-            break
-        np.add.at(sigma, tdst, sigma[tsrc])
-        tree_arcs.append((tsrc, tdst))
-        frontier = np.unique(fresh)
-        level_nodes.append(frontier)
-        level += 1
-    return d, sigma, level_nodes, tree_arcs
 
 
 def _backward_accumulate(sigma, level_nodes, tree_arcs, target_mask, bc_state):
@@ -104,7 +70,7 @@ def soc_betweenness_scores(
     bc_state = np.zeros(n_states)
     for s in range(n):
         src = sg.source_state(s)
-        d, sigma, level_nodes, tree_arcs = _forward_levels(sg.indptr, sg.indices, n_states, src)
+        d, sigma, level_nodes, tree_arcs = bfs(sg.indptr, sg.indices, src)
         _backward_accumulate(sigma, level_nodes, tree_arcs, star_mask, bc_state)
         if endpoints == "none":
             # Remove each pair's one unit of arrival credit from the arrival states.
@@ -138,65 +104,8 @@ def standard_betweenness(g: Graph, endpoints: str = "target") -> ScoreVector:
     bc = np.zeros(g.n)
     all_targets = np.ones(g.n, dtype=bool)
     for s in range(g.n):
-        d, sigma, level_nodes, tree_arcs = _forward_levels(g.indptr, g.indices, g.n, s)
+        d, sigma, level_nodes, tree_arcs = bfs(g.indptr, g.indices, s)
         _backward_accumulate(sigma, level_nodes, tree_arcs, all_targets, bc)
         if endpoints == "target":
             bc[d >= 1] += 1.0
     return ScoreVector.for_graph(g, bc, {"measure": "bc", "endpoints": endpoints})
-
-
-@dataclass
-class DependencyState:
-    """Single-source BFS bookkeeping: distances, exact path counts, predecessors."""
-
-    source: int
-    dist: list[int]
-    sigma: list[int]
-    preds: list[list[int]]
-    order: list[int]
-
-
-def bfs_shortest_paths(indptr: np.ndarray, indices: np.ndarray, n_states: int, source: int) -> DependencyState:
-    """Reference (scalar) BFS counterpart of the vectorized forward pass."""
-    from collections import deque
-
-    dist = [-1] * n_states
-    sigma = [0] * n_states
-    preds: list[list[int]] = [[] for _ in range(n_states)]
-    dist[source] = 0
-    sigma[source] = 1
-    order: list[int] = []
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in indices[indptr[v] : indptr[v + 1]]:
-            w = int(w)
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    return DependencyState(source, dist, sigma, preds, order)
-
-
-def target_restricted_dependency(state: DependencyState, targets) -> np.ndarray:
-    """Dependencies credited only to the given target set.
-
-    Satisfies delta(v) = sum over successors w with v among w's predecessors of
-    sigma(v)/sigma(w) * (1_T(w) + delta(w)); with T = everything this is the
-    classic recursion, with T empty it vanishes.
-    """
-    n_states = len(state.dist)
-    is_target = np.zeros(n_states, dtype=bool)
-    for t in targets:
-        is_target[t] = True
-    delta = np.zeros(n_states)
-    for w in reversed(state.order):
-        coeff = (1.0 if is_target[w] else 0.0) + delta[w]
-        if coeff == 0.0:
-            continue
-        for v in state.preds[w]:
-            delta[v] += (state.sigma[v] / state.sigma[w]) * coeff
-    return delta

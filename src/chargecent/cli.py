@@ -26,13 +26,13 @@ from . import __version__
 from .betweenness import soc_betweenness, standard_betweenness
 from .errors import NumericalError
 from .generators import sample_omega
-from .graph import Graph, GraphParseError, load_edge_list, make_instance, spectral_radius
-from .katz import KatzParams, max_alpha, soc_katz, standard_katz
+from .graph import Graph, GraphParseError, load_edge_list, make_instance
+from .katz import KatzParams, soc_katz, standard_katz
 from .oracles import OracleBudget, brute_soc_bc, dense_soc_katz
 from .rwbc import rwbc_all_pairs, sample_feasible_pairs, soc_rwbc
 from .scores import ScoreVector, align_scores
 from .simulate import HoppingParams, SirParams, particle_hopping, sir_influence
-from .stats import correlation_report, kendall_tau
+from .stats import kendall_tau
 
 logger = logging.getLogger(__name__)
 
@@ -196,18 +196,10 @@ def _resolve_pairs(cfg: ExperimentConfig, g: Graph, inst) -> list[tuple[int, int
 
 def compute_measure(cfg: ExperimentConfig, g: Graph, inst) -> ScoreVector:
     measure = cfg.measure
-    if measure in ("soc-katz", "katz"):
-        alpha = cfg.alpha
-        if alpha is None:
-            if measure == "soc-katz":
-                bound = max_alpha(inst).max_alpha
-            else:
-                rho = spectral_radius(g).value
-                bound = np.inf if rho <= 0 else 1.0 / rho
-            alpha = 0.03 if not np.isfinite(bound) else 0.9 * bound
-        if measure == "soc-katz":
-            return soc_katz(inst, KatzParams(alpha=alpha))
-        return standard_katz(g, alpha)
+    if measure == "soc-katz":
+        return soc_katz(inst, KatzParams(alpha=cfg.alpha))
+    if measure == "katz":
+        return standard_katz(g, cfg.alpha)
     if measure == "soc-bc":
         return soc_betweenness(inst, cfg.endpoints)
     if measure == "bc":
@@ -324,14 +316,14 @@ def _correlate_files(expected: Path, realized: Path) -> dict:
     meta_e = _sibling_meta(expected)
     meta_r = _sibling_meta(realized)
     cfg = meta_e.get("config", meta_r.get("config", {}))
-    report = correlation_report(
-        kendall_tau(y, z),
-        len(y),
-        measure=meta_e.get("measure", "unknown"),
-        simulation=meta_r.get("simulation", "unknown"),
-        expected=str(expected),
-        realized=str(realized),
-    )
+    report = {
+        "tau": float(kendall_tau(y, z)),
+        "n": len(y),
+        "measure": meta_e.get("measure", "unknown"),
+        "simulation": meta_r.get("simulation", "unknown"),
+        "expected": str(expected),
+        "realized": str(realized),
+    }
     for key in ("omega_ratio", "kappa", "seed"):
         if key in cfg:
             report[key] = cfg[key]

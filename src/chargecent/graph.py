@@ -29,6 +29,62 @@ class GraphParseError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
+def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR adjacency of the arcs ``src -> dst`` over nodes [0, n).
+
+    Arcs are sorted by (tail, head), so every node's out-neighbors ascend.
+    Returns ``indptr``, ``indices`` (the heads) and ``arc_src`` (the tails),
+    the latter two aligned arc by arc.
+    """
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order], src[order]
+
+
+def bfs(
+    indptr: np.ndarray, indices: np.ndarray, source: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+    """Level-synchronous BFS from one source over a CSR digraph.
+
+    Returns distances (-1 where unreached), shortest-path counts, the nodes of
+    each level, and per level the tree arcs (tails, heads) into the next one.
+    Path counts are float64, as in networkx: exact below 2**53 and beyond
+    that rounded rather than wrapped (a 40x40 grid already exceeds int64).
+    """
+    n = indptr.shape[0] - 1
+    d = np.full(n, -1, dtype=np.int64)
+    sigma = np.zeros(n)
+    d[source] = 0
+    sigma[source] = 1.0
+    frontier = np.array([source], dtype=np.int64)
+    level_nodes = [frontier]
+    tree_arcs: list[tuple[np.ndarray, np.ndarray]] = []
+    level = 0
+    while True:
+        starts = indptr[frontier]
+        cnt = indptr[frontier + 1] - starts
+        total = int(cnt.sum())
+        if total == 0:
+            break
+        offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        asrc = np.repeat(frontier, cnt)
+        adst = indices[np.repeat(starts, cnt) + offs]
+        fresh = adst[d[adst] == -1]
+        if fresh.size:
+            d[fresh] = level + 1
+        tree = d[adst] == level + 1
+        tsrc, tdst = asrc[tree], adst[tree]
+        if tsrc.size == 0:
+            break
+        np.add.at(sigma, tdst, sigma[tsrc])
+        tree_arcs.append((tsrc, tdst))
+        frontier = np.unique(fresh)
+        level_nodes.append(frontier)
+        level += 1
+    return d, sigma, level_nodes, tree_arcs
+
+
 class Graph:
     """Unweighted graph over dense node ids with a CSR arc view.
 
@@ -57,48 +113,30 @@ class Graph:
         if len(self.label_to_id) != n:
             raise ValueError("labels must be unique")
 
-        seen: set[tuple[int, int]] = set()
-        kept: list[tuple[int, int]] = []
-        dupes = 0
-        loops = 0
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            key = (u, v) if directed else (min(u, v), max(u, v))
-            if key in seen:
-                dupes += 1
-                continue
-            seen.add(key)
-            kept.append((u, v))
-            if u == v:
-                loops += 1
+        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        bad = np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))
+        if bad.size:
+            u, v = arr[bad[0]]
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        lo, hi = (arr[:, 0], arr[:, 1]) if directed else (arr.min(axis=1), arr.max(axis=1))
+        # np.unique sorts stably for return_index, so each key keeps its first occurrence.
+        first = np.sort(np.unique(lo * n + hi, return_index=True)[1])
+        kept = arr[first]
+        dupes = arr.shape[0] - kept.shape[0]
         if dupes:
             logger.warning("collapsed %d duplicate edge(s)", dupes)
-        self.edges: list[tuple[int, int]] = kept
-        self.m = len(kept)
+        self.edges: list[tuple[int, int]] = list(zip(kept[:, 0].tolist(), kept[:, 1].tolist()))
+        self.m = len(self.edges)
         self.duplicates_collapsed = dupes
-        self.self_loop_count = loops
+        self.self_loop_count = int((kept[:, 0] == kept[:, 1]).sum())
 
         # Arc view: undirected edges become two arcs (self-loops one).
-        if kept:
-            arr = np.asarray(kept, dtype=np.int64)
-            src, dst = arr[:, 0], arr[:, 1]
-            if not directed:
-                mask = src != dst
-                src = np.concatenate([src, dst[mask]])
-                dst = np.concatenate([dst, arr[:, 0][mask]])
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.indptr, src + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
-        self.indices = dst
+        src, dst = kept[:, 0], kept[:, 1]
+        if not directed:
+            mask = src != dst
+            src, dst = np.concatenate([src, dst[mask]]), np.concatenate([dst, src[mask]])
         # arc_src[a] is the tail of arc a; handy for vectorized matvecs.
-        self.arc_src = src
+        self.indptr, self.indices, self.arc_src = csr(n, src, dst)
 
     @property
     def n_arcs(self) -> int:
@@ -113,16 +151,6 @@ class Graph:
         if not (0 <= v < self.n):
             raise ValueError(f"node id {v} out of range [0,{self.n})")
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def reverse_indptr_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR of the transposed arc view (in-neighbors)."""
-        order = np.lexsort((self.arc_src, self.indices))
-        rsrc = self.indices[order]
-        rdst = self.arc_src[order]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(indptr, rsrc + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, rdst
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"

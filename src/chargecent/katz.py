@@ -21,7 +21,7 @@ from .statespace import StateGraph, apply_bkappa, build_state_graph
 
 @dataclass(frozen=True)
 class KatzParams:
-    alpha: float
+    alpha: float | None  # None: 0.9 of the measured bound, or 0.03 when the bound is infinite
     tol: float = 1e-10
     max_iter: int = 10_000
 
@@ -51,6 +51,13 @@ def max_alpha(inst: SocInstance, tol: float = 1e-10, sg: StateGraph | None = Non
     if res.value <= 0.0:
         return AlphaBound(math.inf, 0.0, res.converged, True)
     return AlphaBound(1.0 / res.value, res.value, res.converged, False)
+
+
+def _resolve_alpha(alpha: float | None, bound: float) -> float:
+    """The given damping factor, else the default: 0.9 * bound, or 0.03 if the bound is infinite."""
+    if alpha is not None:
+        return alpha
+    return 0.03 if not math.isfinite(bound) else 0.9 * bound
 
 
 def _neumann_series(
@@ -84,14 +91,15 @@ def soc_katz(inst: SocInstance, p: KatzParams, sg: StateGraph | None = None) -> 
     if sg is None:
         sg = build_state_graph(inst, starred=False)
     bound = max_alpha(inst, sg=sg)
-    if not (0.0 <= p.alpha < bound.max_alpha):
+    alpha = _resolve_alpha(p.alpha, bound.max_alpha)
+    if not (0.0 <= alpha < bound.max_alpha):
         raise ValueError(
-            f"alpha={p.alpha} is not below the measured bound 1/lambda_max={bound.max_alpha:.6g}"
+            f"alpha={alpha} is not below the measured bound 1/lambda_max={bound.max_alpha:.6g}"
         )
     g = inst.graph
     meta = {
         "measure": "soc-katz",
-        "alpha": p.alpha,
+        "alpha": alpha,
         "kappa": inst.kappa,
         "omega": inst.omega.sorted_members(),
         "tol": p.tol,
@@ -100,7 +108,7 @@ def soc_katz(inst: SocInstance, p: KatzParams, sg: StateGraph | None = None) -> 
         sg.n_states,
         lambda x: apply_bkappa(sg, x),
         lambda tot: tot[: g.n],
-        p.alpha,
+        alpha,
         p.tol,
         p.max_iter,
         meta,
@@ -109,11 +117,15 @@ def soc_katz(inst: SocInstance, p: KatzParams, sg: StateGraph | None = None) -> 
 
 
 def standard_katz(
-    g: Graph, alpha: float, tol: float = 1e-10, max_iter: int = 10_000
+    g: Graph, alpha: float | None, tol: float = 1e-10, max_iter: int = 10_000
 ) -> ScoreVector:
-    """Row sums of the resolvent of the plain adjacency, same series scheme."""
+    """Row sums of the resolvent of the plain adjacency, same series scheme.
+
+    ``alpha=None`` takes the same default as ``KatzParams``, from the plain bound.
+    """
     radius = power_iteration_radius(g.n, g.indptr, g.indices, g.arc_src)
     bound = math.inf if radius.value <= 0 else 1.0 / radius.value
+    alpha = _resolve_alpha(alpha, bound)
     if not (0.0 <= alpha < bound):
         raise ValueError(f"alpha={alpha} is not below the measured bound 1/lambda_max={bound:.6g}")
     meta = {"measure": "katz", "alpha": alpha, "tol": tol}

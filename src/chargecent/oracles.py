@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, SocInstance
+from .graph import Graph, SocInstance, csr
 from .rwbc import WalkSubgraph, walk_subgraph
 from .scores import ScoreVector
 
@@ -144,6 +144,61 @@ def shortest_feasible_walks(
     return walks
 
 
+@dataclass
+class DependencyState:
+    """Single-source BFS bookkeeping: distances, exact path counts, predecessors."""
+
+    source: int
+    dist: list[int]
+    sigma: list[int]
+    preds: list[list[int]]
+    order: list[int]
+
+
+def bfs_shortest_paths(indptr: np.ndarray, indices: np.ndarray, n_states: int, source: int) -> DependencyState:
+    """Reference (scalar) BFS counterpart of the vectorized forward pass."""
+    dist = [-1] * n_states
+    sigma = [0] * n_states
+    preds: list[list[int]] = [[] for _ in range(n_states)]
+    dist[source] = 0
+    sigma[source] = 1
+    order: list[int] = []
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in indices[indptr[v] : indptr[v + 1]]:
+            w = int(w)
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+            if dist[w] == dist[v] + 1:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
+    return DependencyState(source, dist, sigma, preds, order)
+
+
+def target_restricted_dependency(state: DependencyState, targets) -> np.ndarray:
+    """Dependencies credited only to the given target set.
+
+    Satisfies delta(v) = sum over successors w with v among w's predecessors of
+    sigma(v)/sigma(w) * (1_T(w) + delta(w)); with T = everything this is the
+    classic recursion, with T empty it vanishes.
+    """
+    n_states = len(state.dist)
+    is_target = np.zeros(n_states, dtype=bool)
+    for t in targets:
+        is_target[t] = True
+    delta = np.zeros(n_states)
+    for w in reversed(state.order):
+        coeff = (1.0 if is_target[w] else 0.0) + delta[w]
+        if coeff == 0.0:
+            continue
+        for v in state.preds[w]:
+            delta[v] += (state.sigma[v] / state.sigma[w]) * coeff
+    return delta
+
+
 def brute_soc_bc(
     inst: SocInstance, endpoints: str = "target", budget: OracleBudget | None = None
 ) -> ScoreVector:
@@ -238,13 +293,8 @@ def monte_carlo_rwbc(
     if sub.empty:
         raise ValueError(f"no walk from {s} to {t}")
     m = sub.n
-    order = np.lexsort((sub.arc_dst, sub.arc_src))
-    asrc = sub.arc_src[order]
-    adst = sub.arc_dst[order]
+    indptr, adst, asrc = csr(m, sub.arc_src, sub.arc_dst)
     n_arcs = asrc.shape[0]
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.add.at(indptr, asrc + 1, 1)
-    np.cumsum(indptr, out=indptr)
     s_loc, t_loc = sub.source, sub.target
 
     def chunks(rng: np.random.Generator):

@@ -24,9 +24,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import NumericalError
-from .graph import Graph, SocInstance
+from .graph import Graph, SocInstance, bfs, csr
 from .scores import ScoreVector
-from .statespace import StateGraph, build_state_graph, frontier_bfs_distances
+from .statespace import StateGraph, build_state_graph
 
 logger = logging.getLogger(__name__)
 
@@ -59,9 +59,9 @@ def walk_subgraph(g: Graph, s: int, t: int) -> WalkSubgraph:
     """Intersection of forward reachability from s and backward reachability to t."""
     if s == t:
         raise ValueError("source and target must differ")
-    fwd = frontier_bfs_distances(g.indptr, g.indices, g.n, [s])
-    rptr, ridx = g.reverse_indptr_indices()
-    bwd = frontier_bfs_distances(rptr, ridx, g.n, [t])
+    fwd = bfs(g.indptr, g.indices, s)[0]
+    rptr, ridx, _ = csr(g.n, g.indices, g.arc_src)
+    bwd = bfs(rptr, ridx, t)[0]
     keep = (fwd >= 0) & (bwd >= 0)
     if not (keep[s] and keep[t]):
         return WalkSubgraph(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), -1, -1)
@@ -108,7 +108,7 @@ def _absorbing_flows(n: int, src: np.ndarray, dst: np.ndarray, t: int, starts) -
     live = src != t  # the target absorbs: its out-arcs carry nothing
     # into[v, u] = 1 for each arc u -> v, so the CSR rows list in-neighbors.
     into = scipy.sparse.csr_matrix((np.ones(int(live.sum())), (dst[live], src[live])), shape=(n, n))
-    reach = frontier_bfs_distances(into.indptr, into.indices, n, [t]) >= 0
+    reach = bfs(into.indptr, into.indices, t)[0] >= 0
     feasible = reach[starts]
     usage, net = np.zeros(n), np.zeros(n)
     if not feasible.any():

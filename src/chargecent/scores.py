@@ -35,9 +35,6 @@ class ScoreVector:
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
-    def as_dict(self) -> dict[str, float]:
-        return {lab: float(v) for lab, v in zip(self.labels, self.values)}
-
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w") as fh:
             fh.write(CSV_HEADER + "\n")

@@ -19,8 +19,8 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 import numpy as np
 
-from .betweenness import _forward_levels
-from .graph import SocInstance
+from .errors import NumericalError
+from .graph import SocInstance, bfs, csr
 from .scores import ScoreVector
 from .statespace import StateGraph, build_state_graph
 
@@ -64,12 +64,11 @@ class SirParams:
 class SirEpisode:
     ever_infected: int
     rounds: int
-    active_edges: list[tuple[int, int]]
 
 
 def run_sir_episode(
     inst: SocInstance, seed_node: int, rng: np.random.Generator,
-    alpha: float, max_steps: int | None = None, record_edges: bool = False,
+    alpha: float, max_steps: int | None = None,
 ) -> SirEpisode:
     """One synchronous infect-once episode seeded at ``seed_node`` with full charge."""
     g = inst.graph
@@ -81,7 +80,6 @@ def run_sir_episode(
     infected = [seed_node]
     ever = 1
     rounds = 0
-    edges: list[tuple[int, int]] = []
     while infected and (max_steps is None or rounds < max_steps):
         newly: dict[int, int] = {}
         for u in infected:
@@ -103,8 +101,6 @@ def run_sir_episode(
                 if r < alpha:
                     if w not in newly or handed > newly[w]:
                         newly[w] = handed
-                    if record_edges:
-                        edges.append((u, w))
         for u in infected:
             status[u] = 2
             del soc[u]
@@ -114,7 +110,7 @@ def run_sir_episode(
             soc[w] = newly[w]
         ever += len(infected)
         rounds += 1
-    return SirEpisode(ever, rounds, edges)
+    return SirEpisode(ever, rounds)
 
 
 def sir_influence(inst: SocInstance, p: SirParams) -> SimOutcome:
@@ -130,7 +126,8 @@ def sir_influence(inst: SocInstance, p: SirParams) -> SimOutcome:
         for ep in range(p.runs):
             rng = np.random.default_rng([p.seed, v, ep])
             episode = run_sir_episode(inst, v, rng, p.alpha, p.max_steps)
-            assert 1 <= episode.ever_infected <= g.n
+            if not 1 <= episode.ever_infected <= g.n:
+                raise NumericalError(f"outbreak of {episode.ever_infected} outside [1, {g.n}] nodes")
             total += episode.ever_infected
         scores[v] = total / p.runs
     meta = {
@@ -183,22 +180,12 @@ class _TargetTables:
 
     def __init__(self, sg: StateGraph, max_cached: int | None = None):
         self.sg = sg
-        self.rptr, self.ridx = self._reverse_csr(sg)
+        self.rptr, self.ridx, _ = csr(sg.n_states, sg.indices, sg.arc_src)
         if max_cached is None:
             per_table = sg.n_states * 16  # int64 dist + float64 paths
             max_cached = max(16, int(3e8 // max(per_table, 1)))
         self.max_cached = max_cached
         self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-
-    @staticmethod
-    def _reverse_csr(sg: StateGraph) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(sg.indices, kind="stable")
-        rsrc = sg.indices[order]
-        rdst = sg.arc_src[order]
-        indptr = np.zeros(sg.n_states + 1, dtype=np.int64)
-        np.add.at(indptr, rsrc + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, rdst
 
     def for_target(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         if t in self._cache:
@@ -208,8 +195,7 @@ class _TargetTables:
         star = sg.n_numeric + t
         # Reverse-graph BFS from the sink: distances to the sink, and path
         # counts that equal the number of shortest continuations per state.
-        dist, sigma, _, _ = _forward_levels(self.rptr, self.ridx, sg.n_states, star)
-        paths = sigma.astype(float)
+        dist, paths, _, _ = bfs(self.rptr, self.ridx, star)
         self._cache[t] = (dist, paths)
         if len(self._cache) > self.max_cached:
             self._cache.popitem(last=False)
@@ -298,7 +284,8 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> SimOutcome:
         else:
             cand = succ[dist[succ] >= 0]  # any feasibility-preserving move
             weights = np.ones(cand.shape[0])
-        assert cand.shape[0] > 0, "particle stranded: no feasible continuation"
+        if cand.shape[0] == 0:
+            raise NumericalError("particle stranded: no feasible continuation")
         free = ~occupied[cand % n]
         stalled = part.blocked_for
         if p.stall_reroute_after is not None and stalled >= p.stall_reroute_after and free.any():
@@ -360,10 +347,11 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> SimOutcome:
             part = particles.pop(pid)
             occupied[part.node] = False
             completed += 1
-        assert placed == completed + len(particles)
-        if __debug__ and particles:
-            nodes = [q.node for q in particles.values()]
-            assert len(set(nodes)) == len(nodes), "occupancy exclusivity violated"
+        if placed != completed + len(particles):
+            raise NumericalError(f"{placed} placed != {completed} completed + {len(particles)} in flight")
+        nodes = [q.node for q in particles.values()]
+        if len(set(nodes)) != len(nodes):
+            raise NumericalError("occupancy exclusivity violated")
 
     meta = {
         "simulation": "hopping",

@@ -15,11 +15,9 @@ Flat state index layout: block b holds charge kappa - b, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
-
 import numpy as np
 
-from .graph import SocInstance
+from .graph import SocInstance, bfs, csr
 
 # Marker for the charge level of sink states in the augmented graph.
 STAR = "star"
@@ -59,18 +57,7 @@ class StateGraph:
             numeric = np.arange(self.n_numeric, dtype=np.int64)
             src_parts.append(numeric)
             dst_parts.append(self.n_numeric + (numeric % n))
-        if src_parts:
-            src = np.concatenate(src_parts)
-            dst = np.concatenate(dst_parts)
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        indptr = np.zeros(self.n_states + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, dst, src
+        return csr(self.n_states, np.concatenate(src_parts), np.concatenate(dst_parts))
 
     @property
     def n_arcs(self) -> int:
@@ -97,17 +84,6 @@ class StateGraph:
     def out_states(self, idx: int) -> np.ndarray:
         return self.indices[self.indptr[idx] : self.indptr[idx + 1]]
 
-    def iter_arcs(self) -> Iterator[tuple[int, int]]:
-        for a in range(self.n_arcs):
-            yield int(self.arc_src[a]), int(self.indices[a])
-
-    def dump_arcs(self, fh: IO[str]) -> None:
-        """Debug dump, one line per arc: ``(u,i) -> (v,j)``."""
-        for s, d in self.iter_arcs():
-            u, i = self.state_of(s)
-            v, j = self.state_of(d)
-            fh.write(f"({u},{i}) -> ({v},{j})\n")
-
     def __repr__(self) -> str:
         star = ", starred" if self.starred else ""
         return f"StateGraph(states={self.n_states}, arcs={self.n_arcs}{star})"
@@ -126,16 +102,6 @@ def apply_bkappa(sg: StateGraph, x: np.ndarray) -> np.ndarray:
     if x.shape != (sg.n_states,):
         raise ValueError(f"vector length {x.shape} does not match {sg.n_states} states")
     return np.bincount(sg.arc_src, weights=x[sg.indices], minlength=sg.n_states)
-
-
-def apply_bkappa_transpose(sg: StateGraph, x: np.ndarray) -> np.ndarray:
-    """Column action y[d] = sum over arcs s->d of x[s]."""
-    if sg.starred:
-        raise ValueError("apply_bkappa_transpose requires an unstarred state graph")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sg.n_states,):
-        raise ValueError(f"vector length {x.shape} does not match {sg.n_states} states")
-    return np.bincount(sg.indices, weights=x[sg.arc_src], minlength=sg.n_states)
 
 
 @dataclass
@@ -191,43 +157,9 @@ def count_feasible_walks(inst: SocInstance, k: int, sg: StateGraph | None = None
     return WalkCounts(counts, saturated)
 
 
-def frontier_bfs_distances(
-    indptr: np.ndarray, indices: np.ndarray, n: int, sources: Sequence[int] | np.ndarray
-) -> np.ndarray:
-    """Multi-source BFS distances over a CSR digraph (-1 for unreached)."""
-    d = np.full(n, -1, dtype=np.int64)
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
-    d[frontier] = 0
-    level = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        cnt = indptr[frontier + 1] - starts
-        total = int(cnt.sum())
-        if total == 0:
-            break
-        offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        targets = indices[np.repeat(starts, cnt) + offs]
-        fresh = targets[d[targets] == -1]
-        if fresh.size == 0:
-            break
-        d[fresh] = level + 1
-        frontier = np.unique(fresh)
-        level += 1
-    return d
-
-
-def bfs_star_distances(sg: StateGraph, source_node: int) -> np.ndarray:
-    """BFS distances from (source_node, kappa) over the augmented state graph."""
-    if not sg.starred:
-        raise ValueError("augmented state graph required")
-    return frontier_bfs_distances(
-        sg.indptr, sg.indices, sg.n_states, [sg.source_state(source_node)]
-    )
-
-
 def reachable_nodes(sg: StateGraph, source_node: int) -> np.ndarray:
     """Boolean mask of nodes with a feasible walk from ``source_node`` (itself included)."""
-    d = frontier_bfs_distances(sg.indptr, sg.indices, sg.n_states, [sg.source_state(source_node)])
+    d = bfs(sg.indptr, sg.indices, sg.source_state(source_node))[0]
     reached_states = np.flatnonzero(d[: sg.n_numeric] >= 0)
     mask = np.zeros(sg.n, dtype=bool)
     mask[reached_states % sg.n] = True
@@ -244,7 +176,7 @@ def shortest_feasible_walk_length(inst: SocInstance, s: int, t: int) -> int | No
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError("node id out of range")
     sg = build_state_graph(inst, starred=True)
-    d = bfs_star_distances(sg, s)
+    d = bfs(sg.indptr, sg.indices, sg.source_state(s))[0]
     dist = d[sg.state_index(t, STAR)]
     if dist < 0:
         return None

@@ -14,53 +14,37 @@ from typing import Sequence
 import numpy as np
 
 
-def _merge_count(z: np.ndarray) -> int:
-    """Number of strict inversions in z (equal elements are not inversions)."""
+def _inversions(z: np.ndarray) -> int:
+    """Number of strict inversions in z (equal elements are not inversions).
+
+    Bottom-up merge sort, one stable sort per level of block width. Merging a
+    left and a right half, the right-half element at index i lands at merged
+    index j, having passed i - j left-half elements that exceed it.
+    """
     n = z.shape[0]
     buf = z.copy()
-    tmp = np.empty_like(buf)
+    idx = np.arange(n)
     inversions = 0
     width = 1
     while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            if mid >= hi:
-                continue
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if buf[j] < buf[i]:
-                    tmp[k] = buf[j]
-                    inversions += mid - i
-                    j += 1
-                else:
-                    tmp[k] = buf[i]
-                    i += 1
-                k += 1
-            while i < mid:
-                tmp[k] = buf[i]
-                i += 1
-                k += 1
-            while j < hi:
-                tmp[k] = buf[j]
-                j += 1
-                k += 1
-            buf[lo:hi] = tmp[lo:hi]
+        block = idx // (2 * width)
+        order = np.lexsort((buf, block))  # stable: ties keep left-half elements first
+        merged_at = np.empty(n, dtype=np.int64)
+        merged_at[order] = idx
+        right = idx - block * (2 * width) >= width
+        inversions += int((idx[right] - merged_at[right]).sum())
+        buf = buf[order]
         width *= 2
     return inversions
 
 
-def _tie_pair_count(sorted_vals: np.ndarray) -> int:
-    total = 0
-    run = 1
-    for i in range(1, sorted_vals.shape[0]):
-        if sorted_vals[i] == sorted_vals[i - 1]:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
+def _tie_pairs(*sorted_cols: np.ndarray) -> int:
+    """Pairs of equal rows, given columns sorted so that equal rows are adjacent."""
+    change = np.zeros(sorted_cols[0].shape[0] - 1, dtype=bool)
+    for col in sorted_cols:
+        change |= col[1:] != col[:-1]
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], change, [True]))))
+    return int((runs * (runs - 1) // 2).sum())
 
 
 def concordance_excess(y: Sequence[float], z: Sequence[float]) -> tuple[int, dict[str, int]]:
@@ -79,18 +63,10 @@ def concordance_excess(y: Sequence[float], z: Sequence[float]) -> tuple[int, dic
     order = np.lexsort((z, y))
     ys, zs = y[order], z[order]
     n0 = n * (n - 1) // 2
-    ties_y = _tie_pair_count(ys)
-    ties_z = _tie_pair_count(np.sort(z))
-    both = 0
-    run = 1
-    for i in range(1, n):
-        if ys[i] == ys[i - 1] and zs[i] == zs[i - 1]:
-            run += 1
-        else:
-            both += run * (run - 1) // 2
-            run = 1
-    both += run * (run - 1) // 2
-    discordant = _merge_count(zs)
+    ties_y = _tie_pairs(ys)
+    ties_z = _tie_pairs(np.sort(z))
+    both = _tie_pairs(ys, zs)
+    discordant = _inversions(zs)
     excess = (n0 - ties_y - ties_z + both) - 2 * discordant
     return excess, {"n0": n0, "ties_y": ties_y, "ties_z": ties_z, "ties_both": both}
 
@@ -126,11 +102,3 @@ def kendall_tau_naive(y: Sequence[float], z: Sequence[float]) -> float:
             sz = 1 if dz > 0 else (-1 if dz < 0 else 0)
             total += sy * sz
     return 2.0 * total / (n * (n - 1))
-
-
-def correlation_report(
-    tau: float, n: int, measure: str, simulation: str, **extras
-) -> dict:
-    report = {"tau": float(tau), "n": int(n), "measure": measure, "simulation": simulation}
-    report.update(extras)
-    return report

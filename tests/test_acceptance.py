@@ -20,8 +20,8 @@ from chargecent.generators import (
     grid_graph,
     sample_omega,
 )
+from chargecent.graph import bfs
 from chargecent.katz import state_graph_radius
-from chargecent.statespace import frontier_bfs_distances
 
 from conftest import instance_corpus
 
@@ -72,7 +72,7 @@ def test_criterion_3_reductions():
         g = gnp_random_graph(int(rng.integers(3, 9)), 0.4, seed=int(rng.integers(2**31)))
         longest = 1
         for s in range(g.n):
-            d = frontier_bfs_distances(g.indptr, g.indices, g.n, [s])
+            d = bfs(g.indptr, g.indices, s)[0]
             longest = max(longest, int(d.max()))
         inst = cc.make_instance(g, [], longest)
         diff = np.max(np.abs(cc.soc_betweenness(inst).values - cc.standard_betweenness(g).values))

@@ -2,22 +2,26 @@ import numpy as np
 import pytest
 
 from chargecent import (
-    bfs_shortest_paths,
     build_state_graph,
     make_instance,
     soc_betweenness,
     soc_betweenness_scores,
     standard_betweenness,
-    target_restricted_dependency,
 )
 from chargecent.generators import (
     gnp_random_graph,
+    grid_graph,
     path_graph,
     star_graph,
     two_grids_bridged,
 )
-from chargecent.oracles import brute_soc_bc, shortest_feasible_walks
-from chargecent.statespace import frontier_bfs_distances
+from chargecent.graph import bfs
+from chargecent.oracles import (
+    bfs_shortest_paths,
+    brute_soc_bc,
+    shortest_feasible_walks,
+    target_restricted_dependency,
+)
 
 
 def test_path_kappa_one_only_adjacent_pairs():
@@ -55,7 +59,7 @@ def test_reduction_to_standard_bc():
     for g in graphs:
         longest = 0
         for s in range(g.n):
-            d = frontier_bfs_distances(g.indptr, g.indices, g.n, [s])
+            d = bfs(g.indptr, g.indices, s)[0]
             longest = max(longest, int(d.max()))
         kappa = max(longest, 1)
         inst = make_instance(g, [], kappa)
@@ -183,3 +187,16 @@ def test_invalid_endpoints_rejected():
         standard_betweenness(path_graph(3), "both")
     with pytest.raises(ValueError):
         soc_betweenness(make_instance(path_graph(3), [], 1), "both")
+
+
+def test_standard_bc_large_grid_matches_networkx():
+    # Shortest-path counts on a 40x40 grid reach C(78, 39) ~ 2.7e22, past int64.
+    nx = pytest.importorskip("networkx")
+    g = grid_graph(40, 40)
+    got = standard_betweenness(g, "none").values
+    ref_graph = nx.Graph(g.edges)
+    ref_graph.add_nodes_from(range(g.n))
+    ref = nx.betweenness_centrality(ref_graph, normalized=False)
+    want = 2.0 * np.array([ref[v] for v in range(g.n)])  # networkx counts unordered pairs
+    assert got.min() >= 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import chargecent.graph
+import chargecent.katz
+from chargecent import load_edge_list, make_instance, max_alpha
 from chargecent.cli import main
+from chargecent.generators import sample_omega
 from chargecent.scores import ScoreVector
+from chargecent.statespace import StateGraph
 
 
 @pytest.fixture
@@ -221,3 +226,27 @@ def test_experiment_and_batch_summary(graph_file, tmp_path):
                "--seed", "11", "--out", out2) == 0
     assert (out / "taus.csv").read_bytes() == (out2 / "taus.csv").read_bytes()
     assert (out / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+
+def test_default_alpha_measures_the_bound_once(graph_file, tmp_path, monkeypatch):
+    g = load_edge_list(graph_file)
+    bound = max_alpha(make_instance(g, sample_omega(g.n, 0.5, 3), 2)).max_alpha
+    calls = {"radius": 0, "state_graph": 0}
+    radius, init = chargecent.graph.power_iteration_radius, StateGraph.__init__
+
+    def counting_radius(*args, **kwargs):
+        calls["radius"] += 1
+        return radius(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["state_graph"] += 1
+        init(self, *args, **kwargs)
+
+    for mod in (chargecent.graph, chargecent.katz):
+        monkeypatch.setattr(mod, "power_iteration_radius", counting_radius)
+    monkeypatch.setattr(StateGraph, "__init__", counting_init)
+    out = tmp_path / "run"
+    assert run("centrality", "--input", graph_file, "--kappa", "2", "--omega-ratio", "0.5",
+               "--seed", "3", "--measure", "soc-katz", "--out", out) == 0
+    assert calls == {"radius": 1, "state_graph": 1}
+    assert json.loads((out / "scores.meta.json").read_text())["alpha"] == 0.9 * bound

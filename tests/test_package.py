@@ -1,0 +1,26 @@
+"""Package-wide guards: invariants that survive ``python -O`` and a clean public surface."""
+
+import ast
+from pathlib import Path
+
+import chargecent
+
+SRC = Path(chargecent.__file__).parent
+
+
+def test_no_assert_statements_in_package():
+    # ``python -O`` strips asserts; invariants must raise explicitly.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_public_names_resolve_and_exclude_reference_code():
+    for name in chargecent.__all__:
+        assert hasattr(chargecent, name), name
+    for name in ("bfs_shortest_paths", "target_restricted_dependency", "DependencyState"):
+        assert name not in chargecent.__all__

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import chargecent.simulate
 from chargecent import (
     HoppingParams,
+    NumericalError,
     SirParams,
     make_instance,
     particle_hopping,
@@ -12,6 +14,7 @@ from chargecent import (
 )
 from chargecent.generators import gnp_random_graph, path_graph, star_graph
 from chargecent.oracles import plain_sir_outbreaks
+from chargecent.simulate import SirEpisode
 
 
 def test_sir_zero_probability_never_spreads():
@@ -156,3 +159,9 @@ def test_hopping_param_validation():
         HoppingParams(duration=0)
     with pytest.raises(ValueError):
         SirParams(alpha=1.5)
+
+
+def test_sir_outbreak_size_check_raises(monkeypatch):
+    monkeypatch.setattr(chargecent.simulate, "run_sir_episode", lambda *a, **k: SirEpisode(0, 0))
+    with pytest.raises(NumericalError, match="outbreak"):
+        sir_influence(make_instance(path_graph(3), [], 1), SirParams(alpha=0.5, runs=1))

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -13,14 +11,14 @@ from chargecent import (
     shortest_feasible_walk_length,
 )
 from chargecent.generators import complete_graph, path_graph
+from chargecent.graph import bfs
 from chargecent.oracles import dense_adjacency, dense_bkappa, enumerate_feasible_walks
-from chargecent.statespace import apply_bkappa_transpose
 
 from conftest import instance_corpus
 
 
 def arcs_of(sg):
-    return sorted((sg.state_of(s), sg.state_of(d)) for s, d in sg.iter_arcs())
+    return sorted((sg.state_of(s), sg.state_of(d)) for s, d in zip(sg.arc_src, sg.indices))
 
 
 def test_single_arc_no_refill():
@@ -46,7 +44,7 @@ def test_arc_legality_invariant(small_instances):
     for inst in small_instances:
         sg = build_state_graph(inst, starred=False)
         edges = {(u, v) for u, v in zip(inst.graph.arc_src, inst.graph.indices)}
-        for s, d in sg.iter_arcs():
+        for s, d in zip(sg.arc_src, sg.indices):
             (u, i), (v, j) = sg.state_of(s), sg.state_of(d)
             assert (u, v) in edges
             if v in inst.omega:
@@ -74,7 +72,7 @@ def test_arcs_match_dense_block_matrix(small_instances):
         sg = build_state_graph(inst, starred=False)
         dense = dense_bkappa(inst)
         got = np.zeros_like(dense)
-        for s, d in sg.iter_arcs():
+        for s, d in zip(sg.arc_src, sg.indices):
             got[s, d] += 1.0
         assert np.array_equal(got, dense)
 
@@ -86,7 +84,6 @@ def test_apply_bkappa_agrees_with_dense(small_instances):
         dense = dense_bkappa(inst)
         x = rng.normal(size=sg.n_states)
         assert np.allclose(apply_bkappa(sg, x), dense @ x, atol=1e-12)
-        assert np.allclose(apply_bkappa_transpose(sg, x), dense.T @ x, atol=1e-12)
 
 
 def test_apply_bkappa_zero_and_basis():
@@ -198,22 +195,11 @@ def test_shortest_feasible_walk_against_enumeration():
 
 
 def test_shortest_feasible_at_least_graph_distance(small_instances):
-    from chargecent.statespace import frontier_bfs_distances
-
     for inst in small_instances[:15]:
         g = inst.graph
         for s in range(g.n):
-            d = frontier_bfs_distances(g.indptr, g.indices, g.n, [s])
+            d = bfs(g.indptr, g.indices, s)[0]
             for t in range(g.n):
                 sfw = shortest_feasible_walk_length(inst, s, t)
                 if sfw is not None:
                     assert d[t] >= 0 and sfw >= d[t]
-
-
-def test_dump_arcs_format():
-    inst = make_instance(Graph(2, [(0, 1)], directed=True), [1], 1)
-    buf = io.StringIO()
-    build_state_graph(inst, starred=True).dump_arcs(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert "(0,1) -> (1,1)" in lines
-    assert any("star" in ln for ln in lines)
