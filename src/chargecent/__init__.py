@@ -29,19 +29,13 @@ from .graph import (
 )
 from .katz import AlphaBound, KatzParams, max_alpha, soc_katz, standard_katz
 from .rwbc import (
-    FlowSolution,
-    StPair,
-    WalkSubgraph,
-    directed_rwbc_pair,
     rwbc_all_pairs,
     sample_feasible_pairs,
     soc_rwbc,
-    walk_subgraph,
 )
 from .scores import ScoreVector, align_scores
 from .simulate import (
     HoppingParams,
-    SimOutcome,
     SirParams,
     particle_hopping,
     run_sir_episode,
@@ -61,7 +55,6 @@ from .stats import kendall_tau, kendall_tau_naive
 __all__ = [
     "AlphaBound",
     "BcScores",
-    "FlowSolution",
     "Graph",
     "GraphParseError",
     "HoppingParams",
@@ -71,18 +64,14 @@ __all__ = [
     "RefillSet",
     "STAR",
     "ScoreVector",
-    "SimOutcome",
     "SirParams",
     "SocInstance",
-    "StPair",
     "StateGraph",
     "WalkCounts",
-    "WalkSubgraph",
     "align_scores",
     "apply_bkappa",
     "build_state_graph",
     "count_feasible_walks",
-    "directed_rwbc_pair",
     "kendall_tau",
     "kendall_tau_naive",
     "load_edge_list",
@@ -101,6 +90,5 @@ __all__ = [
     "spectral_radius",
     "standard_betweenness",
     "standard_katz",
-    "walk_subgraph",
     "write_snap_tsv",
 ]

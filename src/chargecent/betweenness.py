@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph import Graph, SocInstance, bfs
 from .scores import ScoreVector
-from .statespace import StateGraph, build_state_graph
+from .statespace import build_state_graph
 
 ENDPOINT_CONVENTIONS = ("target", "none")
 
@@ -53,16 +53,21 @@ class BcScores:
     node_scores: np.ndarray
     endpoints: str
 
+    def node_vector(self, inst: SocInstance) -> ScoreVector:
+        """The per-node scores with their metadata, as ``soc_betweenness`` returns them."""
+        meta = {
+            "measure": "soc-bc",
+            "kappa": inst.kappa,
+            "omega": inst.omega.sorted_members(),
+            "endpoints": self.endpoints,
+        }
+        return ScoreVector.for_graph(inst.graph, self.node_scores, meta)
 
-def soc_betweenness_scores(
-    inst: SocInstance, endpoints: str = "target", sg: StateGraph | None = None
-) -> BcScores:
+
+def soc_betweenness_scores(inst: SocInstance, endpoints: str = "target") -> BcScores:
     if endpoints not in ENDPOINT_CONVENTIONS:
         raise ValueError(f"endpoints must be one of {ENDPOINT_CONVENTIONS}")
-    if sg is None:
-        sg = build_state_graph(inst, starred=True)
-    elif not sg.starred:
-        raise ValueError("augmented state graph required")
+    sg = build_state_graph(inst, starred=True)
     n = inst.graph.n
     n_states = sg.n_states
     star_mask = np.zeros(n_states, dtype=bool)
@@ -83,18 +88,9 @@ def soc_betweenness_scores(
     return BcScores(bc_state, node_scores, endpoints)
 
 
-def soc_betweenness(
-    inst: SocInstance, endpoints: str = "target", sg: StateGraph | None = None
-) -> ScoreVector:
+def soc_betweenness(inst: SocInstance, endpoints: str = "target") -> ScoreVector:
     """Charge-aware betweenness aggregated per node (unnormalized)."""
-    scores = soc_betweenness_scores(inst, endpoints, sg)
-    meta = {
-        "measure": "soc-bc",
-        "kappa": inst.kappa,
-        "omega": inst.omega.sorted_members(),
-        "endpoints": endpoints,
-    }
-    return ScoreVector.for_graph(inst.graph, scores.node_scores, meta)
+    return soc_betweenness_scores(inst, endpoints).node_vector(inst)
 
 
 def standard_betweenness(g: Graph, endpoints: str = "target") -> ScoreVector:

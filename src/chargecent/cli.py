@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .betweenness import soc_betweenness, standard_betweenness
+from .betweenness import BcScores, soc_betweenness, soc_betweenness_scores, standard_betweenness
 from .errors import NumericalError
 from .generators import sample_omega
 from .graph import Graph, GraphParseError, load_edge_list, make_instance
@@ -68,9 +68,6 @@ class ExperimentConfig:
     verify: bool = False
     state_dump: bool = False
     out: str = "."
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items()}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -184,6 +181,9 @@ def _resolve_pairs(cfg: ExperimentConfig, g: Graph, inst) -> list[tuple[int, int
                 continue
             if len(toks) != 2:
                 raise ValueError(f"pair line needs two labels: {ln!r}")
+            missing = [lab for lab in toks if lab not in g.label_to_id]
+            if missing:
+                raise ValueError(f"pair label {missing[0]!r} not in graph")
             pairs.append((g.label_to_id[toks[0]], g.label_to_id[toks[1]]))
         if not pairs:
             raise ValueError("empty pairs file")
@@ -212,11 +212,37 @@ def compute_measure(cfg: ExperimentConfig, g: Graph, inst) -> ScoreVector:
     raise ValueError(f"--measure must be one of {MEASURES}")
 
 
+def run_simulation(cfg: ExperimentConfig, g: Graph, inst) -> ScoreVector:
+    if cfg.sim == "sir":
+        if cfg.alpha is None:
+            raise ValueError("sir needs --alpha (transmission probability)")
+        return sir_influence(inst, SirParams(alpha=cfg.alpha, runs=cfg.runs, seed=cfg.seed))
+    if cfg.sim == "hopping":
+        pairs = tuple(_resolve_pairs(cfg, g, inst)) if cfg.pairs_file or cfg.pairs else None
+        return particle_hopping(
+            inst,
+            HoppingParams(
+                policy=cfg.policy,
+                duration=cfg.duration,
+                injection_rate=cfg.injection_rate,
+                seed=cfg.seed,
+                pairs=pairs,
+                max_injections=cfg.max_injections,
+            ),
+        )
+    raise ValueError(f"--sim must be one of {SIMULATIONS}")
+
+
+def _embedded(cfg: ExperimentConfig) -> dict:
+    """The configuration written into outputs; where they go is not part of a run's identity."""
+    embedded = asdict(cfg)
+    del embedded["out"]
+    return embedded
+
+
 def _write_scores(sv: ScoreVector, cfg: ExperimentConfig, out: Path, stem: str) -> Path:
     out.mkdir(parents=True, exist_ok=True)
-    embedded = cfg.to_dict()
-    embedded.pop("out", None)  # output location is not part of the run's identity
-    sv.meta["config"] = embedded
+    sv.meta["config"] = _embedded(cfg)
     sv.meta["version"] = __version__
     csv = out / f"{stem}.csv"
     sv.write_csv(csv)
@@ -227,8 +253,14 @@ def _write_scores(sv: ScoreVector, cfg: ExperimentConfig, out: Path, stem: str) 
 
 
 def cmd_centrality(cfg: ExperimentConfig) -> int:
+    if cfg.state_dump and cfg.measure != "soc-bc":
+        raise ValueError("--state-dump applies to soc-bc only")
     g, inst = _load_instance(cfg)
-    sv = compute_measure(cfg, g, inst)
+    if cfg.state_dump:
+        bc = soc_betweenness_scores(inst, cfg.endpoints)
+        sv = bc.node_vector(inst)
+    else:
+        sv = compute_measure(cfg, g, inst)
     if cfg.verify:
         code = _verify(cfg, g, inst, sv)
         if code:
@@ -236,24 +268,20 @@ def cmd_centrality(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     _write_scores(sv, cfg, out, "scores")
     if cfg.state_dump:
-        if cfg.measure != "soc-bc":
-            raise ValueError("--state-dump applies to soc-bc only")
-        _write_state_dump(inst, cfg, out)
+        _write_state_dump(inst, bc, out)
     print(f"wrote {out / 'scores.csv'} ({len(sv)} nodes)")
     return 0
 
 
-def _write_state_dump(inst, cfg: ExperimentConfig, out: Path) -> None:
-    from .betweenness import soc_betweenness_scores
-    from .statespace import build_state_graph
-
-    sg = build_state_graph(inst, starred=True)
-    scores = soc_betweenness_scores(inst, cfg.endpoints, sg)
+def _write_state_dump(inst, bc: BcScores, out: Path) -> None:
+    g, kappa = inst.graph, inst.kappa
+    # Block b of the numeric states holds charge kappa - b.
+    levels = bc.state_scores[: g.n * (kappa + 1)].reshape(kappa + 1, g.n)
     with open(out / "scores.states.csv", "w") as fh:
         fh.write("node_label,charge,score\n")
-        for idx in range(sg.n_numeric):
-            node, soc = sg.state_of(idx)
-            fh.write(f"{inst.graph.labels[node]},{soc},{float(scores.state_scores[idx])!r}\n")
+        for b, row in enumerate(levels):
+            for node, score in enumerate(row):
+                fh.write(f"{g.labels[node]},{kappa - b},{float(score)!r}\n")
 
 
 def _verify(cfg: ExperimentConfig, g: Graph, inst, sv: ScoreVector) -> int:
@@ -274,28 +302,7 @@ def _verify(cfg: ExperimentConfig, g: Graph, inst, sv: ScoreVector) -> int:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     g, inst = _load_instance(cfg)
     out = Path(cfg.out)
-    if cfg.sim == "sir":
-        if cfg.alpha is None:
-            raise ValueError("sir needs --alpha (transmission probability)")
-        outcome = sir_influence(inst, SirParams(alpha=cfg.alpha, runs=cfg.runs, seed=cfg.seed))
-    elif cfg.sim == "hopping":
-        pairs = None
-        if cfg.pairs_file or cfg.pairs:
-            pairs = tuple(_resolve_pairs(cfg, g, inst))
-        outcome = particle_hopping(
-            inst,
-            HoppingParams(
-                policy=cfg.policy,
-                duration=cfg.duration,
-                injection_rate=cfg.injection_rate,
-                seed=cfg.seed,
-                pairs=pairs,
-                max_injections=cfg.max_injections,
-            ),
-        )
-    else:
-        raise ValueError(f"--sim must be one of {SIMULATIONS}")
-    _write_scores(outcome.to_scores(), cfg, out, "realized")
+    _write_scores(run_simulation(cfg, g, inst), cfg, out, "realized")
     print(f"wrote {out / 'realized.csv'} ({g.n} nodes)")
     return 0
 
@@ -368,29 +375,25 @@ def _correlate_batch(root: Path, out: Path) -> int:
     return 0
 
 
+def _ratio_key(ratio: float) -> int:
+    """The ratio's part of a repetition's seed; a sweep's ratios must not share one."""
+    return int(ratio * 1000)
+
+
 def _run_rep(task: tuple) -> tuple[float, int, float]:
     cfg_dict, ratio, rep = task
     cfg = ExperimentConfig(**cfg_dict)
     g = load_edge_list(cfg.input, cfg.format, cfg.directed)
-    rep_seed = int(np.random.SeedSequence([cfg.seed, int(ratio * 1000), rep]).generate_state(1)[0])
+    rep_seed = int(np.random.SeedSequence([cfg.seed, _ratio_key(ratio), rep]).generate_state(1)[0])
     omega = sample_omega(g.n, ratio, rep_seed)
     inst = make_instance(g, omega, cfg.kappa)
     rep_cfg = ExperimentConfig(**dict(cfg_dict, seed=rep_seed, omega_ratio=ratio))
     out = Path(cfg.out) / f"ratio_{ratio}" / f"rep_{rep:02d}"
     expected = compute_measure(rep_cfg, g, inst)
     _write_scores(expected, rep_cfg, out, "expected")
-    if cfg.sim == "sir":
-        outcome = sir_influence(inst, SirParams(alpha=cfg.alpha, runs=cfg.runs, seed=rep_seed))
-    else:
-        pairs = tuple(_resolve_pairs(rep_cfg, g, inst)) if cfg.pairs else None
-        outcome = particle_hopping(
-            inst,
-            HoppingParams(policy=cfg.policy, duration=cfg.duration,
-                          injection_rate=cfg.injection_rate, seed=rep_seed,
-                          pairs=pairs, max_injections=cfg.max_injections),
-        )
-    _write_scores(outcome.to_scores(), rep_cfg, out, "realized")
-    y, z = align_scores(expected, outcome.to_scores())
+    realized = run_simulation(rep_cfg, g, inst)
+    _write_scores(realized, rep_cfg, out, "realized")
+    y, z = align_scores(expected, realized)
     return ratio, rep, kendall_tau(y, z)
 
 
@@ -400,7 +403,12 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
     if cfg.sim == "sir" and cfg.alpha is None:
         raise ValueError("sir needs --alpha")
     ratios = [float(r) for r in (cfg.ratios or "0.1").split(",")]
-    tasks = [(cfg.to_dict(), r, k) for r in ratios for k in range(cfg.reps)]
+    keys = [_ratio_key(r) for r in ratios]
+    if len(set(keys)) != len(keys):
+        raise ValueError(
+            f"ratios {ratios} repeat a seed key int(ratio * 1000); space them at least 0.001 apart"
+        )
+    tasks = [(asdict(cfg), r, k) for r in ratios for k in range(cfg.reps)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_rep, tasks))
@@ -413,11 +421,8 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
         fh.write("ratio,rep,tau\n")
         for ratio, rep, tau in results:
             fh.write(f"{ratio!r},{rep},{tau!r}\n")
-    embedded = cfg.to_dict()
-    embedded.pop("out", None)
-    (out / "experiment.meta.json").write_text(
-        json.dumps({"config": embedded, "version": __version__}, sort_keys=True, indent=2) + "\n"
-    )
+    meta = {"config": _embedded(cfg), "version": __version__}
+    (out / "experiment.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     _correlate_batch(out, out)
     return 0
 
@@ -438,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (GraphParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (GraphParseError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

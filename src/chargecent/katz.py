@@ -86,10 +86,9 @@ def _neumann_series(
     )
 
 
-def soc_katz(inst: SocInstance, p: KatzParams, sg: StateGraph | None = None) -> ScoreVector:
+def soc_katz(inst: SocInstance, p: KatzParams) -> ScoreVector:
     """Charge-aware Katz scores, read off the full-charge block of the series."""
-    if sg is None:
-        sg = build_state_graph(inst, starred=False)
+    sg = build_state_graph(inst, starred=False)
     bound = max_alpha(inst, sg=sg)
     alpha = _resolve_alpha(p.alpha, bound.max_alpha)
     if not (0.0 <= alpha < bound.max_alpha):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, SocInstance, csr
-from .rwbc import WalkSubgraph, walk_subgraph
+from .graph import Graph, SocInstance, bfs, csr
 from .scores import ScoreVector
 
 DEFAULT_MAX_WALKS = 2_000_000
@@ -268,6 +267,47 @@ def dense_katz(g: Graph, alpha: float) -> np.ndarray:
     if alpha * radius >= 1.0:
         raise ValueError("alpha at or above the spectral bound")
     return np.linalg.solve(np.eye(g.n) - alpha * a, np.ones(g.n))
+
+
+@dataclass
+class WalkSubgraph:
+    """Nodes lying on at least one s-to-t walk, with the induced arc set."""
+
+    nodes: np.ndarray          # global ids, ascending
+    arc_src: np.ndarray        # local ids
+    arc_dst: np.ndarray
+    source: int                # local id of s
+    target: int                # local id of t
+
+    @property
+    def n(self) -> int:
+        return int(self.nodes.shape[0])
+
+    @property
+    def empty(self) -> bool:
+        return self.n == 0
+
+
+def walk_subgraph(g: Graph, s: int, t: int) -> WalkSubgraph:
+    """Intersection of forward reachability from s and backward reachability to t."""
+    if s == t:
+        raise ValueError("source and target must differ")
+    fwd = bfs(g.indptr, g.indices, s)[0]
+    rptr, ridx, _ = csr(g.n, g.indices, g.arc_src)
+    bwd = bfs(rptr, ridx, t)[0]
+    keep = (fwd >= 0) & (bwd >= 0)
+    if not (keep[s] and keep[t]):
+        return WalkSubgraph(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), -1, -1)
+    nodes = np.flatnonzero(keep)
+    local = np.cumsum(keep) - 1  # node id -> position among the kept nodes
+    amask = keep[g.arc_src] & keep[g.indices]
+    return WalkSubgraph(
+        nodes,
+        local[g.arc_src[amask]],
+        local[g.indices[amask]],
+        int(local[s]),
+        int(local[t]),
+    )
 
 
 @dataclass

@@ -16,7 +16,7 @@ then sums net flows over charge levels per node.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import NumericalError
-from .graph import Graph, SocInstance, bfs, csr
+from .graph import Graph, SocInstance, bfs
 from .scores import ScoreVector
 from .statespace import StateGraph, build_state_graph
 
@@ -34,57 +34,6 @@ logger = logging.getLogger(__name__)
 # 8x fewer factor nonzeros than the default COLAMD, and factors 5x faster.
 ORDERING = "MMD_AT_PLUS_A"
 SOLVE_BLOCK = 64  # right-hand sides per block solve; bounds the dense (pairs x starts) block
-
-
-@dataclass
-class WalkSubgraph:
-    """Nodes lying on at least one s-to-t walk, with the induced arc set."""
-
-    nodes: np.ndarray          # global ids, ascending
-    arc_src: np.ndarray        # local ids
-    arc_dst: np.ndarray
-    source: int                # local id of s
-    target: int                # local id of t
-
-    @property
-    def n(self) -> int:
-        return int(self.nodes.shape[0])
-
-    @property
-    def empty(self) -> bool:
-        return self.n == 0
-
-
-def walk_subgraph(g: Graph, s: int, t: int) -> WalkSubgraph:
-    """Intersection of forward reachability from s and backward reachability to t."""
-    if s == t:
-        raise ValueError("source and target must differ")
-    fwd = bfs(g.indptr, g.indices, s)[0]
-    rptr, ridx, _ = csr(g.n, g.indices, g.arc_src)
-    bwd = bfs(rptr, ridx, t)[0]
-    keep = (fwd >= 0) & (bwd >= 0)
-    if not (keep[s] and keep[t]):
-        return WalkSubgraph(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), -1, -1)
-    nodes = np.flatnonzero(keep)
-    local = np.cumsum(keep) - 1  # node id -> position among the kept nodes
-    amask = keep[g.arc_src] & keep[g.indices]
-    return WalkSubgraph(
-        nodes,
-        local[g.arc_src[amask]],
-        local[g.indices[amask]],
-        int(local[s]),
-        int(local[t]),
-    )
-
-
-@dataclass
-class FlowSolution:
-    """Per-node expected out-arc usage, per-arc usage, and net throughflow."""
-
-    f: np.ndarray                       # over host-graph node ids; zero off-subgraph
-    net_flow: np.ndarray                # same indexing
-    arc_flow: dict[tuple[int, int], float] = field(default_factory=dict)
-    subgraph: WalkSubgraph | None = None
 
 
 @dataclass
@@ -161,40 +110,13 @@ def _solver_meta(solved: list[AbsorbingFlows]) -> dict:
     }
 
 
-def directed_rwbc_pair(g: Graph, s: int, t: int, sub: WalkSubgraph | None = None) -> FlowSolution:
-    """Expected-usage flows and net throughflow for one source-target pair."""
-    if sub is None:
-        sub = walk_subgraph(g, s, t)
-    if sub.empty:
-        raise ValueError(f"no walk from {s} to {t}")
-    flows = _absorbing_flows(sub.n, sub.arc_src, sub.arc_dst, sub.target, [sub.source])
-    f, net = np.zeros(g.n), np.zeros(g.n)
-    f[sub.nodes], net[sub.nodes] = flows.usage, flows.net
-    arc_flow = {
-        (int(sub.nodes[u]), int(sub.nodes[v])): float(flows.usage[u])
-        for u, v in zip(sub.arc_src, sub.arc_dst)
-    }
-    return FlowSolution(f, net, arc_flow, sub)
-
-
-@dataclass(frozen=True)
-class StPair:
-    source: int
-    target: int
-
-    def __post_init__(self):
-        if self.source == self.target:
-            raise ValueError("source and target must differ")
-
-
-def _sources_by_target(pairs: Sequence[StPair | tuple[int, int]]) -> dict[int, list[int]]:
+def _sources_by_target(pairs: Sequence[tuple[int, int]]) -> dict[int, list[int]]:
     """Sources of each distinct target, targets in order of first appearance."""
     groups: dict[int, list[int]] = {}
-    for p in pairs:
-        s, t = (p.source, p.target) if isinstance(p, StPair) else (int(p[0]), int(p[1]))
+    for s, t in pairs:
         if s == t:
             raise ValueError("source and target must differ")
-        groups.setdefault(t, []).append(s)
+        groups.setdefault(int(t), []).append(int(s))
     return groups
 
 
@@ -218,9 +140,7 @@ def _contract_target(sg: StateGraph, t: int) -> tuple[np.ndarray, np.ndarray, np
     return src, dst, mapping, tau
 
 
-def soc_rwbc(
-    inst: SocInstance, pairs: Sequence[StPair | tuple[int, int]], sg: StateGraph | None = None
-) -> ScoreVector:
+def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector:
     """Charge-aware random-walk betweenness accumulated over the given pairs.
 
     Pairs without a feasible walk contribute nothing and are counted in the
@@ -229,8 +149,7 @@ def soc_rwbc(
     if not pairs:
         raise ValueError("at least one source-target pair required")
     groups = _sources_by_target(pairs)
-    if sg is None:
-        sg = build_state_graph(inst, starred=False)
+    sg = build_state_graph(inst, starred=False)
     y_states = np.zeros(sg.n_numeric)
     solved: list[AbsorbingFlows] = []
     for t, sources in groups.items():

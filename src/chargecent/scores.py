@@ -1,8 +1,7 @@
-"""Per-node score vectors with provenance metadata and CSV/JSON serialization."""
+"""Per-node score vectors with provenance metadata and CSV serialization."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,16 +40,8 @@ class ScoreVector:
             for lab, v in zip(self.labels, self.values):
                 fh.write(f"{lab},{float(v)!r}\n")
 
-    def write_json(self, path: str | Path) -> None:
-        payload = {
-            "meta": self.meta,
-            "labels": self.labels,
-            "values": [float(v) for v in self.values],
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
     @classmethod
-    def read_csv(cls, path: str | Path, meta: dict | None = None) -> "ScoreVector":
+    def read_csv(cls, path: str | Path) -> "ScoreVector":
         labels: list[str] = []
         vals: list[float] = []
         lines = Path(path).read_text().splitlines()
@@ -65,7 +56,7 @@ class ScoreVector:
                 raise ValueError(f"{path}: line {lineno}: expected 'label,score'")
             labels.append(parts[0])
             vals.append(float(parts[1]))
-        return cls(np.asarray(vals, dtype=float), labels, meta or {})
+        return cls(np.asarray(vals, dtype=float), labels)
 
 
 def align_scores(a: ScoreVector, b: ScoreVector) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
@@ -27,19 +27,11 @@ from .statespace import StateGraph, build_state_graph
 logger = logging.getLogger(__name__)
 
 POLICIES = ("shortest-feasible", "random-feasible")
-
-
-@dataclass
-class SimOutcome:
-    """Per-node realized scores plus run metadata."""
-
-    values: np.ndarray
-    labels: list[str]
-    meta: dict = field(default_factory=dict)
-
-    def to_scores(self) -> ScoreVector:
-        return ScoreVector(self.values, self.labels, dict(self.meta))
-
+# Congestion relief: after this many consecutive blocked steps a particle prefers
+# a free equally-short successor; after the larger threshold it takes any free
+# feasibility-preserving successor.
+STALL_REROUTE_AFTER = 3
+STALL_ESCAPE_AFTER = 25
 
 # ---------------------------------------------------------------------------
 # Spreading influence
@@ -50,7 +42,6 @@ class SimOutcome:
 class SirParams:
     alpha: float
     runs: int = 1000
-    max_steps: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -60,17 +51,10 @@ class SirParams:
             raise ValueError("runs must be positive")
 
 
-@dataclass
-class SirEpisode:
-    ever_infected: int
-    rounds: int
-
-
 def run_sir_episode(
-    inst: SocInstance, seed_node: int, rng: np.random.Generator,
-    alpha: float, max_steps: int | None = None,
-) -> SirEpisode:
-    """One synchronous infect-once episode seeded at ``seed_node`` with full charge."""
+    inst: SocInstance, seed_node: int, rng: np.random.Generator, alpha: float
+) -> int:
+    """Outbreak size of one synchronous infect-once episode from ``seed_node`` at full charge."""
     g = inst.graph
     kappa = inst.kappa
     refill = inst.omega.mask
@@ -79,8 +63,7 @@ def run_sir_episode(
     soc = {seed_node: kappa}
     infected = [seed_node]
     ever = 1
-    rounds = 0
-    while infected and (max_steps is None or rounds < max_steps):
+    while infected:
         newly: dict[int, int] = {}
         for u in infected:
             su = soc[u]
@@ -109,11 +92,10 @@ def run_sir_episode(
             status[w] = 1
             soc[w] = newly[w]
         ever += len(infected)
-        rounds += 1
-    return SirEpisode(ever, rounds)
+    return ever
 
 
-def sir_influence(inst: SocInstance, p: SirParams) -> SimOutcome:
+def sir_influence(inst: SocInstance, p: SirParams) -> ScoreVector:
     """Mean outbreak size per seed node over ``p.runs`` episodes each.
 
     Episode randomness is drawn from a stream keyed by (seed, node, episode),
@@ -125,10 +107,10 @@ def sir_influence(inst: SocInstance, p: SirParams) -> SimOutcome:
         total = 0
         for ep in range(p.runs):
             rng = np.random.default_rng([p.seed, v, ep])
-            episode = run_sir_episode(inst, v, rng, p.alpha, p.max_steps)
-            if not 1 <= episode.ever_infected <= g.n:
-                raise NumericalError(f"outbreak of {episode.ever_infected} outside [1, {g.n}] nodes")
-            total += episode.ever_infected
+            size = run_sir_episode(inst, v, rng, p.alpha)
+            if not 1 <= size <= g.n:
+                raise NumericalError(f"outbreak of {size} outside [1, {g.n}] nodes")
+            total += size
         scores[v] = total / p.runs
     meta = {
         "simulation": "sir",
@@ -138,7 +120,7 @@ def sir_influence(inst: SocInstance, p: SirParams) -> SimOutcome:
         "omega": inst.omega.sorted_members(),
         "seed": p.seed,
     }
-    return SimOutcome(scores, list(g.labels), meta)
+    return ScoreVector.for_graph(g, scores, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +136,6 @@ class HoppingParams:
     seed: int = 0
     pairs: tuple[tuple[int, int], ...] | None = None
     max_injections: int | None = None
-    # Congestion relief: after this many consecutive blocked steps prefer a free
-    # equally-short successor; after the larger threshold allow any free
-    # feasibility-preserving successor. None disables the respective stage.
-    stall_reroute_after: int | None = 3
-    stall_escape_after: int | None = 25
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -178,13 +155,11 @@ class _TargetTables:
     shortest feasible walks one hop at a time.
     """
 
-    def __init__(self, sg: StateGraph, max_cached: int | None = None):
+    def __init__(self, sg: StateGraph):
         self.sg = sg
         self.rptr, self.ridx, _ = csr(sg.n_states, sg.indices, sg.arc_src)
-        if max_cached is None:
-            per_table = sg.n_states * 16  # int64 dist + float64 paths
-            max_cached = max(16, int(3e8 // max(per_table, 1)))
-        self.max_cached = max_cached
+        per_table = sg.n_states * 16  # int64 dist + float64 paths
+        self.max_cached = max(16, int(3e8 // max(per_table, 1)))
         self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
     def for_target(self, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +187,7 @@ class _Particle:
         self.blocked_for = 0
 
 
-def particle_hopping(inst: SocInstance, p: HoppingParams) -> SimOutcome:
+def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
     """Occupation ratios under charge- and target-aware routing.
 
     Requests arrive at the configured expected rate; each is a feasible
@@ -288,13 +263,9 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> SimOutcome:
             raise NumericalError("particle stranded: no feasible continuation")
         free = ~occupied[cand % n]
         stalled = part.blocked_for
-        if p.stall_reroute_after is not None and stalled >= p.stall_reroute_after and free.any():
+        if stalled >= STALL_REROUTE_AFTER and free.any():
             cand, weights = cand[free], weights[free]
-        elif (
-            p.policy == "shortest-feasible"
-            and p.stall_escape_after is not None
-            and stalled >= p.stall_escape_after
-        ):
+        elif p.policy == "shortest-feasible" and stalled >= STALL_ESCAPE_AFTER:
             wider = succ[dist[succ] >= 0]
             wfree = ~occupied[wider % n]
             if wfree.any():
@@ -374,4 +345,4 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> SimOutcome:
         "hopping: %d requested, %d placed, %d completed, %d in flight",
         requested, placed, completed, len(particles),
     )
-    return SimOutcome(occ_steps / p.duration, list(g.labels), meta)
+    return ScoreVector.for_graph(g, occ_steps / p.duration, meta)

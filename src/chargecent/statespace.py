@@ -121,7 +121,7 @@ class WalkCounts:
         return out
 
 
-def count_feasible_walks(inst: SocInstance, k: int, sg: StateGraph | None = None) -> WalkCounts:
+def count_feasible_walks(inst: SocInstance, k: int) -> WalkCounts:
     """Number of length-k walks i -> j traversable when departing at full charge.
 
     Entry (i, j) sums arrivals over all charge levels. Counts are exact
@@ -129,10 +129,7 @@ def count_feasible_walks(inst: SocInstance, k: int, sg: StateGraph | None = None
     """
     if k < 0:
         raise ValueError("walk length must be nonnegative")
-    if sg is None:
-        sg = build_state_graph(inst, starred=False)
-    elif sg.starred:
-        raise ValueError("count_feasible_walks requires an unstarred state graph")
+    sg = build_state_graph(inst, starred=False)
     n = inst.graph.n
     indptr, indices = sg.indptr, sg.indices
     counts: list[list[int]] = []

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import chargecent.betweenness
+import chargecent.cli
 import chargecent.graph
 import chargecent.katz
 from chargecent import load_edge_list, make_instance, max_alpha
@@ -250,3 +252,64 @@ def test_default_alpha_measures_the_bound_once(graph_file, tmp_path, monkeypatch
                "--seed", "3", "--measure", "soc-katz", "--out", out) == 0
     assert calls == {"radius": 1, "state_graph": 1}
     assert json.loads((out / "scores.meta.json").read_text())["alpha"] == 0.9 * bound
+
+
+def test_state_dump_runs_the_soc_bc_sweep_once(graph_file, tmp_path, monkeypatch):
+    real = chargecent.betweenness.soc_betweenness_scores
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in (chargecent.betweenness, chargecent.cli):
+        monkeypatch.setattr(mod, "soc_betweenness_scores", counting, raising=False)
+    out = tmp_path / "dump"
+    assert run("centrality", "--input", graph_file, "--kappa", "2", "--omega-ratio", "0.5",
+               "--seed", "3", "--measure", "soc-bc", "--state-dump", "--out", out) == 0
+    assert len(calls) == 1
+    assert (out / "scores.csv").exists() and (out / "scores.states.csv").exists()
+
+
+def test_state_dump_with_other_measure_writes_nothing(graph_file, tmp_path, capsys):
+    out = tmp_path / "dump"
+    assert run("centrality", "--input", graph_file, "--kappa", "2",
+               "--measure", "soc-katz", "--state-dump", "--out", out) == 1
+    assert "soc-bc only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratios", ["0.1,0.1004", "0.1,0.1"])
+def test_experiment_rejects_ratios_sharing_a_seed_key(graph_file, tmp_path, capsys, ratios):
+    out = tmp_path / "exp"
+    assert run("experiment", "--input", graph_file, "--kappa", "2", "--measure", "bc",
+               "--sim", "sir", "--alpha", "0.5", "--runs", "2", "--ratios", ratios,
+               "--out", out) == 1
+    assert "seed key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_pair_label_is_named(graph_file, tmp_path, capsys):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 2\n1 99\n")
+    assert run("centrality", "--input", graph_file, "--kappa", "2", "--measure", "rwbc",
+               "--pairs-file", pairs, "--out", tmp_path / "r") == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "pair label '99' not in graph" in err
+
+
+def test_experiment_hopping_uses_config_pairs_file(tmp_path):
+    # On the path 0-1-2-3 the only pair 0 -> 1 never reaches nodes 2 and 3.
+    graph = tmp_path / "path.tsv"
+    graph.write_text("0 1\n1 2\n2 3\n")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 1\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(graph), "pairs_file": str(pairs)}))
+    out = tmp_path / "exp"
+    assert run("experiment", "--config", cfg, "--kappa", "3", "--measure", "bc",
+               "--sim", "hopping", "--duration", "40", "--injection-rate", "1.0",
+               "--ratios", "0.5", "--out", out) == 0
+    sv = ScoreVector.read_csv(out / "ratio_0.5" / "rep_00" / "realized.csv")
+    occupation = dict(zip(sv.labels, sv.values))
+    assert occupation["0"] > 0 and occupation["2"] == occupation["3"] == 0.0

@@ -24,3 +24,13 @@ def test_public_names_resolve_and_exclude_reference_code():
         assert hasattr(chargecent, name), name
     for name in ("bfs_shortest_paths", "target_restricted_dependency", "DependencyState"):
         assert name not in chargecent.__all__
+
+
+def test_removed_names_stay_out_of_the_package():
+    # One entry point per measure and simulator: pair-level rwbc is
+    # ``rwbc_all_pairs(g, [(s, t)])``, walk subgraphs live in ``oracles``, and
+    # the simulators return ``ScoreVector``.
+    for name in ("directed_rwbc_pair", "FlowSolution", "StPair", "SimOutcome",
+                 "walk_subgraph", "WalkSubgraph"):
+        assert not hasattr(chargecent, name), name
+        assert name not in chargecent.__all__, name

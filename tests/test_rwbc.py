@@ -7,17 +7,14 @@ import scipy.sparse.linalg
 from chargecent import (
     Graph,
     NumericalError,
-    StPair,
-    directed_rwbc_pair,
     make_instance,
     rwbc_all_pairs,
     sample_feasible_pairs,
     soc_rwbc,
-    walk_subgraph,
 )
 from chargecent.generators import barabasi_albert_graph, cycle_graph, gnp_random_graph, path_graph
-from chargecent.oracles import current_flow_throughflow, monte_carlo_rwbc
-from chargecent.rwbc import _contract_target
+from chargecent.oracles import current_flow_throughflow, monte_carlo_rwbc, walk_subgraph
+from chargecent.rwbc import _absorbing_flows, _contract_target
 
 from conftest import random_graph
 
@@ -59,25 +56,28 @@ def test_walk_subgraph_matches_reachability_oracle():
         assert sub.nodes.tolist() == expect
 
 
+def pair_flow(g, s, t):
+    """Net throughflow of the single pair (s, t)."""
+    return rwbc_all_pairs(g, [(s, t)]).values
+
+
 def test_pair_flow_deterministic_path():
     g = Graph(3, [(0, 1), (1, 2)], directed=True)
-    sol = directed_rwbc_pair(g, 0, 2)
-    assert np.allclose(sol.f, [1.0, 1.0, 0.0], atol=1e-12)
-    assert np.allclose(sol.net_flow, [0.5, 1.0, 0.5], atol=1e-12)
-    assert sol.arc_flow[(0, 1)] == pytest.approx(1.0)
+    flows = _absorbing_flows(g.n, g.arc_src, g.indices, 2, [0])
+    assert np.allclose(flows.usage, [1.0, 1.0, 0.0], atol=1e-12)  # arc u -> v carries usage[u]
+    assert np.allclose(flows.net, [0.5, 1.0, 0.5], atol=1e-12)
+    assert np.allclose(pair_flow(g, 0, 2), [0.5, 1.0, 0.5], atol=1e-12)
 
 
 def test_pair_flow_symmetric_diamond():
     g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], directed=True)
-    sol = directed_rwbc_pair(g, 0, 3)
-    assert sol.net_flow[1] == pytest.approx(0.5)
-    assert sol.net_flow[2] == pytest.approx(0.5)
+    net = pair_flow(g, 0, 3)
+    assert net[1] == pytest.approx(0.5)
+    assert net[2] == pytest.approx(0.5)
 
 
 def test_pair_requires_feasible_walk():
     g = Graph(3, [(1, 0), (1, 2)], directed=True)
-    with pytest.raises(ValueError):
-        directed_rwbc_pair(g, 0, 2)
     with pytest.raises(ValueError):
         walk_subgraph(g, 1, 1)
 
@@ -95,12 +95,12 @@ def test_conservation_invariant():
         if sub.empty:
             continue
         checked += 1
-        sol = directed_rwbc_pair(g, s, t, sub)
+        usage = _absorbing_flows(g.n, g.arc_src, g.indices, t, [s]).usage
         outflow = np.zeros(g.n)
         inflow = np.zeros(g.n)
-        for (u, v), fl in sol.arc_flow.items():
-            outflow[u] += fl
-            inflow[v] += fl
+        for u, v in zip(sub.nodes[sub.arc_src], sub.nodes[sub.arc_dst]):
+            outflow[u] += usage[u]  # arc u -> v carries usage[u]
+            inflow[v] += usage[u]
         net = outflow - inflow
         for v in sub.nodes:
             expect = 1.0 if v == s else (-1.0 if v == t else 0.0)
@@ -113,11 +113,11 @@ def test_permutation_equivariance():
     s, t = 0, 5
     if walk_subgraph(g, s, t).empty:
         pytest.skip("seeded graph lost s-t connectivity")
-    base = directed_rwbc_pair(g, s, t).net_flow
+    base = pair_flow(g, s, t)
     perm = rng.permutation(g.n)
     edges = [(int(perm[u]), int(perm[v])) for u, v in zip(g.arc_src, g.indices)]
     g2 = Graph(g.n, edges, directed=True)
-    mapped = directed_rwbc_pair(g2, int(perm[s]), int(perm[t])).net_flow
+    mapped = pair_flow(g2, int(perm[s]), int(perm[t]))
     assert np.allclose(base, mapped[perm], atol=1e-10)
 
 
@@ -135,14 +135,13 @@ def test_reduces_to_current_flow_on_symmetrized_graphs():
         except ValueError:
             continue
         checked += 1
-        sol = directed_rwbc_pair(g, s, t)
-        nodes = sol.subgraph.nodes
-        assert np.max(np.abs(flow[nodes] - sol.net_flow[nodes])) <= 1e-6
+        nodes = walk_subgraph(g, s, t).nodes
+        assert np.max(np.abs(flow[nodes] - pair_flow(g, s, t)[nodes])) <= 1e-6
 
 
 def test_soc_rwbc_path_example():
     inst = make_instance(path_graph(3), [], 2)
-    sv = soc_rwbc(inst, [StPair(0, 2)])
+    sv = soc_rwbc(inst, [(0, 2)])
     assert sv.values[1] == pytest.approx(1.0, abs=1e-10)
     assert sv.values[0] == pytest.approx(0.5, abs=1e-10)
     assert sv.meta["skipped_pairs"] == 0
@@ -170,7 +169,7 @@ def test_soc_rwbc_full_refill_reduces_to_plain():
             sub = walk_subgraph(g, s, t)
             if sub.empty:
                 continue
-            flow = directed_rwbc_pair(g, s, t, sub).net_flow.copy()
+            flow = pair_flow(g, s, t)
             flow[t] = 0.0
             b += flow
         assert np.allclose(a, b, atol=1e-8)
@@ -182,13 +181,13 @@ def test_monte_carlo_agreement_smoke():
     sub = walk_subgraph(g, s, t)
     if sub.empty:
         pytest.skip("seeded graph lost s-t connectivity")
-    sol = directed_rwbc_pair(g, s, t, sub)
+    net = pair_flow(g, s, t)
     mc = monte_carlo_rwbc(g, s, t, walks=30_000, seed=9)
     nodes = sub.nodes
-    ok = np.abs(sol.net_flow[nodes] - mc.estimate[nodes]) <= 3 * mc.stderr[nodes] + 1e-9
+    ok = np.abs(net[nodes] - mc.estimate[nodes]) <= 3 * mc.stderr[nodes] + 1e-9
     assert ok.mean() >= 0.9
     # The check must be able to fail: a biased target mostly falls outside.
-    biased = np.abs(sol.net_flow[nodes] * 1.05 - mc.estimate[nodes]) <= 3 * mc.stderr[nodes] + 1e-9
+    biased = np.abs(net[nodes] * 1.05 - mc.estimate[nodes]) <= 3 * mc.stderr[nodes] + 1e-9
     assert biased.mean() < 1.0
 
 
@@ -202,8 +201,8 @@ def test_sample_feasible_pairs_deterministic():
 
 
 def test_stpair_validation():
-    with pytest.raises(ValueError):
-        StPair(1, 1)
+    with pytest.raises(ValueError, match="differ"):
+        rwbc_all_pairs(path_graph(3), [(1, 1)])
 
 
 def test_rwbc_all_pairs_sums_per_pair_flows():
@@ -216,7 +215,7 @@ def test_rwbc_all_pairs_sums_per_pair_flows():
         if sub.empty:
             skipped += 1
             continue
-        total += directed_rwbc_pair(g, s, t, sub).net_flow
+        total += pair_flow(g, s, t)
     sv = rwbc_all_pairs(g, pairs)
     assert np.allclose(sv.values, total, atol=1e-12)
     assert sv.meta["skipped_pairs"] == skipped
@@ -245,7 +244,7 @@ def test_grouping_by_target_matches_pair_by_pair():
             if sub.empty:
                 skipped += 1
             else:
-                expect += directed_rwbc_pair(g, s, t, sub).net_flow
+                expect += pair_flow(g, s, t)
         assert np.allclose(plain.values, expect, rtol=1e-12, atol=1e-12)
         assert plain.meta["skipped_pairs"] == skipped
         infeasible += skipped
@@ -327,7 +326,7 @@ def test_failed_residual_check_is_numerical_error(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *a, **k: Skewed(real(*a, **k)))
     with pytest.raises(NumericalError, match="residual"):
-        directed_rwbc_pair(Graph(3, [(0, 1), (1, 2), (1, 0)], directed=True), 0, 2)
+        rwbc_all_pairs(Graph(3, [(0, 1), (1, 2), (1, 0)], directed=True), [(0, 2)])
 
 
 def test_contraction_rejects_merged_arcs():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -13,16 +11,6 @@ def test_csv_round_trip(tmp_path):
     back = ScoreVector.read_csv(path)
     assert back.labels == sv.labels
     assert np.array_equal(back.values, sv.values)
-
-
-def test_json_carries_meta(tmp_path):
-    sv = ScoreVector(np.array([1.0, 2.0]), ["a", "b"], {"measure": "soc-bc", "kappa": 3})
-    path = tmp_path / "s.json"
-    sv.write_json(path)
-    payload = json.loads(path.read_text())
-    assert payload["meta"]["kappa"] == 3
-    assert payload["labels"] == ["a", "b"]
-    assert payload["values"] == [1.0, 2.0]
 
 
 def test_align_by_label():

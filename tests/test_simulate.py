@@ -14,7 +14,6 @@ from chargecent import (
 )
 from chargecent.generators import gnp_random_graph, path_graph, star_graph
 from chargecent.oracles import plain_sir_outbreaks
-from chargecent.simulate import SirEpisode
 
 
 def test_sir_zero_probability_never_spreads():
@@ -55,10 +54,11 @@ def test_sir_outbreaks_within_bounds_and_deterministic():
     assert np.all(a.values >= 1.0) and np.all(a.values <= 12.0)
 
 
-def test_sir_max_steps_caps_rounds():
-    inst = make_instance(path_graph(5), [], 4)
-    episode = run_sir_episode(inst, 0, np.random.default_rng(0), alpha=1.0, max_steps=2)
-    assert episode.rounds == 2 and episode.ever_infected == 3
+def test_sir_episode_returns_outbreak_size():
+    # Full transmission on a path from one end: the charge bounds the reach.
+    rng = np.random.default_rng(0)
+    assert run_sir_episode(make_instance(path_graph(5), [], 4), 0, rng, 1.0) == 5
+    assert run_sir_episode(make_instance(path_graph(5), [], 2), 0, rng, 1.0) == 3
 
 
 def test_sir_unconstrained_matches_plain_model():
@@ -69,7 +69,7 @@ def test_sir_unconstrained_matches_plain_model():
     runs = 10_000
     seed_node = 0
     ours = [
-        run_sir_episode(inst, seed_node, np.random.default_rng([11, seed_node, ep]), 0.25).ever_infected
+        run_sir_episode(inst, seed_node, np.random.default_rng([11, seed_node, ep]), 0.25)
         for ep in range(runs)
     ]
     ref = plain_sir_outbreaks(g, seed_node, 0.25, runs, seed=1234)
@@ -162,6 +162,6 @@ def test_hopping_param_validation():
 
 
 def test_sir_outbreak_size_check_raises(monkeypatch):
-    monkeypatch.setattr(chargecent.simulate, "run_sir_episode", lambda *a, **k: SirEpisode(0, 0))
+    monkeypatch.setattr(chargecent.simulate, "run_sir_episode", lambda *a, **k: 0)
     with pytest.raises(NumericalError, match="outbreak"):
         sir_influence(make_instance(path_graph(3), [], 1), SirParams(alpha=0.5, runs=1))
