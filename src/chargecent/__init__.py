@@ -38,7 +38,6 @@ from .simulate import (
     HoppingParams,
     SirParams,
     particle_hopping,
-    run_sir_episode,
     sir_influence,
 )
 from .statespace import (
@@ -78,7 +77,6 @@ __all__ = [
     "make_instance",
     "max_alpha",
     "particle_hopping",
-    "run_sir_episode",
     "rwbc_all_pairs",
     "sample_feasible_pairs",
     "shortest_feasible_walk_length",

@@ -42,6 +42,16 @@ def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return indptr, dst[order], src[order]
 
 
+def out_arcs(
+    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Out-degrees of ``nodes`` and the heads of their out-arcs, node by node in CSR order."""
+    starts = indptr[nodes]
+    cnt = indptr[nodes + 1] - starts
+    offs = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return cnt, indices[np.repeat(starts, cnt) + offs]
+
+
 def bfs(
     indptr: np.ndarray, indices: np.ndarray, source: int
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
@@ -62,14 +72,10 @@ def bfs(
     tree_arcs: list[tuple[np.ndarray, np.ndarray]] = []
     level = 0
     while True:
-        starts = indptr[frontier]
-        cnt = indptr[frontier + 1] - starts
-        total = int(cnt.sum())
-        if total == 0:
+        cnt, adst = out_arcs(indptr, indices, frontier)
+        if adst.shape[0] == 0:
             break
-        offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         asrc = np.repeat(frontier, cnt)
-        adst = indices[np.repeat(starts, cnt) + offs]
         fresh = adst[d[adst] == -1]
         if fresh.size:
             d[fresh] = level + 1

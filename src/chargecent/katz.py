@@ -8,6 +8,7 @@ walks of the base graph.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,8 @@ from .errors import NumericalError
 from .graph import Graph, PowerIterationResult, SocInstance, power_iteration_radius
 from .scores import ScoreVector
 from .statespace import StateGraph, apply_bkappa, build_state_graph
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,16 @@ def _resolve_alpha(alpha: float | None, bound: float) -> float:
     if alpha is not None:
         return alpha
     return 0.03 if not math.isfinite(bound) else 0.9 * bound
+
+
+def _check_radius(converged: bool, radius: float, meta: dict) -> None:
+    """Record whether the radius estimate behind the bound converged; warn when it did not."""
+    meta["radius_converged"] = converged
+    if not converged:
+        logger.warning(
+            "%s: power iteration did not converge; the damping bound rests on the estimate %.6g",
+            meta["measure"], radius,
+        )
 
 
 def _neumann_series(
@@ -103,6 +116,7 @@ def soc_katz(inst: SocInstance, p: KatzParams) -> ScoreVector:
         "omega": inst.omega.sorted_members(),
         "tol": p.tol,
     }
+    _check_radius(bound.converged, bound.radius, meta)
     return _neumann_series(
         sg.n_states,
         lambda x: apply_bkappa(sg, x),
@@ -128,6 +142,7 @@ def standard_katz(
     if not (0.0 <= alpha < bound):
         raise ValueError(f"alpha={alpha} is not below the measured bound 1/lambda_max={bound:.6g}")
     meta = {"measure": "katz", "alpha": alpha, "tol": tol}
+    _check_radius(radius.converged, radius.value, meta)
     return _neumann_series(
         g.n,
         lambda x: np.bincount(g.arc_src, weights=x[g.indices], minlength=g.n),

@@ -433,6 +433,55 @@ def current_flow_throughflow(g: Graph, s: int, t: int) -> np.ndarray:
     return through
 
 
+def run_sir_episode(
+    inst: SocInstance, seed_node: int, rng: np.random.Generator, alpha: float
+) -> int:
+    """Outbreak size of one synchronous infect-once episode from ``seed_node`` at full charge.
+
+    Scalar reference for the batched kernel in ``simulate``: infected nodes
+    draw one number per out-arc in sorted order, and a node reached by several
+    infecters keeps the largest handed charge.
+    """
+    g = inst.graph
+    kappa = inst.kappa
+    refill = inst.omega.mask
+    status = bytearray(g.n)  # 0 susceptible, 1 infected, 2 recovered
+    status[seed_node] = 1
+    soc = {seed_node: kappa}
+    infected = [seed_node]
+    ever = 1
+    while infected:
+        newly: dict[int, int] = {}
+        for u in infected:
+            su = soc[u]
+            nbrs = g.out_neighbors(u)
+            if nbrs.shape[0] == 0:
+                continue
+            draws = rng.random(nbrs.shape[0])
+            for w, r in zip(nbrs, draws):
+                w = int(w)
+                if status[w] != 0:
+                    continue
+                if refill[w]:
+                    handed = kappa
+                elif su >= 1:
+                    handed = su - 1
+                else:
+                    continue  # exhausted attacker can only reach refill nodes
+                if r < alpha:
+                    if w not in newly or handed > newly[w]:
+                        newly[w] = handed
+        for u in infected:
+            status[u] = 2
+            del soc[u]
+        infected = sorted(newly)
+        for w in infected:
+            status[w] = 1
+            soc[w] = newly[w]
+        ever += len(infected)
+    return ever
+
+
 def plain_sir_outbreaks(
     g: Graph, seed_node: int, alpha: float, runs: int, seed: int = 0
 ) -> list[int]:

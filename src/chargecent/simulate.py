@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .graph import SocInstance, bfs, csr
+from .graph import SocInstance, bfs, csr, out_arcs
 from .scores import ScoreVector
 from .statespace import StateGraph, build_state_graph
 
@@ -51,67 +51,60 @@ class SirParams:
             raise ValueError("runs must be positive")
 
 
-def run_sir_episode(
-    inst: SocInstance, seed_node: int, rng: np.random.Generator, alpha: float
-) -> int:
-    """Outbreak size of one synchronous infect-once episode from ``seed_node`` at full charge."""
+def _sir_outbreaks(
+    inst: SocInstance, seed_node: int, rng: np.random.Generator, alpha: float, runs: int
+) -> np.ndarray:
+    """Outbreak sizes of ``runs`` independent episodes from ``seed_node`` at full charge.
+
+    The runs advance together, one synchronous round at a time. The frontier
+    holds the (run, node, charge) triples infected in the last round; every
+    out-arc of every frontier entry takes one draw per round, and an arc
+    transmits when its draw is below ``alpha``, its head is still susceptible
+    in that run, and the head is a refill node or the tail has charge left.
+    A head reached by several arcs keeps the largest handed charge.
+    """
     g = inst.graph
-    kappa = inst.kappa
-    refill = inst.omega.mask
-    status = bytearray(g.n)  # 0 susceptible, 1 infected, 2 recovered
-    status[seed_node] = 1
-    soc = {seed_node: kappa}
-    infected = [seed_node]
-    ever = 1
-    while infected:
-        newly: dict[int, int] = {}
-        for u in infected:
-            su = soc[u]
-            nbrs = g.out_neighbors(u)
-            if nbrs.shape[0] == 0:
-                continue
-            draws = rng.random(nbrs.shape[0])
-            for w, r in zip(nbrs, draws):
-                w = int(w)
-                if status[w] != 0:
-                    continue
-                if refill[w]:
-                    handed = kappa
-                elif su >= 1:
-                    handed = su - 1
-                else:
-                    continue  # exhausted attacker can only reach refill nodes
-                if r < alpha:
-                    if w not in newly or handed > newly[w]:
-                        newly[w] = handed
-        for u in infected:
-            status[u] = 2
-            del soc[u]
-        infected = sorted(newly)
-        for w in infected:
-            status[w] = 1
-            soc[w] = newly[w]
-        ever += len(infected)
-    return ever
+    n, kappa, refill = g.n, inst.kappa, inst.omega.mask
+    infected = np.zeros(runs * n, dtype=np.int8)  # ever infected, per (run, node)
+    run = np.arange(runs, dtype=np.int64)
+    node = np.full(runs, seed_node, dtype=np.int64)
+    charge = np.full(runs, kappa, dtype=np.int64)
+    infected[run * n + seed_node] = 1
+    sizes = np.ones(runs, dtype=np.int64)
+    while True:
+        cnt, head = out_arcs(g.indptr, g.indices, node)
+        if head.shape[0] == 0:
+            break
+        draws = rng.random(head.shape[0])
+        key = np.repeat(run, cnt) * n + head
+        tail_charge = np.repeat(charge, cnt)
+        at_refill = refill[head]
+        hit = (draws < alpha) & (infected[key] == 0) & (at_refill | (tail_charge >= 1))
+        handed = np.where(at_refill, kappa, tail_charge - 1)[hit]
+        key, inv = np.unique(key[hit], return_inverse=True)
+        charge = np.full(key.shape[0], -1, dtype=np.int64)
+        np.maximum.at(charge, inv, handed)
+        infected[key] = 1
+        run, node = np.divmod(key, n)
+        sizes += np.bincount(run, minlength=runs)
+    return sizes
 
 
 def sir_influence(inst: SocInstance, p: SirParams) -> ScoreVector:
     """Mean outbreak size per seed node over ``p.runs`` episodes each.
 
-    Episode randomness is drawn from a stream keyed by (seed, node, episode),
-    so runs are reproducible and nodes are independent.
+    All runs of one seed node advance together as columns of one frontier
+    and draw from one stream, ``default_rng([seed, node])``, so results are
+    reproducible and nodes are independent.
     """
     g = inst.graph
     scores = np.zeros(g.n)
     for v in range(g.n):
-        total = 0
-        for ep in range(p.runs):
-            rng = np.random.default_rng([p.seed, v, ep])
-            size = run_sir_episode(inst, v, rng, p.alpha)
-            if not 1 <= size <= g.n:
-                raise NumericalError(f"outbreak of {size} outside [1, {g.n}] nodes")
-            total += size
-        scores[v] = total / p.runs
+        sizes = _sir_outbreaks(inst, v, np.random.default_rng([p.seed, v]), p.alpha, p.runs)
+        bad = (sizes < 1) | (sizes > g.n)
+        if bad.any():
+            raise NumericalError(f"outbreak of {sizes[bad][0]} outside [1, {g.n}] nodes")
+        scores[v] = sizes.sum() / p.runs
     meta = {
         "simulation": "sir",
         "alpha": p.alpha,
@@ -144,6 +137,9 @@ class HoppingParams:
             raise ValueError("duration must be positive")
         if self.injection_rate < 0:
             raise ValueError("injection rate must be nonnegative")
+        for s, t in self.pairs or ():
+            if s == t:
+                raise ValueError(f"hopping pair has the same source and target (node id {s})")
 
 
 class _TargetTables:

@@ -313,3 +313,16 @@ def test_experiment_hopping_uses_config_pairs_file(tmp_path):
     sv = ScoreVector.read_csv(out / "ratio_0.5" / "rep_00" / "realized.csv")
     occupation = dict(zip(sv.labels, sv.values))
     assert occupation["0"] > 0 and occupation["2"] == occupation["3"] == 0.0
+
+
+def test_hopping_self_pair_is_an_input_error(tmp_path, capsys):
+    graph = tmp_path / "path.tsv"
+    graph.write_text("0 1\n1 2\n2 3\n")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("1 1\n")
+    out = tmp_path / "sim"
+    assert run("simulate", "--input", graph, "--kappa", "2", "--sim", "hopping",
+               "--duration", "10", "--pairs-file", pairs, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "same source and target" in err
+    assert not out.exists()

@@ -1,12 +1,15 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import chargecent.katz
 from chargecent import (
     Graph,
     KatzParams,
     NumericalError,
+    PowerIterationResult,
     count_feasible_walks,
     make_instance,
     max_alpha,
@@ -156,3 +159,22 @@ def test_non_convergence_carries_partial():
     partial = err.value.partial
     assert partial is not None and len(partial) == 2
     assert np.all(partial.values >= 1.0)
+
+
+def test_radius_convergence_recorded_in_meta(monkeypatch, caplog):
+    g = Graph(3, [(0, 1), (1, 2)], directed=False)
+    inst = make_instance(g, [1], 2)
+    assert soc_katz(inst, KatzParams(0.1)).meta["radius_converged"] is True
+    assert standard_katz(g, 0.1).meta["radius_converged"] is True
+    # A stalled power iteration: the bound is still usable, but the run says so.
+    monkeypatch.setattr(chargecent.katz, "power_iteration_radius",
+                        lambda *a, **k: PowerIterationResult(1.5, False, 7))
+    with caplog.at_level(logging.WARNING, logger="chargecent.katz"):
+        soc = soc_katz(inst, KatzParams(0.1))
+        plain = standard_katz(g, 0.1)
+    assert soc.meta["radius_converged"] is False
+    assert plain.meta["radius_converged"] is False
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 2
+    assert all("did not converge" in msg for msg in warned)
+    assert warned[0].startswith("soc-katz") and warned[1].startswith("katz")

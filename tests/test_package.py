@@ -29,8 +29,9 @@ def test_public_names_resolve_and_exclude_reference_code():
 def test_removed_names_stay_out_of_the_package():
     # One entry point per measure and simulator: pair-level rwbc is
     # ``rwbc_all_pairs(g, [(s, t)])``, walk subgraphs live in ``oracles``, and
-    # the simulators return ``ScoreVector``.
+    # the simulators return ``ScoreVector``; the scalar SIR episode is
+    # reference code in ``oracles``.
     for name in ("directed_rwbc_pair", "FlowSolution", "StPair", "SimOutcome",
-                 "walk_subgraph", "WalkSubgraph"):
+                 "walk_subgraph", "WalkSubgraph", "run_sir_episode"):
         assert not hasattr(chargecent, name), name
         assert name not in chargecent.__all__, name

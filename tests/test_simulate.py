@@ -4,16 +4,19 @@ import scipy.stats
 
 import chargecent.simulate
 from chargecent import (
+    Graph,
     HoppingParams,
     NumericalError,
     SirParams,
     make_instance,
     particle_hopping,
-    run_sir_episode,
     sir_influence,
 )
 from chargecent.generators import gnp_random_graph, path_graph, star_graph
-from chargecent.oracles import plain_sir_outbreaks
+from chargecent.oracles import plain_sir_outbreaks, run_sir_episode
+from chargecent.simulate import _sir_outbreaks
+
+from conftest import instance_corpus
 
 
 def test_sir_zero_probability_never_spreads():
@@ -61,6 +64,37 @@ def test_sir_episode_returns_outbreak_size():
     assert run_sir_episode(make_instance(path_graph(5), [], 2), 0, rng, 1.0) == 3
 
 
+def test_sir_batch_matches_scalar_episode_at_certain_outcomes():
+    # At alpha 0 and 1 the draws decide nothing, so every batched run must
+    # equal the scalar reference episode exactly.
+    checked = 0
+    for inst in instance_corpus(80, seed=505, n_max=10, p=0.35, kappa_max=4):
+        for v in range(inst.graph.n):
+            for alpha in (0.0, 1.0):
+                ref = run_sir_episode(inst, v, np.random.default_rng(0), alpha)
+                got = _sir_outbreaks(inst, v, np.random.default_rng(1), alpha, 4)
+                assert np.array_equal(got, [ref] * 4), (inst.graph.edges, v, alpha)
+                checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("inst", [
+    # Seed 0 infects refill node 1 (charge 2) and node 2 (charge 1) together;
+    # node 3 keeps the charge of the arc that reached it, and only charge 1
+    # lets it pass on to node 4.
+    make_instance(Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], directed=False), [1], 2),
+    make_instance(gnp_random_graph(25, 0.15, seed=45), [3, 11, 19], 2),
+])
+def test_sir_batch_matches_scalar_episode_in_law(inst):
+    # At an uncertain alpha the batched runs and independent scalar episodes
+    # have one outbreak-size law (two-sample KS on seeded runs).
+    runs = 4000
+    ours = _sir_outbreaks(inst, 0, np.random.default_rng([12, 0]), 0.7, runs)
+    rng = np.random.default_rng(4321)
+    ref = [run_sir_episode(inst, 0, rng, 0.7) for _ in range(runs)]
+    assert scipy.stats.ks_2samp(ours, ref).pvalue > 0.05
+
+
 def test_sir_unconstrained_matches_plain_model():
     # Large budget and no refills: outbreak-size law equals the standard
     # infect-once process (two-sample KS on a seeded run).
@@ -68,10 +102,7 @@ def test_sir_unconstrained_matches_plain_model():
     inst = make_instance(g, [], 30)
     runs = 10_000
     seed_node = 0
-    ours = [
-        run_sir_episode(inst, seed_node, np.random.default_rng([11, seed_node, ep]), 0.25)
-        for ep in range(runs)
-    ]
+    ours = _sir_outbreaks(inst, seed_node, np.random.default_rng([11, seed_node]), 0.25, runs)
     ref = plain_sir_outbreaks(g, seed_node, 0.25, runs, seed=1234)
     stat = scipy.stats.ks_2samp(ours, ref)
     assert stat.pvalue > 0.05
@@ -157,11 +188,15 @@ def test_hopping_param_validation():
         HoppingParams(policy="warp")
     with pytest.raises(ValueError):
         HoppingParams(duration=0)
+    with pytest.raises(ValueError, match="same source and target"):
+        HoppingParams(pairs=((0, 2), (1, 1)))
     with pytest.raises(ValueError):
         SirParams(alpha=1.5)
 
 
 def test_sir_outbreak_size_check_raises(monkeypatch):
-    monkeypatch.setattr(chargecent.simulate, "run_sir_episode", lambda *a, **k: 0)
-    with pytest.raises(NumericalError, match="outbreak"):
-        sir_influence(make_instance(path_graph(3), [], 1), SirParams(alpha=0.5, runs=1))
+    # One impossible episode among valid ones fails the run, whatever the mean.
+    monkeypatch.setattr(chargecent.simulate, "_sir_outbreaks",
+                        lambda inst, v, rng, alpha, runs: np.array([2] * (runs - 1) + [0]))
+    with pytest.raises(NumericalError, match="outbreak of 0"):
+        sir_influence(make_instance(path_graph(3), [], 1), SirParams(alpha=0.5, runs=3))
