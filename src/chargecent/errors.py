@@ -4,8 +4,4 @@ from __future__ import annotations
 
 
 class NumericalError(RuntimeError):
-    """An iterative computation failed to converge; may carry partial results."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A numerical computation failed: no convergence, a residual too large, or a broken invariant."""

@@ -7,12 +7,15 @@ arcs in the adjacency view, since every downstream kernel works on arcs.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 logger = logging.getLogger(__name__)
 
@@ -42,14 +45,9 @@ def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return indptr, dst[order], src[order]
 
 
-def out_arcs(
-    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Out-degrees of ``nodes`` and the heads of their out-arcs, node by node in CSR order."""
-    starts = indptr[nodes]
-    cnt = indptr[nodes + 1] - starts
-    offs = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    return cnt, indices[np.repeat(starts, cnt) + offs]
+def adjacency_matrix(n: int, indptr: np.ndarray, indices: np.ndarray) -> scipy.sparse.csr_array:
+    """The 0/1 matrix of a CSR arc set: row u holds a 1 at each head of u's out-arcs."""
+    return scipy.sparse.csr_array((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
 
 
 def bfs(
@@ -72,7 +70,10 @@ def bfs(
     tree_arcs: list[tuple[np.ndarray, np.ndarray]] = []
     level = 0
     while True:
-        cnt, adst = out_arcs(indptr, indices, frontier)
+        starts = indptr[frontier]
+        cnt = indptr[frontier + 1] - starts
+        offs = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        adst = indices[np.repeat(starts, cnt) + offs]  # heads of the frontier's arcs, in CSR order
         if adst.shape[0] == 0:
             break
         asrc = np.repeat(frontier, cnt)
@@ -85,7 +86,8 @@ def bfs(
             break
         np.add.at(sigma, tdst, sigma[tsrc])
         tree_arcs.append((tsrc, tdst))
-        frontier = np.unique(fresh)
+        fresh.sort()  # sort, then drop repeats: np.unique's frontier without its hash pass
+        frontier = np.concatenate((fresh[:1], fresh[1:][fresh[1:] != fresh[:-1]]))
         level_nodes.append(frontier)
         level += 1
     return d, sigma, level_nodes, tree_arcs
@@ -147,6 +149,10 @@ class Graph:
     @property
     def n_arcs(self) -> int:
         return int(self.indices.shape[0])
+
+    @functools.cached_property
+    def adjacency(self) -> scipy.sparse.csr_array:
+        return adjacency_matrix(self.n, self.indptr, self.indices)
 
     @property
     def out_degree(self) -> np.ndarray:
@@ -332,42 +338,28 @@ class PowerIterationResult:
     iterations: int
 
 
-def _is_acyclic(n: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
-    # Kahn's algorithm on the arc view; a cycle forces spectral radius >= 1.
-    indeg = np.zeros(n, dtype=np.int64)
-    np.add.at(indeg, indices, 1)
-    stack = list(np.flatnonzero(indeg == 0))
-    removed = 0
-    while stack:
-        v = stack.pop()
-        removed += 1
-        for w in indices[indptr[v] : indptr[v + 1]]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(int(w))
-    return removed == n
+def _is_acyclic(adj: scipy.sparse.csr_array) -> bool:
+    # Acyclic iff every strong component is one node and no node has a self-loop.
+    n_comp = connected_components(adj, directed=True, connection="strong")[0]
+    return n_comp == adj.shape[0] and not adj.diagonal().any()
 
 
 def power_iteration_radius(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    arc_src: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
+    adj: scipy.sparse.csr_array, tol: float = 1e-10, max_iter: int = 10_000
 ) -> PowerIterationResult:
-    """Spectral radius of a nonnegative 0/1 arc set by shifted power iteration.
+    """Spectral radius of a nonnegative 0/1 matrix by shifted power iteration.
 
     Iterates x <- (B + I) x, which is aperiodic for any nonnegative B, and
     reports the 1-norm growth ratio minus one. Acyclic arc sets short-circuit
     to exactly zero.
     """
-    if indices.shape[0] == 0 or _is_acyclic(n, indptr, indices):
+    n = adj.shape[0]
+    if adj.nnz == 0 or _is_acyclic(adj):
         return PowerIterationResult(0.0, True, 0)
     x = np.full(n, 1.0 / n)
     est = 0.0
     for it in range(1, max_iter + 1):
-        y = np.bincount(arc_src, weights=x[indices], minlength=n) + x
+        y = adj @ x + x
         norm = float(y.sum())
         new_est = norm - 1.0
         x = y / norm
@@ -379,4 +371,4 @@ def power_iteration_radius(
 
 def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 10_000) -> PowerIterationResult:
     """Largest-eigenvalue estimate of the adjacency operator of ``g``."""
-    return power_iteration_radius(g.n, g.indptr, g.indices, g.arc_src, tol, max_iter)
+    return power_iteration_radius(g.adjacency, tol, max_iter)

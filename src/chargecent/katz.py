@@ -1,9 +1,19 @@
 """Katz-style centrality from damped feasible-walk counts.
 
 The charge-aware variant sums alpha^k over all feasible walks leaving each
-node at full charge (length-0 walk included), accumulated as a Neumann series
-over the state-graph adjacency; the standard variant does the same over all
-walks of the base graph.
+node at full charge (length-0 walk included). That sum is the row sums of
+(I - alpha B)^-1, with B the 0/1 state-graph adjacency, so the scores are the
+full-charge block of the solution x of (I - alpha B) x = 1. The standard
+variant solves the same system over the adjacency of the base graph.
+
+Both take one BiCGSTAB solve of the implicit operator v -> v - alpha B v and
+then check the true residual r = 1 - (I - alpha B) x: a solve that stops
+early or breaks down, ends with max|r| > tol, or leaves a score <= 0 raises
+NumericalError. A positive x with (I - alpha B) x = 1 - r > 0 certifies that
+alpha < 1/rho(B), so (I - alpha B)^-1 is nonnegative and its infinity norm is
+max|x*|; hence max|x - x*| <= max|x| max|r| / (1 - max|r|). ``meta`` records
+``max_residual`` and that bound as ``error_bound``, with max|r| widened by the
+rounding of its own evaluation; it is about tol * max|x*| at most.
 """
 
 from __future__ import annotations
@@ -13,11 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg
 
 from .errors import NumericalError
 from .graph import Graph, PowerIterationResult, SocInstance, power_iteration_radius
 from .scores import ScoreVector
-from .statespace import StateGraph, apply_bkappa, build_state_graph
+from .statespace import StateGraph, build_state_graph
 
 logger = logging.getLogger(__name__)
 
@@ -25,8 +36,8 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class KatzParams:
     alpha: float | None  # None: 0.9 of the measured bound, or 0.03 when the bound is infinite
-    tol: float = 1e-10
-    max_iter: int = 10_000
+    tol: float = 1e-10  # bound on max|r| of the solve; the score error is then about tol * max score
+    max_iter: int = 10_000  # solver iterations
 
 
 @dataclass(frozen=True)
@@ -45,7 +56,7 @@ def state_graph_radius(
     """Spectral radius of the state-graph adjacency via power iteration."""
     if sg is None:
         sg = build_state_graph(inst, starred=False)
-    return power_iteration_radius(sg.n_states, sg.indptr, sg.indices, sg.arc_src, tol, max_iter)
+    return power_iteration_radius(sg.adjacency, tol, max_iter)
 
 
 def max_alpha(inst: SocInstance, tol: float = 1e-10, sg: StateGraph | None = None) -> AlphaBound:
@@ -73,34 +84,33 @@ def _check_radius(converged: bool, radius: float, meta: dict) -> None:
         )
 
 
-def _neumann_series(
-    n_states: int,
-    matvec,
-    read_out,
-    alpha: float,
-    tol: float,
-    max_iter: int,
-    meta: dict,
-    labels: list[str],
-) -> ScoreVector:
-    term = np.ones(n_states)
-    total = term.copy()
-    for it in range(1, max_iter + 1):
-        term = alpha * matvec(term)
-        total += term
-        norm = float(np.abs(term).max())
-        if norm < tol:
-            meta["iterations"] = it
-            return ScoreVector(read_out(total), labels, meta)
-    partial = ScoreVector(read_out(total), labels, dict(meta, iterations=max_iter, converged=False))
-    raise NumericalError(
-        f"series did not converge within {max_iter} iterations (last term {norm:.3e})",
-        partial=partial,
-    )
+def _katz_solve(
+    adj: scipy.sparse.csr_array, alpha: float, tol: float, max_iter: int, meta: dict
+) -> np.ndarray:
+    """Solve (I - alpha adj) x = 1, check its residual and record the solve in ``meta``."""
+    n = adj.shape[0]
+    op = scipy.sparse.linalg.LinearOperator((n, n), lambda v: v - alpha * (adj @ v), dtype=float)
+    ones, steps = np.ones(n), []
+    x, info = scipy.sparse.linalg.bicgstab(op, ones, rtol=0.0, atol=tol, maxiter=max_iter,
+                                           callback=steps.append)
+    ax = adj @ x
+    r = float(np.abs(ones - (x - alpha * ax)).max())
+    # x > 0 with (I - alpha adj) x = 1 - r > 0 certifies alpha < 1/rho, on which the bound rests.
+    if info != 0 or not r <= tol or not x.min() > 0.0:
+        raise NumericalError(
+            f"{meta['measure']}: bicgstab stopped with info {info} after {len(steps)} iterations,"
+            f" residual {r:.3e} (tol {tol:.3e}), min score {x.min():.3e}"
+        )
+    # r itself is rounded: a row of d arcs is off by at most (d + 3) eps (1 + x + alpha adj x).
+    slack = (np.diff(adj.indptr) + 3) * (ones + x + alpha * ax)
+    r_max = r + float(np.finfo(float).eps * slack.max(initial=0.0))
+    bound = float(x.max()) * r_max / (1.0 - r_max) if r_max < 1.0 else math.inf
+    meta.update(solver="bicgstab", iterations=len(steps), max_residual=r, error_bound=bound)
+    return x
 
 
 def soc_katz(inst: SocInstance, p: KatzParams) -> ScoreVector:
-    """Charge-aware Katz scores, read off the full-charge block of the series."""
+    """Charge-aware Katz scores, read off the full-charge block of the state solve."""
     sg = build_state_graph(inst, starred=False)
     bound = max_alpha(inst, sg=sg)
     alpha = _resolve_alpha(p.alpha, bound.max_alpha)
@@ -117,39 +127,22 @@ def soc_katz(inst: SocInstance, p: KatzParams) -> ScoreVector:
         "tol": p.tol,
     }
     _check_radius(bound.converged, bound.radius, meta)
-    return _neumann_series(
-        sg.n_states,
-        lambda x: apply_bkappa(sg, x),
-        lambda tot: tot[: g.n],
-        alpha,
-        p.tol,
-        p.max_iter,
-        meta,
-        list(g.labels),
-    )
+    x = _katz_solve(sg.adjacency, alpha, p.tol, p.max_iter, meta)
+    return ScoreVector(x[: g.n], list(g.labels), meta)
 
 
 def standard_katz(
     g: Graph, alpha: float | None, tol: float = 1e-10, max_iter: int = 10_000
 ) -> ScoreVector:
-    """Row sums of the resolvent of the plain adjacency, same series scheme.
+    """Row sums of the resolvent of the plain adjacency, by the same solve.
 
     ``alpha=None`` takes the same default as ``KatzParams``, from the plain bound.
     """
-    radius = power_iteration_radius(g.n, g.indptr, g.indices, g.arc_src)
+    radius = power_iteration_radius(g.adjacency)
     bound = math.inf if radius.value <= 0 else 1.0 / radius.value
     alpha = _resolve_alpha(alpha, bound)
     if not (0.0 <= alpha < bound):
         raise ValueError(f"alpha={alpha} is not below the measured bound 1/lambda_max={bound:.6g}")
     meta = {"measure": "katz", "alpha": alpha, "tol": tol}
     _check_radius(radius.converged, radius.value, meta)
-    return _neumann_series(
-        g.n,
-        lambda x: np.bincount(g.arc_src, weights=x[g.indices], minlength=g.n),
-        lambda tot: tot,
-        alpha,
-        tol,
-        max_iter,
-        meta,
-        list(g.labels),
-    )
+    return ScoreVector(_katz_solve(g.adjacency, alpha, tol, max_iter, meta), list(g.labels), meta)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .graph import SocInstance, bfs, csr, out_arcs
+from .graph import SocInstance, bfs, csr
 from .scores import ScoreVector
 from .statespace import StateGraph, build_state_graph
 
@@ -72,14 +72,18 @@ def _sir_outbreaks(
     infected[run * n + seed_node] = 1
     sizes = np.ones(runs, dtype=np.int64)
     while True:
-        cnt, head = out_arcs(g.indptr, g.indices, node)
-        if head.shape[0] == 0:
+        starts = g.indptr[node]
+        cnt = g.indptr[node + 1] - starts
+        if not cnt.any():
             break
-        draws = rng.random(head.shape[0])
-        key = np.repeat(run, cnt) * n + head
-        tail_charge = np.repeat(charge, cnt)
+        ends = np.cumsum(cnt)  # frontier entry e owns arcs ends[e] - cnt[e] .. ends[e] - 1
+        # One draw per arc; only the arcs whose draw succeeds are expanded.
+        arc = np.flatnonzero(rng.random(int(ends[-1])) < alpha)
+        entry = np.searchsorted(ends, arc, side="right")
+        head = g.indices[starts[entry] + arc - (ends - cnt)[entry]]
+        key, tail_charge = run[entry] * n + head, charge[entry]
         at_refill = refill[head]
-        hit = (draws < alpha) & (infected[key] == 0) & (at_refill | (tail_charge >= 1))
+        hit = (infected[key] == 0) & (at_refill | (tail_charge >= 1))
         handed = np.where(at_refill, kappa, tail_charge - 1)[hit]
         key, inv = np.unique(key[hit], return_inverse=True)
         charge = np.full(key.shape[0], -1, dtype=np.int64)

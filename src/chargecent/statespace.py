@@ -14,10 +14,12 @@ Flat state index layout: block b holds charge kappa - b, so
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 import numpy as np
+import scipy.sparse
 
-from .graph import SocInstance, bfs, csr
+from .graph import SocInstance, adjacency_matrix, bfs, csr
 
 # Marker for the charge level of sink states in the augmented graph.
 STAR = "star"
@@ -63,6 +65,10 @@ class StateGraph:
     def n_arcs(self) -> int:
         return int(self.indices.shape[0])
 
+    @functools.cached_property
+    def adjacency(self) -> scipy.sparse.csr_array:
+        return adjacency_matrix(self.n_states, self.indptr, self.indices)
+
     def state_index(self, node: int, soc) -> int:
         if soc == STAR:
             if not self.starred:
@@ -101,7 +107,7 @@ def apply_bkappa(sg: StateGraph, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (sg.n_states,):
         raise ValueError(f"vector length {x.shape} does not match {sg.n_states} states")
-    return np.bincount(sg.arc_src, weights=x[sg.indices], minlength=sg.n_states)
+    return sg.adjacency @ x
 
 
 @dataclass

@@ -11,6 +11,7 @@ from chargecent import (
     spectral_radius,
     write_snap_tsv,
 )
+from chargecent.graph import _is_acyclic
 from chargecent.generators import path_graph, star_graph
 from chargecent.oracles import dense_adjacency
 
@@ -157,6 +158,24 @@ def test_spectral_radius_dag_is_zero():
     dag = Graph(4, [(0, 1), (1, 2), (0, 3)], directed=True)
     res = spectral_radius(dag)
     assert res.value == 0.0 and res.converged
+
+
+def test_is_acyclic_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        upper = rng.random() < 0.5  # arcs u -> v with u <= v only: a DAG apart from self-loops
+        arcs = [(u, v) for u in range(n) for v in range(u if upper else 0, n) if rng.random() < 0.25]
+        g = Graph(n, arcs, directed=True)
+        ref = nx.DiGraph(arcs)
+        ref.add_nodes_from(range(n))
+        want = nx.is_directed_acyclic_graph(ref)
+        assert _is_acyclic(g.adjacency) == want
+        seen.add((want, upper and g.self_loop_count > 0))
+    # Both answers occur, and some graphs are cyclic only through self-loops.
+    assert {(True, False), (False, False), (False, True)} <= seen
 
 
 def test_labels_bijective():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import chargecent.katz
 from chargecent import (
@@ -17,6 +18,7 @@ from chargecent import (
     spectral_radius,
     standard_katz,
 )
+from chargecent.cli import main
 from chargecent.generators import path_graph
 from chargecent.oracles import dense_adjacency, dense_bkappa, dense_katz, dense_soc_katz
 
@@ -151,14 +153,51 @@ def test_alpha_at_bound_rejected():
         standard_katz(g, 1.0)
 
 
-def test_non_convergence_carries_partial():
-    g = Graph(2, [(0, 1)], directed=False)
-    inst = make_instance(g, [0, 1], 1)
-    with pytest.raises(NumericalError) as err:
-        soc_katz(inst, KatzParams(0.999, tol=1e-14, max_iter=5))
-    partial = err.value.partial
-    assert partial is not None and len(partial) == 2
-    assert np.all(partial.values >= 1.0)
+@pytest.mark.parametrize("tol", [1e-10, 1e-4])
+def test_error_bound_covers_dense_oracle(small_instances, tol):
+    # Entrywise |x - x*| <= error_bound, from half the measured bound up to 0.99 of it.
+    checked = 0
+    for inst in small_instances:
+        if inst.graph.n * (inst.kappa + 1) > 200:
+            continue
+        bound = max_alpha(inst)
+        rho = max(abs(np.linalg.eigvals(dense_bkappa(inst))))
+        for frac in (0.5, 0.99):
+            alpha = 0.3 if math.isinf(bound.max_alpha) else frac * bound.max_alpha
+            if alpha * rho >= 1.0:
+                # The power iteration overestimated the bound; no positive solution exists.
+                with pytest.raises(NumericalError, match="min score"):
+                    soc_katz(inst, KatzParams(alpha, tol=tol))
+                continue
+            got = soc_katz(inst, KatzParams(alpha, tol=tol))
+            assert got.meta["solver"] == "bicgstab" and got.meta["max_residual"] <= tol
+            err = np.abs(got.values - dense_soc_katz(inst, alpha).values)
+            assert np.all(err <= got.meta["error_bound"])
+            checked += 1
+    assert checked >= 40
+
+
+def test_alpha_above_true_bound_raises():
+    # Power iteration stalls at radius 2/3 here (true radius 1), so the default
+    # alpha 1.35 lies past the pole; the solve finds x with negative entries.
+    inst = make_instance(Graph(5, [(0, 4), (1, 2), (1, 3)], directed=False), [0, 4], 1)
+    assert max_alpha(inst).radius == pytest.approx(2 / 3)
+    with pytest.raises(NumericalError, match="min score"):
+        soc_katz(inst, KatzParams(None))
+
+
+def test_failed_solve_raises_and_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", lambda op, b, **kw: (np.zeros_like(b), 7))
+    g = Graph(3, [(0, 1), (1, 2)], directed=False)
+    with pytest.raises(NumericalError, match="info 7"):
+        soc_katz(make_instance(g, [1], 2), KatzParams(0.1))
+    with pytest.raises(NumericalError, match="info 7"):
+        standard_katz(g, 0.1)
+    graph_file = tmp_path / "g.tsv"
+    graph_file.write_text("0 1\n1 2\n2 3\n3 0\n")
+    assert main(["centrality", "--input", str(graph_file), "--kappa", "2",
+                 "--measure", "soc-katz", "--out", str(tmp_path / "out")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_radius_convergence_recorded_in_meta(monkeypatch, caplog):
