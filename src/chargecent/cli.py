@@ -23,15 +23,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .betweenness import BcScores, soc_betweenness, soc_betweenness_scores, standard_betweenness
+from .betweenness import (
+    ENDPOINT_CONVENTIONS, BcScores, soc_betweenness, soc_betweenness_scores, standard_betweenness,
+)
 from .errors import NumericalError
 from .generators import sample_omega
-from .graph import Graph, GraphParseError, load_edge_list, make_instance
+from .graph import FORMATS, Graph, load_edge_list, make_instance
 from .katz import KatzParams, soc_katz, standard_katz
 from .oracles import OracleBudget, brute_soc_bc, dense_soc_katz
 from .rwbc import rwbc_all_pairs, sample_feasible_pairs, soc_rwbc
 from .scores import ScoreVector, align_scores
-from .simulate import HoppingParams, SirParams, particle_hopping, sir_influence
+from .simulate import POLICIES, HoppingParams, SirParams, particle_hopping, sir_influence
 from .stats import kendall_tau
 
 logger = logging.getLogger(__name__)
@@ -73,7 +75,7 @@ class ExperimentConfig:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with any of the long options as keys")
     p.add_argument("--input", help="edge-list file")
-    p.add_argument("--format", choices=("snap-tsv", "matrix-market", "csv"))
+    p.add_argument("--format", choices=FORMATS)
     p.add_argument("--directed", action="store_const", const=True)
     p.add_argument("--kappa", type=int)
     p.add_argument("--omega-file", help="file with one refill node label per line")
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alpha", type=float)
     c.add_argument("--pairs", type=int, help="number of sampled source-target pairs")
     c.add_argument("--pairs-file", help="file of 'source target' label pairs")
-    c.add_argument("--endpoints", choices=("target", "none"))
+    c.add_argument("--endpoints", choices=ENDPOINT_CONVENTIONS)
     c.add_argument("--verify", action="store_const", const=True,
                    help="cross-check against the brute-force oracle (small inputs)")
     c.add_argument("--state-dump", action="store_const", const=True,
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sim", choices=SIMULATIONS)
     s.add_argument("--alpha", type=float, help="transmission probability (sir)")
     s.add_argument("--runs", type=int)
-    s.add_argument("--policy", choices=("shortest-feasible", "random-feasible"))
+    s.add_argument("--policy", choices=POLICIES)
     s.add_argument("--duration", type=int)
     s.add_argument("--injection-rate", type=float)
     s.add_argument("--max-injections", type=int)
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--alpha", type=float)
     e.add_argument("--sim", choices=SIMULATIONS)
     e.add_argument("--runs", type=int)
-    e.add_argument("--policy", choices=("shortest-feasible", "random-feasible"))
+    e.add_argument("--policy", choices=POLICIES)
     e.add_argument("--duration", type=int)
     e.add_argument("--injection-rate", type=float)
     e.add_argument("--max-injections", type=int)
@@ -308,9 +310,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def _sibling_meta(csv_path: Path) -> dict:
-    meta_path = csv_path.with_suffix("").with_suffix(".meta.json")
-    if not meta_path.exists():
-        meta_path = csv_path.parent / (csv_path.stem + ".meta.json")
+    meta_path = csv_path.with_name(csv_path.stem + ".meta.json")
     if meta_path.exists():
         return json.loads(meta_path.read_text())
     return {}
@@ -443,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (GraphParseError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

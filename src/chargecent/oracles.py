@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .graph import Graph, SocInstance, bfs, csr
 from .scores import ScoreVector
 
@@ -357,7 +358,7 @@ def monte_carlo_rwbc(
                 active = active[nxt != t_loc]
                 guard += 1
                 if guard > 10_000_000:  # pragma: no cover - absorbing chain safety
-                    raise RuntimeError("walk simulation failed to absorb")
+                    raise NumericalError("walk simulation failed to absorb")
             yield counts
 
     total = np.zeros(n_arcs)

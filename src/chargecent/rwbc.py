@@ -15,6 +15,7 @@ then sums net flows over charge levels per node.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +27,7 @@ import scipy.sparse.linalg
 from .errors import NumericalError
 from .graph import Graph, SocInstance, bfs
 from .scores import ScoreVector
-from .statespace import StateGraph, build_state_graph
+from .statespace import StateGraph, build_state_graph, draw_feasible_pair, reachable_nodes
 
 logger = logging.getLogger(__name__)
 
@@ -178,35 +179,18 @@ def rwbc_all_pairs(g: Graph, pairs: Sequence[tuple[int, int]]) -> ScoreVector:
     return ScoreVector.for_graph(g, total, meta)
 
 
-def sample_feasible_pairs(
-    inst: SocInstance, count: int, seed: int, max_resamples: int = 1000
-) -> tuple[list[tuple[int, int]], int]:
+def sample_feasible_pairs(inst: SocInstance, count: int, seed: int) -> tuple[list[tuple[int, int]], int]:
     """Uniform ordered pairs restricted to those admitting a feasible walk.
 
     Returns the sampled pairs and the number of infeasible draws discarded.
     """
-    from .statespace import reachable_nodes
-
     rng = np.random.default_rng(seed)
     sg = build_state_graph(inst, starred=False)
-    n = inst.graph.n
-    if n < 2:
-        raise ValueError("need at least two nodes to sample pairs")
-    reach_cache: dict[int, np.ndarray] = {}
+    reach = functools.cache(lambda s: reachable_nodes(sg, s))
     pairs: list[tuple[int, int]] = []
     resampled = 0
-    while len(pairs) < count:
-        for _ in range(max_resamples):
-            s = int(rng.integers(n))
-            t = int(rng.integers(n))
-            if s == t:
-                continue
-            if s not in reach_cache:
-                reach_cache[s] = reachable_nodes(sg, s)
-            if reach_cache[s][t]:
-                pairs.append((s, t))
-                break
-            resampled += 1
-        else:
-            raise RuntimeError(f"could not find a feasible pair in {max_resamples} draws")
+    for _ in range(count):
+        s, t, redraws = draw_feasible_pair(rng, inst.graph.n, lambda s, t: reach(s)[t])
+        pairs.append((s, t))
+        resampled += redraws
     return pairs, resampled

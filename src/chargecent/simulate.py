@@ -14,15 +14,15 @@ waits. The realized score is each node's occupation ratio.
 
 from __future__ import annotations
 
+import functools
 import logging
-from collections import OrderedDict, deque
 from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
 from .graph import SocInstance, bfs, csr
 from .scores import ScoreVector
-from .statespace import StateGraph, build_state_graph
+from .statespace import build_state_graph, draw_feasible_pair
 
 logger = logging.getLogger(__name__)
 
@@ -146,37 +146,6 @@ class HoppingParams:
                 raise ValueError(f"hopping pair has the same source and target (node id {s})")
 
 
-class _TargetTables:
-    """Per-target routing guidance over the augmented state graph.
-
-    For target t, ``dist[x]`` is the number of hops from state x to the sink
-    of t (arrival states have distance 1, unreachable -1) and ``paths[x]``
-    counts the shortest continuations, used to sample uniformly among
-    shortest feasible walks one hop at a time.
-    """
-
-    def __init__(self, sg: StateGraph):
-        self.sg = sg
-        self.rptr, self.ridx, _ = csr(sg.n_states, sg.indices, sg.arc_src)
-        per_table = sg.n_states * 16  # int64 dist + float64 paths
-        self.max_cached = max(16, int(3e8 // max(per_table, 1)))
-        self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-
-    def for_target(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        if t in self._cache:
-            self._cache.move_to_end(t)
-            return self._cache[t]
-        sg = self.sg
-        star = sg.n_numeric + t
-        # Reverse-graph BFS from the sink: distances to the sink, and path
-        # counts that equal the number of shortest continuations per state.
-        dist, paths, _, _ = bfs(self.rptr, self.ridx, star)
-        self._cache[t] = (dist, paths)
-        if len(self._cache) > self.max_cached:
-            self._cache.popitem(last=False)
-        return dist, paths
-
-
 class _Particle:
     __slots__ = ("state", "node", "target", "blocked_for")
 
@@ -198,8 +167,20 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
     g = inst.graph
     n = g.n
     sg = build_state_graph(inst, starred=True)
-    tables = _TargetTables(sg)
+    rptr, ridx, _ = csr(sg.n_states, sg.indices, sg.arc_src)
     rng = np.random.default_rng(p.seed)
+
+    # A table takes 16 bytes per state (int64 dist, float64 paths); the cache holds about 300 MB.
+    @functools.lru_cache(maxsize=max(16, int(3e8 // max(16 * sg.n_states, 1))))
+    def tables(t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Reverse BFS from the sink of t: per state, the hops to it (arrival states 1,
+        unreachable -1) and the number of shortest continuations, which routing
+        samples among one hop at a time."""
+        dist, paths, _, _ = bfs(rptr, ridx, sg.n_numeric + t)
+        return dist, paths
+
+    def feasible(s: int, t: int) -> bool:
+        return tables(t)[0][sg.source_state(s)] >= 0
 
     # Injection schedule: whole part of the rate is deterministic, the
     # fractional part is a Bernoulli coin per step.
@@ -216,41 +197,29 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
         for _ in range(k):
             if budget is not None and requested >= budget:
                 break
+            requested += 1
             if p.pairs is not None:
                 s, t = p.pairs[int(rng.integers(len(p.pairs)))]
-                requested += 1
-                dist, _ = tables.for_target(t)
-                if dist[sg.source_state(s)] < 0:
+                if not feasible(s, t):
                     infeasible_skipped += 1
                     continue
             else:
-                for _ in range(1000):
-                    s = int(rng.integers(n))
-                    t = int(rng.integers(n))
-                    if s == t:
-                        continue
-                    dist, _ = tables.for_target(t)
-                    if dist[sg.source_state(s)] >= 0:
-                        break
-                    resampled += 1
-                else:
-                    raise RuntimeError("could not sample a feasible pair in 1000 draws")
-                requested += 1
+                s, t, redraws = draw_feasible_pair(rng, n, feasible)
+                resampled += redraws
             step_requests.append((s, t))
         schedule.append(step_requests)
 
     occupied = np.zeros(n, dtype=bool)
     occ_steps = np.zeros(n, dtype=np.int64)
-    particles: dict[int, _Particle] = {}
-    pending: deque[tuple[int, int]] = deque()
-    next_pid = 0
+    particles: list[_Particle] = []  # in flight, in placement order
+    pending: list[tuple[int, int]] = []
     placed = 0
     completed = 0
     delayed_steps = 0
 
     def choose_next(part: _Particle) -> int:
         """Pick the particle's next state; the caller blocks on occupancy."""
-        dist, paths = tables.for_target(part.target)
+        dist, paths = tables(part.target)
         succ = sg.out_states(part.state)
         succ = succ[succ < sg.n_numeric]  # sink arcs are not moves
         if p.policy == "shortest-feasible":
@@ -279,11 +248,9 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
         # Move existing particles in a fresh random order; blocked moves are
         # not retried within the step, but cells freed earlier in the order
         # are available to later particles.
-        pids = list(particles.keys())
-        arrivals: list[int] = []
-        for idx in rng.permutation(len(pids)) if pids else []:
-            pid = pids[int(idx)]
-            part = particles[pid]
+        arrived = 0
+        for idx in rng.permutation(len(particles)).tolist():
+            part = particles[idx]
             nxt = choose_next(part)
             node = nxt % n
             if occupied[node]:
@@ -295,32 +262,31 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
             part.node = node
             part.blocked_for = 0
             if node == part.target:
-                arrivals.append(pid)
+                arrived += 1
 
         # Pending injections enter when their source is free.
-        pending.extend(schedule[step])
-        still: deque[tuple[int, int]] = deque()
-        while pending:
-            s, t = pending.popleft()
+        still: list[tuple[int, int]] = []
+        for s, t in pending + schedule[step]:
             if occupied[s]:
                 delayed_steps += 1
                 still.append((s, t))
                 continue
             occupied[s] = True
-            particles[next_pid] = _Particle(sg.source_state(s), s, t)
-            next_pid += 1
+            particles.append(_Particle(sg.source_state(s), s, t))
             placed += 1
         pending = still
 
         occ_steps[occupied] += 1
 
-        for pid in arrivals:
-            part = particles.pop(pid)
-            occupied[part.node] = False
-            completed += 1
+        # Arrivals leave after this step's occupation is counted; a particle
+        # placed this step never stands on its target (s != t).
+        if arrived:
+            occupied[[q.node for q in particles if q.node == q.target]] = False
+            particles = [q for q in particles if q.node != q.target]
+            completed += arrived
         if placed != completed + len(particles):
             raise NumericalError(f"{placed} placed != {completed} completed + {len(particles)} in flight")
-        nodes = [q.node for q in particles.values()]
+        nodes = [q.node for q in particles]
         if len(set(nodes)) != len(nodes):
             raise NumericalError("occupancy exclusivity violated")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 import numpy as np
 import scipy.sparse
 
@@ -25,6 +26,8 @@ from .graph import SocInstance, adjacency_matrix, bfs, csr
 STAR = "star"
 
 _U64_MAX = 2**64 - 1
+# Random source-target draws before an input counts as having no feasible pair.
+MAX_PAIR_DRAWS = 1000
 
 
 class StateGraph:
@@ -167,6 +170,28 @@ def reachable_nodes(sg: StateGraph, source_node: int) -> np.ndarray:
     mask = np.zeros(sg.n, dtype=bool)
     mask[reached_states % sg.n] = True
     return mask
+
+
+def draw_feasible_pair(
+    rng: np.random.Generator, n: int, feasible: Callable[[int, int], bool]
+) -> tuple[int, int, int]:
+    """Uniform ordered pair (s, t), s != t, with ``feasible(s, t)``, and the infeasible draws skipped.
+
+    Each draw takes s, then t. A draw with s == t is redrawn and not counted
+    as infeasible. Raises ``ValueError`` after ``MAX_PAIR_DRAWS`` draws.
+    """
+    if n < 2:
+        raise ValueError("need at least two nodes to sample pairs")
+    resampled = 0
+    for _ in range(MAX_PAIR_DRAWS):
+        s = int(rng.integers(n))
+        t = int(rng.integers(n))
+        if s == t:
+            continue
+        if feasible(s, t):
+            return s, t, resampled
+        resampled += 1
+    raise ValueError(f"no feasible source-target pair in {MAX_PAIR_DRAWS} draws")
 
 
 def shortest_feasible_walk_length(inst: SocInstance, s: int, t: int) -> int | None:

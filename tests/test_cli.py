@@ -121,6 +121,16 @@ def test_correlate_identity_and_reversal(tmp_path):
     assert json.loads(rep.read_text())["tau"] == -1.0
 
 
+def test_correlate_reads_the_meta_file_named_after_the_csv(tmp_path):
+    csv = tmp_path / "scores.bc.csv"
+    ScoreVector(np.array([1.0, 2.0, 3.0]), ["x", "y", "z"]).write_csv(csv)
+    (tmp_path / "scores.bc.meta.json").write_text(json.dumps({"measure": "bc"}))
+    (tmp_path / "scores.meta.json").write_text(json.dumps({"measure": "soc-katz"}))
+    rep = tmp_path / "r.json"
+    assert run("correlate", "--expected", csv, "--realized", csv, "--out", rep) == 0
+    assert json.loads(rep.read_text())["measure"] == "bc"
+
+
 def test_correlate_label_mismatch(tmp_path):
     a = ScoreVector(np.array([1.0, 2.0]), ["x", "y"])
     b = ScoreVector(np.array([1.0, 2.0]), ["x", "q"])
@@ -133,6 +143,23 @@ def test_correlate_label_mismatch(tmp_path):
 def test_missing_input_is_input_error(tmp_path):
     assert run("centrality", "--input", tmp_path / "nope.tsv", "--measure", "bc",
                "--kappa", "1", "--out", tmp_path) == 1
+
+
+def test_directory_as_input_is_input_error(tmp_path, capsys):
+    assert run("centrality", "--input", tmp_path, "--measure", "bc",
+               "--kappa", "1", "--out", tmp_path / "o") == 1
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("centrality", "--measure", "rwbc", "--pairs", "2"),
+                                  ("simulate", "--sim", "hopping")])
+def test_no_feasible_pair_in_the_draw_budget_is_input_error(tmp_path, capsys, argv):
+    # One arc among 3000 nodes: uniform draws almost never hit a feasible pair.
+    mtx = tmp_path / "one_arc.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate pattern general\n3000 3000 1\n1 2\n")
+    assert run(argv[0], "--input", mtx, "--format", "matrix-market", "--kappa", "1",
+               *argv[1:], "--out", tmp_path / "o") == 1
+    assert "input error" in capsys.readouterr().err
 
 
 def test_invalid_alpha_is_input_error(graph_file, tmp_path):

@@ -19,6 +19,22 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_failures_raise_exceptions_the_cli_maps():
+    # The CLI maps ValueError to exit 1 and NumericalError to exit 2; a bare
+    # RuntimeError or Exception would end the run with a traceback.
+    def raised(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return exc.id if isinstance(exc, ast.Name) else None
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and raised(node) in ("RuntimeError", "Exception")
+    ]
+    assert found == []
+
+
 def test_public_names_resolve_and_exclude_reference_code():
     for name in chargecent.__all__:
         assert hasattr(chargecent, name), name

@@ -200,6 +200,16 @@ def test_sample_feasible_pairs_deterministic():
         assert s != t
 
 
+@pytest.mark.parametrize("kappa, pairs, resampled", [
+    (3, [(8, 11), (10, 6), (11, 0), (5, 7), (3, 4), (7, 9), (6, 2), (8, 10), (2, 6), (4, 10)], 0),
+    (1, [(8, 11), (11, 0), (5, 7), (3, 4), (0, 5), (11, 4), (8, 11), (5, 7), (3, 8), (4, 11)], 10),
+])
+def test_sample_feasible_pairs_stream_is_pinned(kappa, pairs, resampled):
+    # Exact draws of a seeded run: any change to the pair stream shows here.
+    inst = make_instance(gnp_random_graph(12, 0.35, seed=13), [4, 7], kappa)
+    assert sample_feasible_pairs(inst, 10, seed=4) == (pairs, resampled)
+
+
 def test_stpair_validation():
     with pytest.raises(ValueError, match="differ"):
         rwbc_all_pairs(path_graph(3), [(1, 1)])

@@ -156,6 +156,41 @@ def test_hopping_occupancy_bounds_and_determinism():
     assert a.meta["completed"] > 0
 
 
+# Exact occupation ratios and meta counts of seeded runs, so that any change
+# to the number or order of draws from the stream shows. Columns: kappa,
+# injection rate, policy, explicit pairs and max injections, values, then
+# (requested, placed, completed, in_flight_at_end, pending_at_end,
+# delayed_injection_steps, infeasible_skipped, resampled_draws).
+HOPPING_STREAM_PINS = [
+    (3, 0.5, "shortest-feasible", None, None,
+     [0.6, 0.555, 0.455, 0.74, 0.695, 0.45, 0.695, 0.515, 0.55, 0.73, 0.555, 0.61],
+     (113, 51, 39, 12, 62, 3286, 0, 0)),
+    (3, 0.5, "random-feasible", None, None,
+     [0.9, 0.91, 0.85, 0.93, 0.93, 0.885, 0.68, 0.885, 0.88, 0.92, 0.555, 0.935],
+     (113, 18, 6, 12, 95, 7720, 0, 0)),
+    (1, 0.2, "shortest-feasible", None, None,
+     [0.08, 0.02, 0.02, 0.07, 0.115, 0.04, 0.0, 0.035, 0.08, 0.035, 0.0, 0.08],
+     (39, 39, 39, 0, 0, 1, 0, 23)),
+    (1, 0.2, "random-feasible", None, None,
+     [0.445, 0.08, 0.02, 0.43, 0.645, 0.33, 0.0, 0.415, 0.33, 0.11, 0.0, 0.465],
+     (39, 31, 22, 9, 8, 164, 0, 23)),
+    (1, 0.3, "shortest-feasible", ((0, 6), (8, 11), (3, 9)), 40,
+     [0.0, 0.0, 0.0, 0.09, 0.0, 0.0, 0.0, 0.045, 0.05, 0.09, 0.0, 0.045],
+     (40, 27, 27, 0, 0, 0, 13, 0)),
+]
+
+
+@pytest.mark.parametrize("kappa, rate, policy, pairs, budget, values, counts", HOPPING_STREAM_PINS)
+def test_hopping_stream_is_pinned(kappa, rate, policy, pairs, budget, values, counts):
+    inst = make_instance(gnp_random_graph(12, 0.35, seed=13), [4, 7], kappa)
+    out = particle_hopping(inst, HoppingParams(policy=policy, duration=200, injection_rate=rate,
+                                               seed=5, pairs=pairs, max_injections=budget))
+    assert out.values.tolist() == values
+    keys = ("requested", "placed", "completed", "in_flight_at_end", "pending_at_end",
+            "delayed_injection_steps", "infeasible_skipped", "resampled_draws")
+    assert tuple(out.meta[k] for k in keys) == counts
+
+
 def test_hopping_blocked_injection_delays():
     # Two particles with the same source: the second waits for the cell.
     inst = make_instance(path_graph(4), [], 3)
