@@ -24,7 +24,6 @@ from .graph import (
     SocInstance,
     load_edge_list,
     make_instance,
-    spectral_radius,
     write_snap_tsv,
 )
 from .katz import AlphaBound, KatzParams, max_alpha, soc_katz, standard_katz
@@ -85,7 +84,6 @@ __all__ = [
     "soc_betweenness_scores",
     "soc_katz",
     "soc_rwbc",
-    "spectral_radius",
     "standard_betweenness",
     "standard_katz",
     "write_snap_tsv",

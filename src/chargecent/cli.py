@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -144,6 +145,13 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(file_cfg) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(ExperimentConfig)
+        for name, value in file_cfg.items():
+            allowed = typing.get_args(hints[name]) or (hints[name],)
+            # JSON values have exact types: an int may stand for a float, a bool for no number.
+            if not any(type(value) is t or (t is float and type(value) is int) for t in allowed):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ValueError(f"config key {name!r} must be {names}, not {value!r}")
     cfg = ExperimentConfig(input=file_cfg.get("input", ""))
     for name in ExperimentConfig.__dataclass_fields__:
         cli_val = getattr(args, name, None)
@@ -199,9 +207,9 @@ def _resolve_pairs(cfg: ExperimentConfig, g: Graph, inst) -> list[tuple[int, int
 def compute_measure(cfg: ExperimentConfig, g: Graph, inst) -> ScoreVector:
     measure = cfg.measure
     if measure == "soc-katz":
-        return soc_katz(inst, KatzParams(alpha=cfg.alpha))
+        return soc_katz(inst, KatzParams(cfg.alpha))
     if measure == "katz":
-        return standard_katz(g, cfg.alpha)
+        return standard_katz(g, KatzParams(cfg.alpha))
     if measure == "soc-bc":
         return soc_betweenness(inst, cfg.endpoints)
     if measure == "bc":

@@ -51,21 +51,22 @@ def adjacency_matrix(n: int, indptr: np.ndarray, indices: np.ndarray) -> scipy.s
 
 
 def bfs(
-    indptr: np.ndarray, indices: np.ndarray, source: int
+    indptr: np.ndarray, indices: np.ndarray, source: int | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
-    """Level-synchronous BFS from one source over a CSR digraph.
+    """Level-synchronous BFS over a CSR digraph from one source or an array of them.
 
-    Returns distances (-1 where unreached), shortest-path counts, the nodes of
-    each level, and per level the tree arcs (tails, heads) into the next one.
+    Level 0 is the sorted unique sources, each with one path. Returns
+    distances (-1 where unreached), shortest-path counts, the nodes of each
+    level, and per level the tree arcs (tails, heads) into the next one.
     Path counts are float64, as in networkx: exact below 2**53 and beyond
     that rounded rather than wrapped (a 40x40 grid already exceeds int64).
     """
     n = indptr.shape[0] - 1
     d = np.full(n, -1, dtype=np.int64)
     sigma = np.zeros(n)
-    d[source] = 0
-    sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
+    frontier = np.unique(np.asarray(source, dtype=np.int64).reshape(-1))
+    d[frontier] = 0
+    sigma[frontier] = 1.0
     level_nodes = [frontier]
     tree_arcs: list[tuple[np.ndarray, np.ndarray]] = []
     level = 0
@@ -153,10 +154,6 @@ class Graph:
     @functools.cached_property
     def adjacency(self) -> scipy.sparse.csr_array:
         return adjacency_matrix(self.n, self.indptr, self.indices)
-
-    @property
-    def out_degree(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
     def out_neighbors(self, v: int) -> np.ndarray:
         """Out-neighbors of ``v`` in ascending order (all neighbors if undirected)."""
@@ -345,7 +342,7 @@ def _is_acyclic(adj: scipy.sparse.csr_array) -> bool:
 
 
 def power_iteration_radius(
-    adj: scipy.sparse.csr_array, tol: float = 1e-10, max_iter: int = 10_000
+    adj: scipy.sparse.csr_array, tol: float = 1e-10, max_iter: int = 100_000
 ) -> PowerIterationResult:
     """Spectral radius of a nonnegative 0/1 matrix by shifted power iteration.
 
@@ -368,7 +365,3 @@ def power_iteration_radius(
         est = new_est
     return PowerIterationResult(est, False, max_iter)
 
-
-def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 10_000) -> PowerIterationResult:
-    """Largest-eigenvalue estimate of the adjacency operator of ``g``."""
-    return power_iteration_radius(g.adjacency, tol, max_iter)

@@ -8,9 +8,9 @@ it, solved as a block of right-hand sides. A node's score is half the sum of
 absolute net usages over its incident unordered neighbor pairs, which on
 symmetrized graphs reduces to current-flow betweenness.
 
-The charge-aware variant runs the same computation on the state graph with
-all of the target's arrival states contracted into a single absorbing node,
-then sums net flows over charge levels per node.
+The charge-aware variant runs the same computation on the state graph, with
+the target's states at every charge level as the absorbing set, and sums the
+net flows of the other states over charge levels per node.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import scipy.sparse.linalg
 from .errors import NumericalError
 from .graph import Graph, SocInstance, bfs
 from .scores import ScoreVector
-from .statespace import StateGraph, build_state_graph, draw_feasible_pair, reachable_nodes
+from .statespace import build_state_graph, draw_feasible_pair, reachable_nodes
 
 logger = logging.getLogger(__name__)
 
@@ -39,45 +39,49 @@ SOLVE_BLOCK = 64  # right-hand sides per block solve; bounds the dense (pairs x 
 
 @dataclass
 class AbsorbingFlows:
-    """Walks from a block of starts absorbed at one target, summed over the feasible starts."""
+    """Walks from a block of starts absorbed at one node set, summed over the feasible starts."""
 
     usage: np.ndarray      # per node: expected use of each of its out-arcs
     net: np.ndarray        # per node: half the absolute net flow over its neighbor pairs
-    feasible: np.ndarray   # per start: whether it can reach the target
+    feasible: np.ndarray   # per start: whether it can reach the absorbing set
     residual: float        # largest ||K x - b||_inf over the block solves; 0.0 if none ran
 
 
-def _absorbing_flows(n: int, src: np.ndarray, dst: np.ndarray, t: int, starts) -> AbsorbingFlows:
-    """Random walks on the digraph ``src -> dst`` over n nodes, absorbed at t.
+def _absorbing_flows(n: int, src: np.ndarray, dst: np.ndarray, absorbing: np.ndarray, starts) -> AbsorbingFlows:
+    """Random walks on the digraph ``src -> dst`` over n nodes, absorbed at any ``absorbing`` node.
 
-    The walk is restricted to the nodes that can reach t, so absorption is
-    certain and the restricted system K = (D - A)^T is nonsingular. It depends
-    only on t, so one LU factorization serves every start.
+    The walk is restricted to the nodes that can reach the absorbing set, so
+    absorption is certain and the restricted system K = (D - A)^T is
+    nonsingular. It depends only on that set, so one LU factorization serves
+    every start.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    live = src != t  # the target absorbs: its out-arcs carry nothing
+    absorbs = np.zeros(n, dtype=bool)
+    absorbs[absorbing] = True
+    live = ~absorbs[src]  # out-arcs of absorbing nodes carry nothing
     # into[v, u] = 1 for each arc u -> v, so the CSR rows list in-neighbors.
     into = scipy.sparse.csr_matrix((np.ones(int(live.sum())), (dst[live], src[live])), shape=(n, n))
-    reach = bfs(into.indptr, into.indices, t)[0] >= 0
+    reach = bfs(into.indptr, into.indices, absorbing)[0] >= 0
     feasible = reach[starts]
     usage, net = np.zeros(n), np.zeros(n)
     if not feasible.any():
         return AbsorbingFlows(usage, net, feasible, 0.0)
 
-    keep = np.flatnonzero(reach & (np.arange(n) != t))
-    k, local = keep.shape[0], np.append(keep, t)  # local ids: the k unknowns, then t as k
+    keep = np.flatnonzero(reach & ~absorbs)
+    local = np.append(keep, absorbing)  # local ids: the k unknowns, then the absorbing nodes
+    k, m = keep.shape[0], local.shape[0]
     into = into[local][:, keep].tocsc()
     mat = (scipy.sparse.diags(np.asarray(into.sum(axis=0)).ravel()) - into[:k]).tocsc()
     try:
         lu = scipy.sparse.linalg.splu(mat, permc_spec=ORDERING)
     except RuntimeError as exc:
-        raise NumericalError(f"absorbing system for target {t} is singular: {exc}") from exc
+        raise NumericalError(f"absorbing system for the set {absorbing.tolist()} is singular: {exc}") from exc
 
     # Signed incidence of unordered neighbor pairs: +1 for the arc lo -> hi, -1 for hi -> lo.
     ld, ls = (a.astype(np.int64) for a in into.nonzero())  # int64: pair keys pass 2**31 at k > 46340
     proper = ls != ld
     lo, hi = np.minimum(ls, ld)[proper], np.maximum(ls, ld)[proper]
-    keys, pair_of = np.unique(lo * (k + 1) + hi, return_inverse=True)
+    keys, pair_of = np.unique(lo * m + hi, return_inverse=True)
     incidence = scipy.sparse.csr_matrix(
         (np.where(ls[proper] < ld[proper], 1.0, -1.0), (pair_of, ls[proper])), shape=(keys.shape[0], k)
     )
@@ -91,11 +95,11 @@ def _absorbing_flows(n: int, src: np.ndarray, dst: np.ndarray, t: int, starts) -
         x = lu.solve(rhs)
         r = float(np.abs(mat @ x - rhs).max())
         if not r <= 1e-9 * max(1.0, float(np.abs(x).max())):
-            raise NumericalError(f"absorbing solve for target {t} has residual {r:.3e}")
+            raise NumericalError(f"absorbing solve for the set {absorbing.tolist()} has residual {r:.3e}")
         residual = max(residual, r)
         usage[keep] += x.sum(axis=1)
         pair_total += np.abs(incidence @ x).sum(axis=1)
-    ends = np.bincount(keys // (k + 1), pair_total, k + 1) + np.bincount(keys % (k + 1), pair_total, k + 1)
+    ends = np.bincount(keys // m, pair_total, m) + np.bincount(keys % m, pair_total, m)
     net[local] = 0.5 * ends
     return AbsorbingFlows(usage, net, feasible, residual)
 
@@ -121,26 +125,6 @@ def _sources_by_target(pairs: Sequence[tuple[int, int]]) -> dict[int, list[int]]
     return groups
 
 
-def _contract_target(sg: StateGraph, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Arcs of the state graph with all (t, charge) states merged into one absorbing state.
-
-    Returns the contracted arcs (source and destination ids; arcs out of t's
-    states are dropped), the map state index -> contracted id, and the
-    absorbing state's id, which is the last one.
-    """
-    is_t = np.arange(sg.n_numeric) % sg.n == t
-    tau = int(sg.n_numeric - (sg.kappa + 1))
-    mapping = np.where(is_t, tau, np.cumsum(~is_t) - 1)
-    live = ~is_t[sg.arc_src]
-    src, dst = mapping[sg.arc_src[live]], mapping[sg.indices[live]]
-    # Each state has at most one arc into the target's states, so contraction
-    # must not merge arcs (that would skew the transition probabilities).
-    keys = src * (tau + 1) + dst
-    if np.unique(keys).shape[0] != keys.shape[0]:
-        raise NumericalError(f"contracting target {t} merged parallel arcs")
-    return src, dst, mapping, tau
-
-
 def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector:
     """Charge-aware random-walk betweenness accumulated over the given pairs.
 
@@ -150,13 +134,15 @@ def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector
     if not pairs:
         raise ValueError("at least one source-target pair required")
     groups = _sources_by_target(pairs)
-    sg = build_state_graph(inst, starred=False)
-    y_states = np.zeros(sg.n_numeric)
+    sg = build_state_graph(inst)
+    y_states = np.zeros(sg.n_states)
     solved: list[AbsorbingFlows] = []
     for t, sources in groups.items():
-        src, dst, mapping, tau = _contract_target(sg, t)
-        flows = _absorbing_flows(tau + 1, src, dst, tau, mapping[[sg.source_state(s) for s in sources]])
-        y_states[mapping < tau] += flows.net[:tau]
+        absorbing = np.arange(inst.kappa + 1) * sg.n + t  # t at every charge level
+        flows = _absorbing_flows(sg.n_states, sg.arc_src, sg.indices, absorbing,
+                                 [sg.source_state(s) for s in sources])
+        flows.net[absorbing] = 0.0  # arrivals at t carry no score
+        y_states += flows.net
         solved.append(flows)
     diagnostics = _solver_meta(solved)
     if diagnostics["skipped_pairs"]:
@@ -172,7 +158,7 @@ def rwbc_all_pairs(g: Graph, pairs: Sequence[tuple[int, int]]) -> ScoreVector:
     total = np.zeros(g.n)
     solved: list[AbsorbingFlows] = []
     for t, sources in _sources_by_target(pairs).items():
-        flows = _absorbing_flows(g.n, g.arc_src, g.indices, t, sources)
+        flows = _absorbing_flows(g.n, g.arc_src, g.indices, np.array([t]), sources)
         total += flows.net
         solved.append(flows)
     meta = {"measure": "rwbc", "pairs": len(pairs), **_solver_meta(solved)}

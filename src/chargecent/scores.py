@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericalError
 from .graph import Graph
 
 CSV_HEADER = "node_label,score"
@@ -29,6 +30,11 @@ class ScoreVector:
 
     @classmethod
     def for_graph(cls, g: Graph, values: np.ndarray, meta: dict | None = None) -> "ScoreVector":
+        """Scores a computation produced over ``g``'s nodes; a NaN or inf among them is its failure."""
+        values = np.asarray(values, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NumericalError(f"{bad.size} non-finite score(s), the first {values[bad[0]]} at node id {bad[0]}")
         return cls(values, list(g.labels), meta or {})
 
     def __len__(self) -> int:

@@ -12,7 +12,7 @@ from chargecent import load_edge_list, make_instance, max_alpha
 from chargecent.cli import main
 from chargecent.generators import sample_omega
 from chargecent.scores import ScoreVector
-from chargecent.statespace import StateGraph
+from chargecent.statespace import StateGraph, build_state_graph
 
 
 @pytest.fixture
@@ -189,6 +189,58 @@ def test_unknown_config_key_rejected(graph_file, tmp_path):
     assert run("centrality", "--config", cfg, "--measure", "bc", "--out", tmp_path) == 1
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "runs", "5"),  # a str for an int: SirParams failed with a TypeError traceback
+    ("centrality", "kappa", "2"),  # was accepted and written into the meta as a string
+    ("centrality", "kappa", 2.5),
+    ("centrality", "alpha", True),  # a bool is never a number
+    ("centrality", "directed", 1),
+])
+def test_config_value_of_the_wrong_type_is_input_error(graph_file, tmp_path, capsys,
+                                                       command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(graph_file), "measure": "katz", "sim": "sir",
+                               "alpha": 0.1, key: value}))
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_an_int_for_a_float(graph_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(graph_file), "kappa": 2, "omega_ratio": 1,
+                               "measure": "soc-katz", "alpha": 0, "omega_file": None}))
+    out = tmp_path / "out"
+    assert run("centrality", "--config", cfg, "--out", out) == 0
+    config = json.loads((out / "scores.meta.json").read_text())["config"]
+    assert config["omega_ratio"] == 1 and config["alpha"] == 0 and config["kappa"] == 2
+
+
+@pytest.mark.parametrize("measure", ["katz", "soc-katz"])
+def test_non_finite_scores_are_a_numerical_failure(graph_file, tmp_path, monkeypatch, capsys,
+                                                    measure):
+    def nan_kernel(adj, p, meta):
+        x = np.ones(adj.shape[0])
+        x[1] = np.nan
+        return x
+
+    monkeypatch.setattr(chargecent.katz, "_katz", nan_kernel)
+    assert run("centrality", "--input", graph_file, "--kappa", "2", "--measure", measure,
+               "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "non-finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_score_file_is_input_error(tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("node_label,score\na,1.0\nb,2.0\n")
+    bad.write_text("node_label,score\na,1.0\nb,nan\n")
+    assert run("correlate", "--expected", good, "--realized", bad) == 1
+    assert "scores must be finite" in capsys.readouterr().err
+
+
 def test_state_dump_for_soc_bc(graph_file, tmp_path):
     out = tmp_path / "dump"
     assert run("centrality", "--input", graph_file, "--kappa", "2",
@@ -259,7 +311,7 @@ def test_experiment_and_batch_summary(graph_file, tmp_path):
 
 def test_default_alpha_measures_the_bound_once(graph_file, tmp_path, monkeypatch):
     g = load_edge_list(graph_file)
-    bound = max_alpha(make_instance(g, sample_omega(g.n, 0.5, 3), 2)).max_alpha
+    bound = max_alpha(build_state_graph(make_instance(g, sample_omega(g.n, 0.5, 3), 2)).adjacency).max_alpha
     calls = {"radius": 0, "state_graph": 0}
     radius, init = chargecent.graph.power_iteration_radius, StateGraph.__init__
 

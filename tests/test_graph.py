@@ -6,12 +6,12 @@ from chargecent import (
     GraphParseError,
     RefillSet,
     SocInstance,
+    build_state_graph,
     load_edge_list,
     make_instance,
-    spectral_radius,
     write_snap_tsv,
 )
-from chargecent.graph import _is_acyclic
+from chargecent.graph import _is_acyclic, bfs, power_iteration_radius
 from chargecent.generators import path_graph, star_graph
 from chargecent.oracles import dense_adjacency
 
@@ -137,17 +137,18 @@ def test_out_neighbors_sorted_and_degree_sum():
 
 
 def test_spectral_radius_examples():
-    assert spectral_radius(Graph(2, [(0, 1)], directed=False)).value == pytest.approx(1.0, abs=1e-8)
+    edge = Graph(2, [(0, 1)], directed=False)
+    assert power_iteration_radius(edge.adjacency).value == pytest.approx(1.0, abs=1e-8)
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)], directed=False)
-    assert spectral_radius(tri).value == pytest.approx(2.0, abs=1e-8)
-    assert spectral_radius(star_graph(4)).value == pytest.approx(2.0, abs=1e-8)
+    assert power_iteration_radius(tri.adjacency).value == pytest.approx(2.0, abs=1e-8)
+    assert power_iteration_radius(star_graph(4).adjacency).value == pytest.approx(2.0, abs=1e-8)
 
 
 def test_spectral_radius_matches_dense_and_lower_bound():
     rng = np.random.default_rng(23)
     for _ in range(15):
         g = random_graph(rng, n_max=10, p=0.4, directed=False)
-        est = spectral_radius(g, tol=1e-12, max_iter=200_000)
+        est = power_iteration_radius(g.adjacency, tol=1e-12, max_iter=200_000)
         exact = max(abs(np.linalg.eigvals(dense_adjacency(g))))
         assert est.value == pytest.approx(float(exact), abs=1e-7)
         if g.n:
@@ -156,7 +157,7 @@ def test_spectral_radius_matches_dense_and_lower_bound():
 
 def test_spectral_radius_dag_is_zero():
     dag = Graph(4, [(0, 1), (1, 2), (0, 3)], directed=True)
-    res = spectral_radius(dag)
+    res = power_iteration_radius(dag.adjacency)
     assert res.value == 0.0 and res.converged
 
 
@@ -176,6 +177,25 @@ def test_is_acyclic_matches_networkx():
         seen.add((want, upper and g.self_loop_count > 0))
     # Both answers occur, and some graphs are cyclic only through self-loops.
     assert {(True, False), (False, False), (False, True)} <= seen
+
+
+def test_multi_source_bfs_is_the_minimum_over_single_sources(small_instances):
+    # Level 0 is the sorted unique sources; a node's distance is its nearest
+    # source's, and its path count sums over the sources at that distance.
+    rng = np.random.default_rng(61)
+    for inst in small_instances:
+        sg = build_state_graph(inst)
+        for indptr, indices, n in ((inst.graph.indptr, inst.graph.indices, inst.graph.n),
+                                   (sg.indptr, sg.indices, sg.n_states)):
+            sources = rng.integers(n, size=int(rng.integers(1, 5)))  # repeats allowed
+            d, sigma, levels, _ = bfs(indptr, indices, sources)
+            singles = [bfs(indptr, indices, int(s))[:2] for s in np.unique(sources)]
+            dist = np.stack([np.where(ds >= 0, ds, n + 1) for ds, _ in singles])
+            nearest = dist.min(axis=0)
+            assert np.array_equal(d, np.where(nearest <= n, nearest, -1))
+            paths = sum(np.where(ds == nearest, ss, 0.0) for ds, ss in singles)
+            assert np.array_equal(sigma, paths)
+            assert levels[0].tolist() == sorted(set(sources.tolist()))
 
 
 def test_labels_bijective():

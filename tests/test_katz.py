@@ -11,15 +11,16 @@ from chargecent import (
     KatzParams,
     NumericalError,
     PowerIterationResult,
+    build_state_graph,
     count_feasible_walks,
     make_instance,
     max_alpha,
     soc_katz,
-    spectral_radius,
     standard_katz,
 )
 from chargecent.cli import main
-from chargecent.generators import path_graph
+from chargecent.generators import gnp_random_graph, path_graph
+from chargecent.graph import power_iteration_radius
 from chargecent.oracles import dense_adjacency, dense_bkappa, dense_katz, dense_soc_katz
 
 from conftest import instance_corpus
@@ -27,12 +28,12 @@ from conftest import instance_corpus
 
 def test_standard_katz_empty_graph():
     g = Graph(3, [], directed=False)
-    assert np.allclose(standard_katz(g, 0.5).values, 1.0)
+    assert np.allclose(standard_katz(g, KatzParams(0.5)).values, 1.0)
 
 
 def test_standard_katz_single_edge():
     g = Graph(2, [(0, 1)], directed=False)
-    assert np.allclose(standard_katz(g, 0.5).values, [2.0, 2.0], atol=1e-9)
+    assert np.allclose(standard_katz(g, KatzParams(0.5)).values, [2.0, 2.0], atol=1e-9)
 
 
 def test_standard_katz_matches_dense(small_instances):
@@ -40,7 +41,7 @@ def test_standard_katz_matches_dense(small_instances):
         g = inst.graph
         rho = max(abs(np.linalg.eigvals(dense_adjacency(g))))
         alpha = 0.5 / rho if rho > 0 else 0.5
-        got = standard_katz(g, alpha, tol=1e-12)
+        got = standard_katz(g, KatzParams(alpha, tol=1e-12))
         assert np.allclose(got.values, dense_katz(g, alpha), atol=1e-8)
 
 
@@ -61,7 +62,7 @@ def test_soc_katz_matches_dense_oracle(small_instances):
     for inst in small_instances:
         if inst.graph.n * (inst.kappa + 1) > 50:
             continue
-        bound = max_alpha(inst)
+        bound = max_alpha(build_state_graph(inst).adjacency)
         alpha = 0.3 if math.isinf(bound.max_alpha) else 0.5 * bound.max_alpha
         got = soc_katz(inst, KatzParams(alpha, tol=1e-13))
         ref = dense_soc_katz(inst, alpha)
@@ -100,7 +101,7 @@ def test_omega_full_reduces_to_standard(small_instances):
         alpha = 0.4 / rho if rho > 0 else 0.4
         full = make_instance(g, range(g.n), inst.kappa)
         a = soc_katz(full, KatzParams(alpha, tol=1e-13)).values
-        b = standard_katz(g, alpha, tol=1e-13).values
+        b = standard_katz(g, KatzParams(alpha, tol=1e-13)).values
         assert np.allclose(a, b, rtol=1e-8)
 
 
@@ -121,15 +122,15 @@ def test_omega_monotonicity():
 
 def test_max_alpha_nilpotent_is_infinite():
     inst = make_instance(Graph(2, [(0, 1)], directed=True), [], 1)
-    bound = max_alpha(inst)
-    assert math.isinf(bound.max_alpha) and bound.acyclic
+    bound = max_alpha(build_state_graph(inst).adjacency)
+    assert math.isinf(bound.max_alpha)
 
 
 def test_max_alpha_full_refill_matches_adjacency():
     g = path_graph(4)
     inst = make_instance(g, range(4), 2)
-    bound = max_alpha(inst)
-    rho = spectral_radius(g).value
+    bound = max_alpha(build_state_graph(inst).adjacency)
+    rho = power_iteration_radius(g.adjacency).value
     assert bound.max_alpha == pytest.approx(1.0 / rho, rel=1e-6)
 
 
@@ -139,8 +140,8 @@ def test_lemma_ordering_on_random_instances(small_instances):
         rho_b = max(abs(np.linalg.eigvals(big)))
         rho_a = max(abs(np.linalg.eigvals(dense_adjacency(inst.graph))))
         assert rho_b <= rho_a + 1e-9
-        est = max_alpha(inst)
-        if not est.acyclic:
+        est = max_alpha(build_state_graph(inst).adjacency)
+        if math.isfinite(est.max_alpha):
             assert est.radius == pytest.approx(float(rho_b), abs=1e-6)
 
 
@@ -150,7 +151,7 @@ def test_alpha_at_bound_rejected():
     with pytest.raises(ValueError, match="bound"):
         soc_katz(inst, KatzParams(1.0))
     with pytest.raises(ValueError, match="bound"):
-        standard_katz(g, 1.0)
+        standard_katz(g, KatzParams(1.0))
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-4])
@@ -160,7 +161,7 @@ def test_error_bound_covers_dense_oracle(small_instances, tol):
     for inst in small_instances:
         if inst.graph.n * (inst.kappa + 1) > 200:
             continue
-        bound = max_alpha(inst)
+        bound = max_alpha(build_state_graph(inst).adjacency)
         rho = max(abs(np.linalg.eigvals(dense_bkappa(inst))))
         for frac in (0.5, 0.99):
             alpha = 0.3 if math.isinf(bound.max_alpha) else frac * bound.max_alpha
@@ -181,7 +182,7 @@ def test_alpha_above_true_bound_raises():
     # Power iteration stalls at radius 2/3 here (true radius 1), so the default
     # alpha 1.35 lies past the pole; the solve finds x with negative entries.
     inst = make_instance(Graph(5, [(0, 4), (1, 2), (1, 3)], directed=False), [0, 4], 1)
-    assert max_alpha(inst).radius == pytest.approx(2 / 3)
+    assert max_alpha(build_state_graph(inst).adjacency).radius == pytest.approx(2 / 3)
     with pytest.raises(NumericalError, match="min score"):
         soc_katz(inst, KatzParams(None))
 
@@ -192,7 +193,7 @@ def test_failed_solve_raises_and_exits_2(tmp_path, monkeypatch, capsys):
     with pytest.raises(NumericalError, match="info 7"):
         soc_katz(make_instance(g, [1], 2), KatzParams(0.1))
     with pytest.raises(NumericalError, match="info 7"):
-        standard_katz(g, 0.1)
+        standard_katz(g, KatzParams(0.1))
     graph_file = tmp_path / "g.tsv"
     graph_file.write_text("0 1\n1 2\n2 3\n3 0\n")
     assert main(["centrality", "--input", str(graph_file), "--kappa", "2",
@@ -204,16 +205,46 @@ def test_radius_convergence_recorded_in_meta(monkeypatch, caplog):
     g = Graph(3, [(0, 1), (1, 2)], directed=False)
     inst = make_instance(g, [1], 2)
     assert soc_katz(inst, KatzParams(0.1)).meta["radius_converged"] is True
-    assert standard_katz(g, 0.1).meta["radius_converged"] is True
+    assert standard_katz(g, KatzParams(0.1)).meta["radius_converged"] is True
     # A stalled power iteration: the bound is still usable, but the run says so.
     monkeypatch.setattr(chargecent.katz, "power_iteration_radius",
                         lambda *a, **k: PowerIterationResult(1.5, False, 7))
     with caplog.at_level(logging.WARNING, logger="chargecent.katz"):
         soc = soc_katz(inst, KatzParams(0.1))
-        plain = standard_katz(g, 0.1)
+        plain = standard_katz(g, KatzParams(0.1))
     assert soc.meta["radius_converged"] is False
     assert plain.meta["radius_converged"] is False
     warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warned) == 2
     assert all("did not converge" in msg for msg in warned)
     assert warned[0].startswith("soc-katz") and warned[1].startswith("katz")
+
+
+def test_default_alpha_scores_and_meta_are_pinned():
+    # Exact bits of both Katz measures at the default alpha (0.9 of the measured
+    # bound): any change to the bound, the default or the solve shows here.
+    g = gnp_random_graph(9, 0.35, seed=5)
+    soc = soc_katz(make_instance(g, [1, 4], 2), KatzParams(None))
+    assert float(soc.meta["alpha"]).hex() == "0x1.751f497c010b1p-2"
+    assert soc.meta["iterations"] == 8 and soc.meta["radius_converged"] is True
+    assert [float(v).hex() for v in soc.values] == [
+        "0x1.016c153ecb27ap+4", "0x1.ce0ba4d91bb0fp+2", "0x1.b26c6df7a2b67p+2",
+        "0x1.36d145280357dp+3", "0x1.1875ea5ca6ae2p+4", "0x1.22d700c20ad09p+4",
+        "0x1.f0cc64d042f09p+2", "0x1.650a0fdf625f5p+3", "0x1.1df72711ef1f3p+4",
+    ]
+    assert soc.meta == {"measure": "soc-katz", "alpha": 0.3643771631179887, "kappa": 2,
+                        "omega": [1, 4], "tol": 1e-10, "radius_converged": True,
+                        "solver": "bicgstab", "iterations": 8,
+                        "max_residual": 5.329070518200751e-15,
+                        "error_bound": 1.1240244885926043e-12}
+    plain = standard_katz(g, KatzParams(None))
+    assert float(plain.meta["alpha"]).hex() == "0x1.1f542b6388495p-2"
+    assert [float(v).hex() for v in plain.values] == [
+        "0x1.66dd80bdf9d20p+3", "0x1.723c4eefef567p+2", "0x1.4c03b714d1d63p+2",
+        "0x1.8fa008e01a21ap+2", "0x1.92a58f32d0235p+3", "0x1.7baeef46b9f76p+3",
+        "0x1.86d3fbfa3e929p+2", "0x1.24772baee9f5fp+3", "0x1.7e92894ed433fp+3",
+    ]
+    assert plain.meta == {"measure": "katz", "alpha": 0.2805945186137902, "tol": 1e-10,
+                          "radius_converged": True, "solver": "bicgstab", "iterations": 8,
+                          "max_residual": 3.552713678800501e-15,
+                          "error_bound": 5.368744538857098e-13}

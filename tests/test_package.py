@@ -4,6 +4,9 @@ import ast
 from pathlib import Path
 
 import chargecent
+import chargecent.graph
+import chargecent.katz
+import chargecent.rwbc
 
 SRC = Path(chargecent.__file__).parent
 
@@ -46,8 +49,14 @@ def test_removed_names_stay_out_of_the_package():
     # One entry point per measure and simulator: pair-level rwbc is
     # ``rwbc_all_pairs(g, [(s, t)])``, walk subgraphs live in ``oracles``, and
     # the simulators return ``ScoreVector``; the scalar SIR episode is
-    # reference code in ``oracles``.
+    # reference code in ``oracles``. A spectral radius is
+    # ``power_iteration_radius(adjacency)``, and the Katz bound ``max_alpha``.
     for name in ("directed_rwbc_pair", "FlowSolution", "StPair", "SimOutcome",
-                 "walk_subgraph", "WalkSubgraph", "run_sir_episode"):
+                 "walk_subgraph", "WalkSubgraph", "run_sir_episode",
+                 "spectral_radius", "state_graph_radius"):
         assert not hasattr(chargecent, name), name
         assert name not in chargecent.__all__, name
+    # Names that lived in a module rather than at the package root.
+    for owner, name in ((chargecent.graph, "spectral_radius"), (chargecent.katz, "state_graph_radius"),
+                        (chargecent.rwbc, "_contract_target"), (chargecent.Graph, "out_degree")):
+        assert not hasattr(owner, name), name

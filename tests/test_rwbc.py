@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -14,7 +12,7 @@ from chargecent import (
 )
 from chargecent.generators import barabasi_albert_graph, cycle_graph, gnp_random_graph, path_graph
 from chargecent.oracles import current_flow_throughflow, monte_carlo_rwbc, walk_subgraph
-from chargecent.rwbc import _absorbing_flows, _contract_target
+from chargecent.rwbc import _absorbing_flows
 
 from conftest import random_graph
 
@@ -63,7 +61,7 @@ def pair_flow(g, s, t):
 
 def test_pair_flow_deterministic_path():
     g = Graph(3, [(0, 1), (1, 2)], directed=True)
-    flows = _absorbing_flows(g.n, g.arc_src, g.indices, 2, [0])
+    flows = _absorbing_flows(g.n, g.arc_src, g.indices, np.array([2]), [0])
     assert np.allclose(flows.usage, [1.0, 1.0, 0.0], atol=1e-12)  # arc u -> v carries usage[u]
     assert np.allclose(flows.net, [0.5, 1.0, 0.5], atol=1e-12)
     assert np.allclose(pair_flow(g, 0, 2), [0.5, 1.0, 0.5], atol=1e-12)
@@ -95,7 +93,7 @@ def test_conservation_invariant():
         if sub.empty:
             continue
         checked += 1
-        usage = _absorbing_flows(g.n, g.arc_src, g.indices, t, [s]).usage
+        usage = _absorbing_flows(g.n, g.arc_src, g.indices, np.array([t]), [s]).usage
         outflow = np.zeros(g.n)
         inflow = np.zeros(g.n)
         for u, v in zip(sub.nodes[sub.arc_src], sub.nodes[sub.arc_dst]):
@@ -155,9 +153,10 @@ def test_soc_rwbc_infeasible_pair_skipped():
 
 
 def test_soc_rwbc_full_refill_reduces_to_plain():
-    # With every node refilling, the contracted state graph collapses onto the
-    # plain graph with the pair's target absorbed; the absorbed target itself
-    # carries no score, so it is excluded from the plain-side sum as well.
+    # With every node refilling, the state graph with t's states absorbing
+    # collapses onto the plain graph with the pair's target absorbed; the
+    # absorbed target itself carries no score, so it is excluded from the
+    # plain-side sum as well.
     rng = np.random.default_rng(23)
     for _ in range(10):
         g = random_graph(rng, n_max=7, p=0.45, directed=False)
@@ -339,8 +338,30 @@ def test_failed_residual_check_is_numerical_error(monkeypatch):
         rwbc_all_pairs(Graph(3, [(0, 1), (1, 2), (1, 0)], directed=True), [(0, 2)])
 
 
-def test_contraction_rejects_merged_arcs():
-    # State 0 has arcs into two charge levels of node 1, which contraction would merge.
-    sg = SimpleNamespace(n=2, n_numeric=4, kappa=1, arc_src=np.array([0, 0]), indices=np.array([1, 3]))
-    with pytest.raises(NumericalError, match="parallel arcs"):
-        _contract_target(sg, 1)
+_PINNED_SOC = [
+    "0x1.8000000000000p+0", "0x1.0000000000000p-1", "0x1.6000000000000p+1", "0x1.a000000000000p+1",
+    "0x0.0p+0", "0x1.aaaaaaaaaaaaap+1", "0x1.0000000000000p-1", "0x1.0000000000000p+1",
+    "0x1.6aaaaaaaaaaaap+1", "0x1.aaaaaaaaaaaaap-1",
+]
+_PINNED_PLAIN = [
+    "0x1.a000000000000p+1", "0x1.2000000000000p+1", "0x1.8000000000000p+1", "0x1.8000000000000p+1",
+    "0x1.0000000000000p+0", "0x1.1aaaaaaaaaaaap+2", "0x1.0000000000000p-1", "0x1.b555555555555p+0",
+    "0x1.b000000000000p+1", "0x1.0000000000000p-1",
+]
+
+
+def test_rwbc_scores_and_meta_are_pinned():
+    # Exact bits of a seeded run whose pairs repeat targets 5 and 4 and include
+    # (4, 6), infeasible in both graphs because node 6 has no in-arcs. Any
+    # change to either measure's arithmetic shows here.
+    g = gnp_random_graph(10, 0.2, seed=3, directed=True)
+    pairs = [(0, 5), (3, 5), (9, 5), (6, 4), (1, 4), (4, 6), (8, 2)]
+    solver = {"solver": "splu", "ordering": "MMD_AT_PLUS_A", "factorizations": 3}
+    soc = soc_rwbc(make_instance(g, [2, 7], 2), pairs)
+    assert [float(v).hex() for v in soc.values] == _PINNED_SOC
+    assert soc.meta == {"measure": "soc-rwbc", "kappa": 2, "omega": [2, 7], "pairs": 7,
+                        "skipped_pairs": 1, **solver, "max_residual": 0.0}
+    plain = rwbc_all_pairs(g, pairs)
+    assert [float(v).hex() for v in plain.values] == _PINNED_PLAIN
+    assert plain.meta == {"measure": "rwbc", "pairs": 7, "skipped_pairs": 1, **solver,
+                          "max_residual": 5.551115123125783e-17}

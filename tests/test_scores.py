@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chargecent import ScoreVector, align_scores
+from chargecent import Graph, NumericalError, ScoreVector, align_scores
 
 
 def test_csv_round_trip(tmp_path):
@@ -27,3 +27,15 @@ def test_validation():
         ScoreVector(np.array([np.inf]), ["a"])
     with pytest.raises(ValueError):
         ScoreVector(np.array([1.0, 2.0]), ["a"])
+
+
+def test_non_finite_scores_of_a_computation_are_a_numerical_failure():
+    # A measure's output goes through ``for_graph``: NaN or inf there is a
+    # numerical failure (exit 2), while a score file with one stays bad input.
+    g = Graph(3, [(0, 1)], directed=False)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericalError, match="non-finite"):
+            ScoreVector.for_graph(g, np.array([1.0, bad, 2.0]), {"measure": "x"})
+        with pytest.raises(ValueError, match="finite"):
+            ScoreVector(np.array([1.0, bad, 2.0]), g.labels)
+    assert ScoreVector.for_graph(g, np.array([1.0, 0.0, 2.0])).meta == {}
