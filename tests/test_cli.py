@@ -60,14 +60,18 @@ def test_rwbc_measures_need_pairs(graph_file, tmp_path, measure):
 
 
 def test_rwbc_numerical_failure_exits_2(graph_file, tmp_path, monkeypatch, capsys):
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    real = scipy.sparse.linalg.splu
+    for failing in ("NATURAL", "MMD_AT_PLUS_A"):  # a target's factorization, then the ordering
+        def singular(*args, **kwargs):
+            if kwargs["permc_spec"] == failing:
+                raise RuntimeError("Factor is exactly singular")
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    assert run("centrality", "--input", graph_file, "--kappa", "2",
-               "--measure", "soc-rwbc", "--pairs", "2", "--seed", "2",
-               "--out", tmp_path / "r") == 2
-    assert "numerical failure" in capsys.readouterr().err
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        assert run("centrality", "--input", graph_file, "--kappa", "2",
+                   "--measure", "soc-rwbc", "--pairs", "2", "--seed", "2",
+                   "--out", tmp_path / failing) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
 
 def test_centrality_verify_mode(graph_file, tmp_path):

@@ -11,8 +11,9 @@ from chargecent import (
     soc_rwbc,
 )
 from chargecent.generators import barabasi_albert_graph, cycle_graph, gnp_random_graph, path_graph
+from chargecent.statespace import build_state_graph
 from chargecent.oracles import current_flow_throughflow, monte_carlo_rwbc, walk_subgraph
-from chargecent.rwbc import _absorbing_flows
+from chargecent.rwbc import _absorbing_flows, _base_rank
 
 from conftest import random_graph
 
@@ -61,7 +62,7 @@ def pair_flow(g, s, t):
 
 def test_pair_flow_deterministic_path():
     g = Graph(3, [(0, 1), (1, 2)], directed=True)
-    flows = _absorbing_flows(g.n, g.arc_src, g.indices, np.array([2]), [0])
+    flows = _absorbing_flows(g.n, g.arc_src, g.indices, np.array([2]), [0], _base_rank(g))
     assert np.allclose(flows.usage, [1.0, 1.0, 0.0], atol=1e-12)  # arc u -> v carries usage[u]
     assert np.allclose(flows.net, [0.5, 1.0, 0.5], atol=1e-12)
     assert np.allclose(pair_flow(g, 0, 2), [0.5, 1.0, 0.5], atol=1e-12)
@@ -93,7 +94,7 @@ def test_conservation_invariant():
         if sub.empty:
             continue
         checked += 1
-        usage = _absorbing_flows(g.n, g.arc_src, g.indices, np.array([t]), [s]).usage
+        usage = _absorbing_flows(g.n, g.arc_src, g.indices, np.array([t]), [s], _base_rank(g)).usage
         outflow = np.zeros(g.n)
         inflow = np.zeros(g.n)
         for u, v in zip(sub.nodes[sub.arc_src], sub.nodes[sub.arc_dst]):
@@ -271,20 +272,112 @@ def test_one_factorization_per_distinct_target(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs["permc_spec"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
     inst = make_instance(cycle_graph(6), [0, 3], 2)
     pairs = [(0, 2), (1, 2), (5, 2), (0, 4), (3, 4), (2, 1)]
+    targets = len({t for _, t in pairs})
     for measure in (lambda: soc_rwbc(inst, pairs), lambda: rwbc_all_pairs(inst.graph, pairs)):
         calls.clear()
         sv = measure()
-        assert len(calls) == len({t for _, t in pairs})
+        # One minimum-degree ordering of the base graph, then each target factored in that order.
+        assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * targets
         assert sv.meta["skipped_pairs"] == 0
-        assert sv.meta["factorizations"] == len({t for _, t in pairs})
-        assert sv.meta["solver"] == "splu" and sv.meta["ordering"] == "MMD_AT_PLUS_A"
+        assert sv.meta["factorizations"] == targets
+        assert sv.meta["solver"] == "splu" and sv.meta["ordering"].startswith("MMD_AT_PLUS_A of the base graph")
         assert 0.0 <= sv.meta["max_residual"] <= 1e-9
+
+
+def _dense_net(n, src, dst, absorbing, starts):
+    """Net throughflow of walks from each start absorbed at ``absorbing``, summed over the starts.
+
+    One dense solve with the unknowns in index order; starts that cannot
+    reach the absorbing set add nothing.
+    """
+    absorbs = np.zeros(n, dtype=bool)
+    absorbs[absorbing] = True
+    live = ~absorbs[src]
+    reach = absorbs.copy()
+    while True:  # backward closure over the arcs that do not leave the absorbing set
+        grown = reach.copy()
+        grown[src[live & reach[dst]]] = True
+        if (grown == reach).all():
+            break
+        reach = grown
+    starts = [s for s in starts if reach[s]]
+    if not starts:
+        return np.zeros(n)
+    unknowns = np.flatnonzero(reach & ~absorbs)
+    row = np.full(n, -1)
+    row[unknowns] = np.arange(unknowns.shape[0])
+    arcs = [(u, v) for u, v in zip(src[live], dst[live]) if reach[u] and reach[v]]
+    K = np.zeros((unknowns.shape[0], unknowns.shape[0]))
+    for u, v in arcs:
+        K[row[u], row[u]] += 1.0
+        if row[v] >= 0:
+            K[row[v], row[u]] -= 1.0
+    rhs = np.zeros((unknowns.shape[0], len(starts)))
+    rhs[row[starts], np.arange(len(starts))] = 1.0
+    usage = np.zeros((n, len(starts)))
+    usage[unknowns] = np.linalg.solve(K, rhs)
+    pair_net: dict[tuple[int, int], np.ndarray] = {}
+    for u, v in arcs:
+        if u != v:
+            key = (min(u, v), max(u, v))
+            pair_net[key] = pair_net.get(key, 0.0) + (usage[u] if u < v else -usage[u])
+    net = np.zeros(n)
+    for (u, v), f in pair_net.items():
+        net[u] += 0.5 * np.abs(f).sum()
+        net[v] += 0.5 * np.abs(f).sum()
+    return net
+
+
+def _oracle_instances():
+    rng = np.random.default_rng(909)
+    ba = barabasi_albert_graph(150, 2, seed=31)
+    gnp = gnp_random_graph(120, 0.03, seed=32, directed=True)
+    for g, kappa in ((ba, 3), (gnp, 2)):
+        inst = make_instance(g, rng.choice(g.n, size=g.n // 5, replace=False), kappa)
+        targets = rng.choice(g.n, size=4, replace=False)
+        pairs = [(int(s), int(t)) for t in targets for s in rng.choice(g.n, size=5, replace=False) if s != t]
+        yield inst, pairs
+
+
+def test_scores_match_dense_solves_in_natural_order():
+    # The kernel factors each target in the base graph's minimum-degree order;
+    # the oracle solves each pair densely with the unknowns in index order.
+    for inst, pairs in _oracle_instances():
+        g, kappa = inst.graph, inst.kappa
+        rank = _base_rank(g)
+        assert not np.array_equal(rank, np.arange(g.n))  # a nontrivial permutation
+        by_target = {t: [s for s, u in pairs if u == t] for _, t in pairs}
+        plain = sum(_dense_net(g.n, g.arc_src, g.indices, [t], sources) for t, sources in by_target.items())
+        sv = rwbc_all_pairs(g, pairs)
+        assert sv.meta["factorizations"] > 0 and sv.meta["skipped_pairs"] < len(pairs)
+        assert np.max(np.abs(sv.values - plain)) <= 1e-10 * np.max(np.abs(plain))
+
+        sg = build_state_graph(inst)
+        states = np.zeros(sg.n_states)
+        for t, sources in by_target.items():
+            absorbing = np.arange(kappa + 1) * g.n + t
+            net = _dense_net(sg.n_states, sg.arc_src, sg.indices, absorbing, [sg.source_state(s) for s in sources])
+            net[absorbing] = 0.0
+            states += net
+        soc_expect = states.reshape(kappa + 1, g.n).sum(axis=0)
+        soc = soc_rwbc(inst, pairs)
+        assert soc.meta["factorizations"] > 0 and soc.meta["skipped_pairs"] < len(pairs)
+        assert np.max(np.abs(soc.values - soc_expect)) <= 1e-10 * np.max(np.abs(soc_expect))
+
+
+def test_solver_meta_records_the_ordering_and_a_deterministic_factor_size():
+    inst, pairs = next(_oracle_instances())
+    for measure in (lambda: soc_rwbc(inst, pairs), lambda: rwbc_all_pairs(inst.graph, pairs)):
+        first, again = measure().meta, measure().meta
+        assert first["ordering"].startswith("MMD_AT_PLUS_A of the base graph")
+        assert isinstance(first["factor_nnz"], int) and first["factor_nnz"] > 0
+        assert again["factor_nnz"] == first["factor_nnz"]
 
 
 def test_rwbc_beyond_int32_pair_keys():
@@ -312,15 +405,22 @@ def test_matches_networkx_current_flow_betweenness():
 
 
 def test_singular_system_is_numerical_error(monkeypatch):
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    real = scipy.sparse.linalg.splu
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    def singular_at(spec):
+        def splu(*args, **kwargs):
+            if kwargs["permc_spec"] == spec:
+                raise RuntimeError("Factor is exactly singular")
+            return real(*args, **kwargs)
+        return splu
+
     inst = make_instance(path_graph(3), [], 2)
-    with pytest.raises(NumericalError, match="singular"):
-        soc_rwbc(inst, [(0, 2)])
-    with pytest.raises(NumericalError, match="singular"):
-        rwbc_all_pairs(inst.graph, [(0, 2)])
+    for spec, match in (("NATURAL", "singular"), ("MMD_AT_PLUS_A", "ordering")):
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_at(spec))
+        with pytest.raises(NumericalError, match=match):
+            soc_rwbc(inst, [(0, 2)])
+        with pytest.raises(NumericalError, match=match):
+            rwbc_all_pairs(inst.graph, [(0, 2)])
 
 
 def test_failed_residual_check_is_numerical_error(monkeypatch):
@@ -333,7 +433,11 @@ def test_failed_residual_check_is_numerical_error(monkeypatch):
         def solve(self, b):
             return self.lu.solve(b) * (1 + 1e-6)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *a, **k: Skewed(real(*a, **k)))
+    def skewed_targets(*args, **kwargs):
+        lu = real(*args, **kwargs)
+        return Skewed(lu) if kwargs["permc_spec"] == "NATURAL" else lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", skewed_targets)
     with pytest.raises(NumericalError, match="residual"):
         rwbc_all_pairs(Graph(3, [(0, 1), (1, 2), (1, 0)], directed=True), [(0, 2)])
 
@@ -345,7 +449,7 @@ _PINNED_SOC = [
 ]
 _PINNED_PLAIN = [
     "0x1.a000000000000p+1", "0x1.2000000000000p+1", "0x1.8000000000000p+1", "0x1.8000000000000p+1",
-    "0x1.0000000000000p+0", "0x1.1aaaaaaaaaaaap+2", "0x1.0000000000000p-1", "0x1.b555555555555p+0",
+    "0x1.0000000000000p+0", "0x1.1aaaaaaaaaaabp+2", "0x1.0000000000000p-1", "0x1.b555555555556p+0",
     "0x1.b000000000000p+1", "0x1.0000000000000p-1",
 ]
 
@@ -356,12 +460,13 @@ def test_rwbc_scores_and_meta_are_pinned():
     # change to either measure's arithmetic shows here.
     g = gnp_random_graph(10, 0.2, seed=3, directed=True)
     pairs = [(0, 5), (3, 5), (9, 5), (6, 4), (1, 4), (4, 6), (8, 2)]
-    solver = {"solver": "splu", "ordering": "MMD_AT_PLUS_A", "factorizations": 3}
+    solver = {"solver": "splu", "ordering": "MMD_AT_PLUS_A of the base graph", "factorizations": 3}
     soc = soc_rwbc(make_instance(g, [2, 7], 2), pairs)
     assert [float(v).hex() for v in soc.values] == _PINNED_SOC
-    assert soc.meta == {"measure": "soc-rwbc", "kappa": 2, "omega": [2, 7], "pairs": 7,
-                        "skipped_pairs": 1, **solver, "max_residual": 0.0}
+    assert soc.meta == {"measure": "soc-rwbc", "kappa": 2, "omega": [2, 7], "pairs": 7, "skipped_pairs": 1,
+                        **solver, "ordering": "MMD_AT_PLUS_A of the base graph, node-major",
+                        "factor_nnz": 268, "max_residual": 0.0}
     plain = rwbc_all_pairs(g, pairs)
     assert [float(v).hex() for v in plain.values] == _PINNED_PLAIN
     assert plain.meta == {"measure": "rwbc", "pairs": 7, "skipped_pairs": 1, **solver,
-                          "max_residual": 5.551115123125783e-17}
+                          "factor_nnz": 171, "max_residual": 5.551115123125783e-17}
