@@ -65,8 +65,7 @@ def _base_rank(g: Graph) -> np.ndarray:
     Laplacian shifted by the identity (nonsingular; the ordering reads only
     its pattern). ``perm_c[u]`` is the position of column u.
     """
-    adj = scipy.sparse.csc_matrix((np.ones(g.arc_src.shape[0]), (g.indices, g.arc_src)), shape=(g.n, g.n))
-    mat = (scipy.sparse.diags(np.bincount(g.arc_src, minlength=g.n) + 1.0) - adj).tocsc()
+    mat = (scipy.sparse.diags(np.diff(g.indptr) + 1.0) - g.adjacency.T).tocsc()
     try:
         return scipy.sparse.linalg.splu(mat, permc_spec=ORDERING).perm_c
     except RuntimeError as exc:

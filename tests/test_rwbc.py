@@ -11,9 +11,9 @@ from chargecent import (
     soc_rwbc,
 )
 from chargecent.generators import barabasi_albert_graph, cycle_graph, gnp_random_graph, path_graph
-from chargecent.statespace import build_state_graph
 from chargecent.oracles import current_flow_throughflow, monte_carlo_rwbc, walk_subgraph
 from chargecent.rwbc import _absorbing_flows, _base_rank
+from chargecent.statespace import build_state_graph
 
 from conftest import random_graph
 
@@ -347,7 +347,7 @@ def _oracle_instances():
 
 def test_scores_match_dense_solves_in_natural_order():
     # The kernel factors each target in the base graph's minimum-degree order;
-    # the oracle solves each pair densely with the unknowns in index order.
+    # the oracle solves each target densely with the unknowns in index order.
     for inst, pairs in _oracle_instances():
         g, kappa = inst.graph, inst.kappa
         rank = _base_rank(g)
