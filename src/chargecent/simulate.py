@@ -14,7 +14,9 @@ waits. The realized score is each node's occupation ratio.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 import numpy as np
@@ -156,6 +158,57 @@ class _Particle:
         self.blocked_for = 0
 
 
+def _router(sg, tables, occupied: np.ndarray, policy: str):
+    """The routing rule: ``route(state, target, blocked_for, u)`` returns the next
+    state of a particle, picked by the uniform draw ``u``; the caller blocks on
+    occupancy. Candidates are the non-sink successors one hop closer to the sink
+    of the target (weighted by their shortest continuations), or under
+    random-feasible any successor that keeps the target reachable (weight 1). A
+    stalled particle keeps only the free candidates when there are any, and under
+    shortest-feasible, stalled long enough, takes any free feasible successor.
+
+    States have few out-arcs, so the walk is scalar Python. The running sums are
+    the sequential adds of ``np.cumsum``; from 8 candidates on, the total comes
+    from ``np.sum``, whose pairwise adds can round differently.
+    """
+    n = sg.n
+    ptr = sg.indptr.tolist()
+    heads = sg.indices.tolist()
+    occ = occupied.item
+    shortest = policy == "shortest-feasible"
+
+    def route(state: int, target: int, blocked_for: int, u: float) -> int:
+        dist, paths = tables(target)
+        dget = dist.item
+        # A particle never stands on its target, so the one sink arc (to the sink of
+        # its own node, dist -1) never qualifies as a move.
+        succ = heads[ptr[state] : ptr[state + 1]]
+        if shortest:
+            want = dget(state) - 1
+            cand = [v for v in succ if dget(v) == want]
+        else:
+            cand = [v for v in succ if dget(v) >= 0]  # any feasibility-preserving move
+        if not cand:
+            raise NumericalError("particle stranded: no feasible continuation")
+        weighted = shortest
+        if blocked_for >= STALL_REROUTE_AFTER:
+            free = [v for v in cand if not occ(v % n)]
+            if free:
+                cand = free
+            elif shortest and blocked_for >= STALL_ESCAPE_AFTER:
+                wider = [v for v in succ if dget(v) >= 0 and not occ(v % n)]
+                if wider:
+                    cand, weighted = wider, False
+        if len(cand) == 1:
+            return cand[0]
+        weights = [paths.item(v) for v in cand] if weighted else [1.0] * len(cand)
+        cum = list(itertools.accumulate(weights))
+        total = cum[-1] if len(cum) < 8 else float(np.sum(weights))
+        return cand[min(bisect.bisect_right(cum, u * total), len(cand) - 1)]
+
+    return route
+
+
 def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
     """Occupation ratios under charge- and target-aware routing.
 
@@ -163,6 +216,12 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
     (s, t) pair (infeasible draws are resampled, or skipped when an explicit
     pair list is given). A particle occupies one node per step, moves once
     per step in a seeded random order, and leaves the network on arrival.
+
+    When every node holds a particle after a step's arrivals have left, no move
+    or injection can happen again: the remaining steps are finished in closed
+    form (every node occupied, every request delayed) without drawing, and
+    ``meta["gridlock_step"]`` records that step (``None`` when the run never
+    gridlocks).
     """
     g = inst.graph
     n = g.n
@@ -216,33 +275,8 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
     placed = 0
     completed = 0
     delayed_steps = 0
-
-    def choose_next(part: _Particle) -> int:
-        """Pick the particle's next state; the caller blocks on occupancy."""
-        dist, paths = tables(part.target)
-        succ = sg.out_states(part.state)
-        succ = succ[succ < sg.n_numeric]  # sink arcs are not moves
-        if p.policy == "shortest-feasible":
-            cand = succ[dist[succ] == dist[part.state] - 1]
-            weights = paths[cand]
-        else:
-            cand = succ[dist[succ] >= 0]  # any feasibility-preserving move
-            weights = np.ones(cand.shape[0])
-        if cand.shape[0] == 0:
-            raise NumericalError("particle stranded: no feasible continuation")
-        free = ~occupied[cand % n]
-        stalled = part.blocked_for
-        if stalled >= STALL_REROUTE_AFTER and free.any():
-            cand, weights = cand[free], weights[free]
-        elif p.policy == "shortest-feasible" and stalled >= STALL_ESCAPE_AFTER:
-            wider = succ[dist[succ] >= 0]
-            wfree = ~occupied[wider % n]
-            if wfree.any():
-                cand, weights = wider[wfree], np.ones(int(wfree.sum()))
-        total = float(weights.sum())
-        r = rng.random() * total
-        pick = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-        return int(cand[min(pick, cand.shape[0] - 1)])
+    gridlock_step = None
+    route = _router(sg, tables, occupied, p.policy)
 
     for step in range(p.duration):
         # Move existing particles in a fresh random order; blocked moves are
@@ -251,7 +285,7 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
         arrived = 0
         for idx in rng.permutation(len(particles)).tolist():
             part = particles[idx]
-            nxt = choose_next(part)
+            nxt = route(part.state, part.target, part.blocked_for, rng.random())
             node = nxt % n
             if occupied[node]:
                 part.blocked_for += 1
@@ -289,6 +323,15 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
         nodes = [q.node for q in particles]
         if len(set(nodes)) != len(nodes):
             raise NumericalError("occupancy exclusivity violated")
+        if len(particles) == n:
+            # Gridlock: every node holds a particle, so no move or injection can
+            # happen again. Finish in closed form, drawing nothing.
+            gridlock_step = step
+            occ_steps += p.duration - 1 - step
+            for later in schedule[step + 1 :]:
+                pending.extend(later)
+                delayed_steps += len(pending)
+            break
 
     meta = {
         "simulation": "hopping",
@@ -306,6 +349,7 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
         "delayed_injection_steps": delayed_steps,
         "infeasible_skipped": infeasible_skipped,
         "resampled_draws": resampled,
+        "gridlock_step": gridlock_step,
     }
     logger.info(
         "hopping: %d requested, %d placed, %d completed, %d in flight",

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -12,9 +14,17 @@ from chargecent import (
     particle_hopping,
     sir_influence,
 )
-from chargecent.generators import gnp_random_graph, path_graph, star_graph
+from chargecent.generators import (
+    barabasi_albert_graph,
+    complete_graph,
+    gnp_random_graph,
+    path_graph,
+    star_graph,
+)
+from chargecent.graph import bfs, csr
 from chargecent.oracles import plain_sir_outbreaks, run_sir_episode
-from chargecent.simulate import _sir_outbreaks
+from chargecent.simulate import STALL_ESCAPE_AFTER, STALL_REROUTE_AFTER, _router, _sir_outbreaks
+from chargecent.statespace import build_state_graph
 
 from conftest import instance_corpus
 
@@ -189,6 +199,158 @@ def test_hopping_stream_is_pinned(kappa, rate, policy, pairs, budget, values, co
     keys = ("requested", "placed", "completed", "in_flight_at_end", "pending_at_end",
             "delayed_injection_steps", "infeasible_skipped", "resampled_draws")
     assert tuple(out.meta[k] for k in keys) == counts
+
+
+@pytest.mark.parametrize("pin, gridlock_step", zip(HOPPING_STREAM_PINS, [120, 91, None, None, None]))
+def test_hopping_gridlock_step(pin, gridlock_step):
+    # Once every node holds a particle nothing moves again; the rest of the run is
+    # finished in closed form, and the pinned rows above show it changes no output.
+    kappa, rate, policy, pairs, budget, _, _ = pin
+    inst = make_instance(gnp_random_graph(12, 0.35, seed=13), [4, 7], kappa)
+    out = particle_hopping(inst, HoppingParams(policy=policy, duration=200, injection_rate=rate,
+                                               seed=5, pairs=pairs, max_injections=budget))
+    assert out.meta["gridlock_step"] == gridlock_step
+
+
+# States with 9 candidates, where the routing total is numpy's pairwise sum
+# rather than the sequential one: exact values and meta counts (as above) of a
+# random-feasible run on K10 and a shortest-feasible run across the hubs of K2,9.
+K29 = Graph(11, [(a, b) for a in (0, 1) for b in range(2, 11)], directed=False)
+HOPPING_WIDE_PINS = [
+    (complete_graph(10), [3], "random-feasible", 0.2, None,
+     [0.215, 0.21, 0.17, 0.485, 0.175, 0.25, 0.18, 0.12, 0.24, 0.19],
+     (36, 33, 27, 6, 3, 36, 0, 0)),
+    (K29, [4], "shortest-feasible", 0.5, ((0, 1), (1, 0), (2, 3), (5, 9)),
+     [0.44, 0.395, 0.24, 0.21, 0.025, 0.24, 0.06, 0.01, 0.03, 0.195, 0.03],
+     (111, 111, 110, 1, 0, 33, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("g, omega, policy, rate, pairs, values, counts", HOPPING_WIDE_PINS)
+def test_hopping_stream_is_pinned_on_wide_states(g, omega, policy, rate, pairs, values, counts):
+    out = particle_hopping(make_instance(g, omega, 2),
+                           HoppingParams(policy=policy, duration=200, injection_rate=rate,
+                                         seed=5, pairs=pairs))
+    assert out.values.tolist() == values
+    keys = ("requested", "placed", "completed", "in_flight_at_end", "pending_at_end",
+            "delayed_injection_steps", "infeasible_skipped", "resampled_draws")
+    assert tuple(out.meta[k] for k in keys) == counts
+
+
+def reference_candidates(sg, dist, paths, occupied, policy, state, blocked_for):
+    """The routing candidates and weights as numpy array expressions over the state's successors."""
+    n = sg.n
+    succ = sg.out_states(state)
+    succ = succ[succ < sg.n_numeric]
+    if policy == "shortest-feasible":
+        cand = succ[dist[succ] == dist[state] - 1]
+        weights = paths[cand]
+    else:
+        cand = succ[dist[succ] >= 0]
+        weights = np.ones(cand.shape[0])
+    if cand.shape[0] == 0:
+        raise NumericalError("particle stranded: no feasible continuation")
+    free = ~occupied[cand % n]
+    if blocked_for >= STALL_REROUTE_AFTER and free.any():
+        cand, weights = cand[free], weights[free]
+    elif policy == "shortest-feasible" and blocked_for >= STALL_ESCAPE_AFTER:
+        wider = succ[dist[succ] >= 0]
+        wfree = ~occupied[wider % n]
+        if wfree.any():
+            cand, weights = wider[wfree], np.ones(int(wfree.sum()))
+    return cand, weights
+
+
+def reference_choose_next(cand, weights, u):
+    total = float(weights.sum())
+    pick = int(np.searchsorted(np.cumsum(weights), u * total, side="right"))
+    return int(cand[min(pick, cand.shape[0] - 1)])
+
+
+def _reverse_tables(sg):
+    rptr, ridx, _ = csr(sg.n_states, sg.indices, sg.arc_src)
+    return functools.lru_cache(maxsize=None)(lambda t: bfs(rptr, ridx, sg.n_numeric + t)[:2])
+
+
+@pytest.mark.parametrize("policy", ["shortest-feasible", "random-feasible"])
+@pytest.mark.parametrize("g, omega, kappa", [
+    (barabasi_albert_graph(60, 3, seed=21), [0, 5, 17, 33], 3),
+    # Nine equally short successors between the hubs, weighted by path counts.
+    (K29, [4], 2),
+], ids=["ba", "k29"])
+def test_router_matches_reference_expression(policy, g, omega, kappa):
+    hubs = np.flatnonzero(np.diff(g.indptr) >= 8)
+    assert hubs.shape[0] >= 2
+    sg = build_state_graph(make_instance(g, omega, kappa), starred=True)
+    exact = _reverse_tables(sg)
+    rng = np.random.default_rng(22)
+    # Path counts scaled by random factors, so that sums are inexact and the
+    # order of the adds shows.
+    scale = rng.random(sg.n_states) + 0.5
+    scaled = functools.lru_cache(maxsize=None)(lambda t: (exact(t)[0], exact(t)[1] * scale))
+    for tables in (exact, scaled):
+        occupied = np.zeros(g.n, dtype=bool)
+        route = _router(sg, tables, occupied, policy)
+        checked = wide = 0
+        while checked < 3000:
+            t = int(rng.integers(g.n))
+            dist, paths = tables(t)
+            node = int(rng.choice(hubs)) if rng.random() < 0.5 else int(rng.integers(g.n))
+            state = int(rng.integers(sg.kappa + 1)) * g.n + node
+            if dist[state] < 2:  # a particle stands only where its target is reachable and not reached
+                continue
+            occupied[:] = rng.random(g.n) < rng.random()
+            blocked_for = int(rng.choice([0, STALL_REROUTE_AFTER, STALL_ESCAPE_AFTER]))
+            cand, weights = reference_candidates(sg, dist, paths, occupied, policy, state, blocked_for)
+            u = float(rng.random())
+            if cand.shape[0] > 1 and rng.random() < 0.5:
+                # A draw on or one ulp beside a boundary of the cumulative weights.
+                k = int(rng.integers(cand.shape[0] - 1))
+                u = np.cumsum(weights)[k] / weights.sum()
+                u = float(min(np.nextafter(u, u + rng.choice([-1, 0, 1])), np.nextafter(1.0, 0.0)))
+            want = reference_choose_next(cand, weights, u)
+            assert route(state, t, blocked_for, u) == want, (t, state, blocked_for, u)
+            checked += 1
+            wide += cand.shape[0] >= 8
+        assert wide >= 20  # candidate lists whose total is the pairwise sum
+
+
+def test_router_total_on_wide_states_is_the_pairwise_sum():
+    # From hub 0 toward hub 1 of K2,9 all nine middle nodes are one hop closer.
+    # Weights of mixed magnitude make the sequential and pairwise totals differ;
+    # draws on and beside the boundaries of the cumulative weights show which
+    # total the router takes.
+    sg = build_state_graph(make_instance(K29, [], 2), starred=True)
+    dist = _reverse_tables(sg)(1)[0]
+    state = sg.state_index(0, 2)
+    rng = np.random.default_rng(23)
+    paths = np.ones(sg.n_states)
+    route = _router(sg, lambda t: (dist, paths), np.zeros(K29.n, dtype=bool), "shortest-feasible")
+    telling = 0
+    for _ in range(200):
+        paths[:] = rng.random(sg.n_states) * 2.0 ** rng.integers(-30, 30, sg.n_states)
+        cand, weights = reference_candidates(sg, dist, paths, np.zeros(K29.n, dtype=bool),
+                                             "shortest-feasible", state, 0)
+        assert cand.shape[0] == 9
+        cum, total = np.cumsum(weights), weights.sum()
+        for k in range(8):
+            for u in (np.nextafter(cum[k] / total, 0.0), cum[k] / total, np.nextafter(cum[k] / total, 1.0)):
+                u = float(min(u, np.nextafter(1.0, 0.0)))
+                want = reference_choose_next(cand, weights, u)
+                assert route(state, 1, 0, u) == want
+                telling += int(np.searchsorted(cum, u * cum[-1], side="right")) != int(np.searchsorted(cum, u * total, side="right"))
+    assert telling > 0
+
+
+@pytest.mark.parametrize("policy", ["shortest-feasible", "random-feasible"])
+def test_router_raises_for_stranded_particle(policy):
+    # Path 0-1-2 at kappa 1 without refills: from (0, charge 1) the walk reaches
+    # (1, charge 0) and cannot go on to 2.
+    sg = build_state_graph(make_instance(path_graph(3), [], 1), starred=True)
+    route = _router(sg, _reverse_tables(sg), np.zeros(3, dtype=bool), policy)
+    state = sg.state_index(0, 1)
+    with pytest.raises(NumericalError, match="stranded"):
+        route(state, 2, 0, 0.5)
 
 
 def test_hopping_blocked_injection_delays():
