@@ -212,9 +212,9 @@ def test_hopping_gridlock_step(pin, gridlock_step):
     assert out.meta["gridlock_step"] == gridlock_step
 
 
-# States with 9 candidates, where the routing total is numpy's pairwise sum
-# rather than the sequential one: exact values and meta counts (as above) of a
-# random-feasible run on K10 and a shortest-feasible run across the hubs of K2,9.
+# States with 9 candidates, where the router takes its total from np.sum: exact
+# values and meta counts (as above) of a random-feasible run on K10 and a
+# shortest-feasible run across the hubs of K2,9.
 K29 = Graph(11, [(a, b) for a in (0, 1) for b in range(2, 11)], directed=False)
 HOPPING_WIDE_PINS = [
     (complete_graph(10), [3], "random-feasible", 0.2, None,
@@ -312,7 +312,7 @@ def test_router_matches_reference_expression(policy, g, omega, kappa):
             assert route(state, t, blocked_for, u) == want, (t, state, blocked_for, u)
             checked += 1
             wide += cand.shape[0] >= 8
-        assert wide >= 20  # candidate lists whose total is the pairwise sum
+        assert wide >= 20  # lists of 8 or more candidates, whose total is np.sum's
 
 
 def test_router_total_on_wide_states_is_the_pairwise_sum():
@@ -325,20 +325,22 @@ def test_router_total_on_wide_states_is_the_pairwise_sum():
     state = sg.state_index(0, 2)
     rng = np.random.default_rng(23)
     paths = np.ones(sg.n_states)
-    route = _router(sg, lambda t: (dist, paths), np.zeros(K29.n, dtype=bool), "shortest-feasible")
-    telling = 0
+    free = np.zeros(K29.n, dtype=bool)
+    route = _router(sg, lambda t: (dist, paths), free, "shortest-feasible")
+    telling = 0  # draws whose pick the sequential total would change
     for _ in range(200):
         paths[:] = rng.random(sg.n_states) * 2.0 ** rng.integers(-30, 30, sg.n_states)
-        cand, weights = reference_candidates(sg, dist, paths, np.zeros(K29.n, dtype=bool),
-                                             "shortest-feasible", state, 0)
+        cand, weights = reference_candidates(sg, dist, paths, free, "shortest-feasible", state, 0)
         assert cand.shape[0] == 9
         cum, total = np.cumsum(weights), weights.sum()
         for k in range(8):
-            for u in (np.nextafter(cum[k] / total, 0.0), cum[k] / total, np.nextafter(cum[k] / total, 1.0)):
+            at = cum[k] / total
+            for u in (np.nextafter(at, 0.0), at, np.nextafter(at, 1.0)):
                 u = float(min(u, np.nextafter(1.0, 0.0)))
                 want = reference_choose_next(cand, weights, u)
                 assert route(state, 1, 0, u) == want
-                telling += int(np.searchsorted(cum, u * cum[-1], side="right")) != int(np.searchsorted(cum, u * total, side="right"))
+                sequential, pairwise = np.searchsorted(cum, [u * cum[-1], u * total], side="right")
+                telling += sequential != pairwise
     assert telling > 0
 
 
