@@ -39,16 +39,8 @@ from .simulate import (
     particle_hopping,
     sir_influence,
 )
-from .statespace import (
-    STAR,
-    StateGraph,
-    WalkCounts,
-    apply_bkappa,
-    build_state_graph,
-    count_feasible_walks,
-    shortest_feasible_walk_length,
-)
-from .stats import kendall_tau, kendall_tau_naive
+from .statespace import StateGraph, WalkCounts, build_state_graph, count_feasible_walks
+from .stats import kendall_tau
 
 __all__ = [
     "AlphaBound",
@@ -60,25 +52,21 @@ __all__ = [
     "NumericalError",
     "PowerIterationResult",
     "RefillSet",
-    "STAR",
     "ScoreVector",
     "SirParams",
     "SocInstance",
     "StateGraph",
     "WalkCounts",
     "align_scores",
-    "apply_bkappa",
     "build_state_graph",
     "count_feasible_walks",
     "kendall_tau",
-    "kendall_tau_naive",
     "load_edge_list",
     "make_instance",
     "max_alpha",
     "particle_hopping",
     "rwbc_all_pairs",
     "sample_feasible_pairs",
-    "shortest_feasible_walk_length",
     "sir_influence",
     "soc_betweenness",
     "soc_betweenness_scores",

@@ -1,10 +1,16 @@
-"""Betweenness from shortest feasible walks, via the augmented state graph.
+"""Betweenness from shortest feasible walks, via the state graph augmented with sinks.
 
-Per source, a BFS over the augmented state graph counts shortest paths into
-every state, then dependencies are accumulated in non-increasing distance
-order with the target set restricted to the per-node sink states. A state is
-only processed once it is known to lie on some shortest source-to-sink path
-(the gating flag), exactly mirroring the restricted recursion.
+A walk reaches node t at whichever charge level it arrives with, so the state
+graph gains one sink state per node, entered from each of that node's charge
+levels: every shortest feasible s-to-t walk is then a plain shortest path from
+(s, kappa) to t's sink, plus the final sink hop. The sinks are this measure's
+own and live at ``n_states + node``, after the state graph's states.
+
+Per source, a BFS over the augmented graph counts shortest paths into every
+state, then dependencies are accumulated in non-increasing distance order with
+the target set restricted to the sinks. A state is only processed once it is
+known to lie on some shortest source-to-sink path (the gating flag), exactly
+mirroring the restricted recursion.
 
 Endpoint convention: the walk's target node is credited (each ordered pair
 with a feasible walk adds one unit at the arrival states), the source never
@@ -19,11 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, SocInstance, bfs
+from .graph import Graph, SocInstance, bfs, csr
 from .scores import ScoreVector
-from .statespace import build_state_graph
+from .statespace import StateGraph, build_state_graph
 
 ENDPOINT_CONVENTIONS = ("target", "none")
+
+
+def _with_sinks(sg: StateGraph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the state graph plus node u's sink at ``sg.n_states + u``."""
+    states = np.arange(sg.n_states, dtype=np.int64)
+    src = np.concatenate((sg.arc_src, states))
+    dst = np.concatenate((sg.indices, sg.n_states + states % sg.n))
+    indptr, indices, _ = csr(sg.n_states + sg.n, src, dst)
+    return indptr, indices
 
 
 def _backward_accumulate(sigma, level_nodes, tree_arcs, target_mask, bc_state):
@@ -47,7 +62,7 @@ def _backward_accumulate(sigma, level_nodes, tree_arcs, target_mask, bc_state):
 
 @dataclass
 class BcScores:
-    """State-level betweenness plus the per-node aggregation over charge levels."""
+    """Betweenness per state of the state graph, and per node summed over charge levels."""
 
     state_scores: np.ndarray
     node_scores: np.ndarray
@@ -67,25 +82,25 @@ class BcScores:
 def soc_betweenness_scores(inst: SocInstance, endpoints: str = "target") -> BcScores:
     if endpoints not in ENDPOINT_CONVENTIONS:
         raise ValueError(f"endpoints must be one of {ENDPOINT_CONVENTIONS}")
-    sg = build_state_graph(inst, starred=True)
-    n = inst.graph.n
-    n_states = sg.n_states
-    star_mask = np.zeros(n_states, dtype=bool)
-    star_mask[sg.n_numeric :] = True
-    bc_state = np.zeros(n_states)
+    sg = build_state_graph(inst)
+    n, n_states = sg.n, sg.n_states
+    indptr, indices = _with_sinks(sg)
+    sinks = np.zeros(n_states + n, dtype=bool)
+    sinks[n_states:] = True
+    bc_state = np.zeros(n_states + n)
     for s in range(n):
-        src = sg.source_state(s)
-        d, sigma, level_nodes, tree_arcs = bfs(sg.indptr, sg.indices, src)
-        _backward_accumulate(sigma, level_nodes, tree_arcs, star_mask, bc_state)
+        d, sigma, level_nodes, tree_arcs = bfs(indptr, indices, sg.source_state(s))
+        _backward_accumulate(sigma, level_nodes, tree_arcs, sinks, bc_state)
         if endpoints == "none":
             # Remove each pair's one unit of arrival credit from the arrival states.
             for tsrc, tdst in tree_arcs:
-                into_star = star_mask[tdst] & (tdst != sg.n_numeric + s)
-                xs, st = tsrc[into_star], tdst[into_star]
+                into_sink = sinks[tdst] & (tdst != n_states + s)
+                xs, st = tsrc[into_sink], tdst[into_sink]
                 if xs.size:
                     np.add.at(bc_state, xs, -(sigma[xs] / sigma[st]))
-    node_scores = bc_state[: sg.n_numeric].reshape(inst.kappa + 1, n).sum(axis=0)
-    return BcScores(bc_state, node_scores, endpoints)
+    # Sinks have no successors, so they are never credited.
+    bc_state = bc_state[:n_states]
+    return BcScores(bc_state, bc_state.reshape(inst.kappa + 1, n).sum(axis=0), endpoints)
 
 
 def soc_betweenness(inst: SocInstance, endpoints: str = "target") -> ScoreVector:

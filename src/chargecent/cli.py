@@ -285,8 +285,8 @@ def cmd_centrality(cfg: ExperimentConfig) -> int:
 
 def _write_state_dump(inst, bc: BcScores, out: Path) -> None:
     g, kappa = inst.graph, inst.kappa
-    # Block b of the numeric states holds charge kappa - b.
-    levels = bc.state_scores[: g.n * (kappa + 1)].reshape(kappa + 1, g.n)
+    # Block b of the states holds charge kappa - b.
+    levels = bc.state_scores.reshape(kappa + 1, g.n)
     with open(out / "scores.states.csv", "w") as fh:
         fh.write("node_label,charge,score\n")
         for b, row in enumerate(levels):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -505,3 +506,23 @@ def plain_sir_outbreaks(
             ever += len(newly)
         sizes.append(ever)
     return sizes
+
+
+def kendall_tau_naive(y: Sequence[float], z: Sequence[float]) -> float:
+    """Kendall tau-a by the printed sgn-product formula, quadratic in n (reference for ``kendall_tau``)."""
+    y = np.asarray(y)
+    z = np.asarray(z)
+    if y.shape != z.shape or y.ndim != 1:
+        raise ValueError("inputs must be equal-length one-dimensional sequences")
+    n = y.shape[0]
+    if n < 2:
+        raise ValueError("need at least two observations")
+    total = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dy = y[i] - y[j]
+            dz = z[i] - z[j]
+            sy = 1 if dy > 0 else (-1 if dy < 0 else 0)
+            sz = 1 if dz > 0 else (-1 if dz < 0 else 0)
+            total += sy * sz
+    return 2.0 * total / (n * (n - 1))

@@ -33,7 +33,7 @@ import scipy.sparse.linalg
 from .errors import NumericalError
 from .graph import Graph, SocInstance, bfs
 from .scores import ScoreVector
-from .statespace import build_state_graph, draw_feasible_pair, reachable_nodes
+from .statespace import build_state_graph, draw_feasible_pair
 
 logger = logging.getLogger(__name__)
 
@@ -147,10 +147,12 @@ def _solver_meta(solved: list[AbsorbingFlows], ordering: str) -> dict:
     }
 
 
-def _sources_by_target(pairs: Sequence[tuple[int, int]]) -> dict[int, list[int]]:
+def _sources_by_target(pairs: Sequence[tuple[int, int]], n: int) -> dict[int, list[int]]:
     """Sources of each distinct target, targets in order of first appearance."""
     groups: dict[int, list[int]] = {}
     for s, t in pairs:
+        if not (0 <= s < n and 0 <= t < n):
+            raise ValueError(f"pair ({s}, {t}) has a node id outside [0,{n})")
         if s == t:
             raise ValueError("source and target must differ")
         groups.setdefault(int(t), []).append(int(s))
@@ -165,7 +167,7 @@ def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector
     """
     if not pairs:
         raise ValueError("at least one source-target pair required")
-    groups = _sources_by_target(pairs)
+    groups = _sources_by_target(pairs, inst.graph.n)
     sg = build_state_graph(inst)
     levels = np.arange(inst.kappa + 1)
     # State (u, level b) sits at b * n + u; node-major, it takes position rank[u] * (kappa + 1) + b.
@@ -190,7 +192,7 @@ def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector
 
 def rwbc_all_pairs(g: Graph, pairs: Sequence[tuple[int, int]]) -> ScoreVector:
     """Plain directed random-walk betweenness summed over the given pairs."""
-    groups = _sources_by_target(pairs)
+    groups = _sources_by_target(pairs, g.n)
     rank = _base_rank(g)
     total = np.zeros(g.n)
     solved: list[AbsorbingFlows] = []
@@ -208,12 +210,13 @@ def sample_feasible_pairs(inst: SocInstance, count: int, seed: int) -> tuple[lis
     Returns the sampled pairs and the number of infeasible draws discarded.
     """
     rng = np.random.default_rng(seed)
-    sg = build_state_graph(inst, starred=False)
-    reach = functools.cache(lambda s: reachable_nodes(sg, s))
+    sg = build_state_graph(inst)
+    # Block 0 holds the full-charge states, so entry s says whether s can reach t.
+    reaches = functools.cache(lambda t: sg.toward(t)[0][: sg.n] >= 0)
     pairs: list[tuple[int, int]] = []
     resampled = 0
     for _ in range(count):
-        s, t, redraws = draw_feasible_pair(rng, inst.graph.n, lambda s, t: reach(s)[t])
+        s, t, redraws = draw_feasible_pair(rng, inst.graph.n, lambda s, t: reaches(t)[s])
         pairs.append((s, t))
         resampled += redraws
     return pairs, resampled

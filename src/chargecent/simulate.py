@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .graph import SocInstance, bfs, csr
+from .graph import SocInstance
 from .scores import ScoreVector
 from .statespace import build_state_graph, draw_feasible_pair
 
@@ -161,11 +161,12 @@ class _Particle:
 def _router(sg, tables, occupied: np.ndarray, policy: str):
     """The routing rule: ``route(state, target, blocked_for, u)`` returns the next
     state of a particle, picked by the uniform draw ``u``; the caller blocks on
-    occupancy. Candidates are the non-sink successors one hop closer to the sink
-    of the target (weighted by their shortest continuations), or under
-    random-feasible any successor that keeps the target reachable (weight 1). A
-    stalled particle keeps only the free candidates when there are any, and under
-    shortest-feasible, stalled long enough, takes any free feasible successor.
+    occupancy. ``tables(target)`` is ``sg.toward(target)``. Candidates are the
+    successors one hop closer to the target (weighted by their shortest
+    continuations), or under random-feasible any successor that keeps the
+    target reachable (weight 1). A stalled particle keeps only the free
+    candidates when there are any, and under shortest-feasible, stalled long
+    enough, takes any free feasible successor.
 
     States have few out-arcs, so the walk is scalar Python. The running sums are
     the sequential adds of ``np.cumsum``; from 8 candidates on, the total comes
@@ -180,8 +181,6 @@ def _router(sg, tables, occupied: np.ndarray, policy: str):
     def route(state: int, target: int, blocked_for: int, u: float) -> int:
         dist, paths = tables(target)
         dget = dist.item
-        # A particle never stands on its target, so the one sink arc (to the sink of
-        # its own node, dist -1) never qualifies as a move.
         succ = heads[ptr[state] : ptr[state + 1]]
         if shortest:
             want = dget(state) - 1
@@ -225,18 +224,15 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
     """
     g = inst.graph
     n = g.n
-    sg = build_state_graph(inst, starred=True)
-    rptr, ridx, _ = csr(sg.n_states, sg.indices, sg.arc_src)
+    for s, t in p.pairs or ():
+        if not (0 <= s < n and 0 <= t < n):
+            raise ValueError(f"hopping pair ({s}, {t}) has a node id outside [0,{n})")
+    sg = build_state_graph(inst)
     rng = np.random.default_rng(p.seed)
-
-    # A table takes 16 bytes per state (int64 dist, float64 paths); the cache holds about 300 MB.
-    @functools.lru_cache(maxsize=max(16, int(3e8 // max(16 * sg.n_states, 1))))
-    def tables(t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Reverse BFS from the sink of t: per state, the hops to it (arrival states 1,
-        unreachable -1) and the number of shortest continuations, which routing
-        samples among one hop at a time."""
-        dist, paths, _, _ = bfs(rptr, ridx, sg.n_numeric + t)
-        return dist, paths
+    # Per target, the hops from each state to it and the shortest continuations
+    # that routing samples among, one hop at a time. A table takes 16 bytes per
+    # state (int64 dist, float64 paths); the cache holds about 300 MB.
+    tables = functools.lru_cache(maxsize=max(16, int(3e8 // (16 * sg.n_states))))(sg.toward)
 
     def feasible(s: int, t: int) -> bool:
         return tables(t)[0][sg.source_state(s)] >= 0

@@ -83,22 +83,3 @@ def kendall_tau(y: Sequence[float], z: Sequence[float], variant: str = "a") -> f
         return excess / math.sqrt(denom)
     raise ValueError("variant must be 'a' or 'b'")
 
-
-def kendall_tau_naive(y: Sequence[float], z: Sequence[float]) -> float:
-    """Quadratic evaluation of the printed sgn-product formula (reference path)."""
-    y = np.asarray(y)
-    z = np.asarray(z)
-    if y.shape != z.shape or y.ndim != 1:
-        raise ValueError("inputs must be equal-length one-dimensional sequences")
-    n = y.shape[0]
-    if n < 2:
-        raise ValueError("need at least two observations")
-    total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dy = y[i] - y[j]
-            dz = z[i] - z[j]
-            sy = 1 if dy > 0 else (-1 if dy < 0 else 0)
-            sz = 1 if dz > 0 else (-1 if dz < 0 else 0)
-            total += sy * sz
-    return 2.0 * total / (n * (n - 1))

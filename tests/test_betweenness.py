@@ -15,6 +15,7 @@ from chargecent.generators import (
     star_graph,
     two_grids_bridged,
 )
+from chargecent.betweenness import _with_sinks
 from chargecent.graph import bfs
 from chargecent.oracles import (
     bfs_shortest_paths,
@@ -72,19 +73,20 @@ def test_reduction_to_standard_bc():
 def test_state_scores_aggregate_and_stars_zero():
     inst = make_instance(path_graph(4), [1], 2)
     scores = soc_betweenness_scores(inst)
-    sg = build_state_graph(inst, starred=True)
+    assert scores.state_scores.shape == (build_state_graph(inst).n_states,)  # the sinks are not scored
     assert np.allclose(
-        scores.state_scores[: sg.n_numeric].reshape(inst.kappa + 1, 4).sum(axis=0),
+        scores.state_scores.reshape(inst.kappa + 1, 4).sum(axis=0),
         scores.node_scores,
     )
-    assert np.all(scores.state_scores[sg.n_numeric :] == 0.0)
 
 
 def test_sigma_consistency_invariant(small_instances):
     for inst in small_instances[:10]:
-        sg = build_state_graph(inst, starred=True)
-        state = bfs_shortest_paths(sg.indptr, sg.indices, sg.n_states, sg.source_state(0))
-        for w in range(sg.n_states):
+        sg = build_state_graph(inst)
+        indptr, indices = _with_sinks(sg)
+        n_all = sg.n_states + sg.n
+        state = bfs_shortest_paths(indptr, indices, n_all, sg.source_state(0))
+        for w in range(n_all):
             if w == state.source or state.dist[w] < 0:
                 continue
             assert state.sigma[w] == sum(state.sigma[v] for v in state.preds[w])
@@ -134,10 +136,11 @@ def test_dependency_matches_pair_enumeration():
 
 def test_dependency_bounds(small_instances):
     for inst in small_instances[:8]:
-        sg = build_state_graph(inst, starred=True)
-        stars = list(range(sg.n_numeric, sg.n_states))
+        sg = build_state_graph(inst)
+        indptr, indices = _with_sinks(sg)
+        stars = list(range(sg.n_states, sg.n_states + sg.n))
         for s in range(inst.graph.n):
-            state = bfs_shortest_paths(sg.indptr, sg.indices, sg.n_states, sg.source_state(s))
+            state = bfs_shortest_paths(indptr, indices, sg.n_states + sg.n, sg.source_state(s))
             delta = target_restricted_dependency(state, stars)
             reachable = sum(1 for t in stars if state.dist[t] >= 0)
             assert np.all(delta >= -1e-12)
@@ -147,19 +150,22 @@ def test_dependency_bounds(small_instances):
 def test_engine_matches_reference_recursion(small_instances):
     # The vectorized kernel and the scalar recursion agree state by state.
     for inst in small_instances[:10]:
-        sg = build_state_graph(inst, starred=True)
-        stars = np.zeros(sg.n_states, dtype=bool)
-        stars[sg.n_numeric :] = True
-        expect = np.zeros(sg.n_states)
+        sg = build_state_graph(inst)
+        indptr, indices = _with_sinks(sg)
+        n_all = sg.n_states + sg.n
+        stars = np.zeros(n_all, dtype=bool)
+        stars[sg.n_states :] = True
+        expect = np.zeros(n_all)
         for s in range(inst.graph.n):
             src = sg.source_state(s)
-            state = bfs_shortest_paths(sg.indptr, sg.indices, sg.n_states, src)
+            state = bfs_shortest_paths(indptr, indices, n_all, src)
             delta = target_restricted_dependency(state, np.flatnonzero(stars))
-            mask = np.ones(sg.n_states, dtype=bool)
+            mask = np.ones(n_all, dtype=bool)
             mask[src] = False
             expect[mask] += delta[mask]
+        assert np.all(expect[sg.n_states :] == 0.0)
         got = soc_betweenness_scores(inst).state_scores
-        assert np.allclose(got, expect, atol=1e-9)
+        assert np.allclose(got, expect[: sg.n_states], atol=1e-9)
 
 
 def test_deterministic_repeat():

@@ -7,6 +7,7 @@ import chargecent
 import chargecent.graph
 import chargecent.katz
 import chargecent.rwbc
+import chargecent.statespace
 
 SRC = Path(chargecent.__file__).parent
 
@@ -51,12 +52,20 @@ def test_removed_names_stay_out_of_the_package():
     # the simulators return ``ScoreVector``; the scalar SIR episode is
     # reference code in ``oracles``. A spectral radius is
     # ``power_iteration_radius(adjacency)``, and the Katz bound ``max_alpha``.
+    # The state graph has one shape: soc-bc adds its arrival sinks itself, and
+    # "which states reach t" is ``StateGraph.toward(t)``. The B_kappa action is
+    # ``sg.adjacency @ x``, and the quadratic Kendall tau is reference code in
+    # ``oracles``.
     for name in ("directed_rwbc_pair", "FlowSolution", "StPair", "SimOutcome",
                  "walk_subgraph", "WalkSubgraph", "run_sir_episode",
-                 "spectral_radius", "state_graph_radius"):
+                 "spectral_radius", "state_graph_radius",
+                 "STAR", "apply_bkappa", "shortest_feasible_walk_length", "kendall_tau_naive"):
         assert not hasattr(chargecent, name), name
         assert name not in chargecent.__all__, name
-    # Names that lived in a module rather than at the package root.
+    # Names that lived in a module or class rather than at the package root.
+    sg = chargecent.build_state_graph(chargecent.make_instance(chargecent.Graph(2, [(0, 1)], False), [], 1))
     for owner, name in ((chargecent.graph, "spectral_radius"), (chargecent.katz, "state_graph_radius"),
-                        (chargecent.rwbc, "_contract_target"), (chargecent.Graph, "out_degree")):
+                        (chargecent.rwbc, "_contract_target"), (chargecent.Graph, "out_degree"),
+                        (chargecent.statespace, "reachable_nodes"),
+                        (sg, "starred"), (sg, "n_numeric"), (sg, "state_of"), (sg, "out_states")):
         assert not hasattr(owner, name), name

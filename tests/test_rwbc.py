@@ -10,7 +10,7 @@ from chargecent import (
     sample_feasible_pairs,
     soc_rwbc,
 )
-from chargecent.generators import barabasi_albert_graph, cycle_graph, gnp_random_graph, path_graph
+from chargecent.generators import barabasi_albert_graph, cycle_graph, gnp_random_graph, grid_graph, path_graph
 from chargecent.oracles import current_flow_throughflow, monte_carlo_rwbc, walk_subgraph
 from chargecent.rwbc import _absorbing_flows, _base_rank
 from chargecent.statespace import build_state_graph
@@ -213,6 +213,15 @@ def test_sample_feasible_pairs_stream_is_pinned(kappa, pairs, resampled):
 def test_stpair_validation():
     with pytest.raises(ValueError, match="differ"):
         rwbc_all_pairs(path_graph(3), [(1, 1)])
+
+
+@pytest.mark.parametrize("pair", [(-1, 2), (0, -1), (0, 9), (10, 0)])
+def test_pair_node_ids_outside_the_graph_are_rejected(pair):
+    g = grid_graph(3, 3)
+    with pytest.raises(ValueError, match=r"outside \[0,9\)"):
+        rwbc_all_pairs(g, [pair])
+    with pytest.raises(ValueError, match=r"outside \[0,9\)"):
+        soc_rwbc(make_instance(g, [4], 2), [(1, 2), pair])
 
 
 def test_rwbc_all_pairs_sums_per_pair_flows():

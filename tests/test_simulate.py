@@ -18,10 +18,10 @@ from chargecent.generators import (
     barabasi_albert_graph,
     complete_graph,
     gnp_random_graph,
+    grid_graph,
     path_graph,
     star_graph,
 )
-from chargecent.graph import bfs, csr
 from chargecent.oracles import plain_sir_outbreaks, run_sir_episode
 from chargecent.simulate import STALL_ESCAPE_AFTER, STALL_REROUTE_AFTER, _router, _sir_outbreaks
 from chargecent.statespace import build_state_graph
@@ -240,8 +240,7 @@ def test_hopping_stream_is_pinned_on_wide_states(g, omega, policy, rate, pairs, 
 def reference_candidates(sg, dist, paths, occupied, policy, state, blocked_for):
     """The routing candidates and weights as numpy array expressions over the state's successors."""
     n = sg.n
-    succ = sg.out_states(state)
-    succ = succ[succ < sg.n_numeric]
+    succ = sg.indices[sg.indptr[state] : sg.indptr[state + 1]]
     if policy == "shortest-feasible":
         cand = succ[dist[succ] == dist[state] - 1]
         weights = paths[cand]
@@ -268,8 +267,7 @@ def reference_choose_next(cand, weights, u):
 
 
 def _reverse_tables(sg):
-    rptr, ridx, _ = csr(sg.n_states, sg.indices, sg.arc_src)
-    return functools.lru_cache(maxsize=None)(lambda t: bfs(rptr, ridx, sg.n_numeric + t)[:2])
+    return functools.lru_cache(maxsize=None)(sg.toward)
 
 
 @pytest.mark.parametrize("policy", ["shortest-feasible", "random-feasible"])
@@ -281,7 +279,7 @@ def _reverse_tables(sg):
 def test_router_matches_reference_expression(policy, g, omega, kappa):
     hubs = np.flatnonzero(np.diff(g.indptr) >= 8)
     assert hubs.shape[0] >= 2
-    sg = build_state_graph(make_instance(g, omega, kappa), starred=True)
+    sg = build_state_graph(make_instance(g, omega, kappa))
     exact = _reverse_tables(sg)
     rng = np.random.default_rng(22)
     # Path counts scaled by random factors, so that sums are inexact and the
@@ -297,7 +295,7 @@ def test_router_matches_reference_expression(policy, g, omega, kappa):
             dist, paths = tables(t)
             node = int(rng.choice(hubs)) if rng.random() < 0.5 else int(rng.integers(g.n))
             state = int(rng.integers(sg.kappa + 1)) * g.n + node
-            if dist[state] < 2:  # a particle stands only where its target is reachable and not reached
+            if dist[state] < 1:  # a particle stands only where its target is reachable and not reached
                 continue
             occupied[:] = rng.random(g.n) < rng.random()
             blocked_for = int(rng.choice([0, STALL_REROUTE_AFTER, STALL_ESCAPE_AFTER]))
@@ -320,7 +318,7 @@ def test_router_total_on_wide_states_is_the_pairwise_sum():
     # Weights of mixed magnitude make the sequential and pairwise totals differ;
     # draws on and beside the boundaries of the cumulative weights show which
     # total the router takes.
-    sg = build_state_graph(make_instance(K29, [], 2), starred=True)
+    sg = build_state_graph(make_instance(K29, [], 2))
     dist = _reverse_tables(sg)(1)[0]
     state = sg.state_index(0, 2)
     rng = np.random.default_rng(23)
@@ -348,7 +346,7 @@ def test_router_total_on_wide_states_is_the_pairwise_sum():
 def test_router_raises_for_stranded_particle(policy):
     # Path 0-1-2 at kappa 1 without refills: from (0, charge 1) the walk reaches
     # (1, charge 0) and cannot go on to 2.
-    sg = build_state_graph(make_instance(path_graph(3), [], 1), starred=True)
+    sg = build_state_graph(make_instance(path_graph(3), [], 1))
     route = _router(sg, _reverse_tables(sg), np.zeros(3, dtype=bool), policy)
     state = sg.state_index(0, 1)
     with pytest.raises(NumericalError, match="stranded"):
@@ -391,6 +389,13 @@ def test_hopping_param_validation():
         HoppingParams(pairs=((0, 2), (1, 1)))
     with pytest.raises(ValueError):
         SirParams(alpha=1.5)
+
+
+@pytest.mark.parametrize("pair", [(0, -1), (-1, 0), (0, 9)])
+def test_hopping_pair_node_ids_outside_the_graph_are_rejected(pair):
+    inst = make_instance(grid_graph(3, 3), [4], 2)
+    with pytest.raises(ValueError, match=r"outside \[0,9\)"):
+        particle_hopping(inst, HoppingParams(duration=5, pairs=((1, 2), pair)))
 
 
 def test_sir_outbreak_size_check_raises(monkeypatch):

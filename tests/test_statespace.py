@@ -1,24 +1,35 @@
 import numpy as np
 import pytest
 
-from chargecent import (
-    Graph,
-    STAR,
-    apply_bkappa,
-    build_state_graph,
-    count_feasible_walks,
-    make_instance,
-    shortest_feasible_walk_length,
-)
+from chargecent import Graph, build_state_graph, count_feasible_walks, make_instance
+from chargecent.betweenness import _with_sinks
 from chargecent.generators import complete_graph, path_graph
 from chargecent.graph import bfs
-from chargecent.oracles import dense_adjacency, dense_bkappa, enumerate_feasible_walks
+from chargecent.oracles import (
+    _distances_to_target,
+    dense_adjacency,
+    dense_bkappa,
+    enumerate_feasible_walks,
+    shortest_feasible_walks,
+)
 
 from conftest import instance_corpus
 
 
+def state_of(sg, idx):
+    """(node, charge) of a flat state index: block b holds charge kappa - b."""
+    return idx % sg.n, sg.kappa - idx // sg.n
+
+
 def arcs_of(sg):
-    return sorted((sg.state_of(s), sg.state_of(d)) for s, d in zip(sg.arc_src, sg.indices))
+    return sorted((state_of(sg, s), state_of(sg, d)) for s, d in zip(sg.arc_src, sg.indices))
+
+
+def walk_length(inst, s, t):
+    """Hops of a shortest feasible s-to-t walk by ``toward``, or None when t is unreachable."""
+    sg = build_state_graph(inst)
+    dist = int(sg.toward(t)[0][sg.source_state(s)])
+    return None if dist < 0 else dist
 
 
 def test_single_arc_no_refill():
@@ -33,19 +44,20 @@ def test_single_arc_refill_target():
 
 def test_starred_path_counts_and_dead_state():
     inst = make_instance(path_graph(3), [], 2)
-    sg = build_state_graph(inst, starred=True)
-    assert sg.n_states == 3 * 3 + 3
-    outs = [sg.state_of(x) for x in sg.out_states(sg.state_index(1, 0))]
-    assert outs == [(1, STAR)]
+    sg = build_state_graph(inst)
+    indptr, indices = _with_sinks(sg)
+    assert indptr.shape[0] - 1 == 3 * 3 + 3
+    state = sg.state_index(1, 0)
+    assert indices[indptr[state] : indptr[state + 1]].tolist() == [sg.n_states + 1]  # only node 1's sink
 
 
 def test_arc_legality_invariant(small_instances):
     # Every arc refills into the refill set or decrements elsewhere.
     for inst in small_instances:
-        sg = build_state_graph(inst, starred=False)
+        sg = build_state_graph(inst)
         edges = {(u, v) for u, v in zip(inst.graph.arc_src, inst.graph.indices)}
         for s, d in zip(sg.arc_src, sg.indices):
-            (u, i), (v, j) = sg.state_of(s), sg.state_of(d)
+            (u, i), (v, j) = state_of(sg, s), state_of(sg, d)
             assert (u, v) in edges
             if v in inst.omega:
                 assert j == inst.kappa
@@ -55,21 +67,28 @@ def test_arc_legality_invariant(small_instances):
 
 def test_state_count_and_flat_index_bijection(small_instances):
     for inst in small_instances:
-        sg = build_state_graph(inst, starred=True)
+        sg = build_state_graph(inst)
         n, kappa = inst.graph.n, inst.kappa
-        assert sg.n_states == n * (kappa + 1) + n
+        assert sg.n_states == n * (kappa + 1)
         seen = set()
         for node in range(n):
-            for soc in list(range(kappa + 1)) + [STAR]:
+            for soc in range(kappa + 1):
                 idx = sg.state_index(node, soc)
-                assert sg.state_of(idx) == (node, soc)
+                assert state_of(sg, idx) == (node, soc)
                 seen.add(idx)
         assert seen == set(range(sg.n_states))
+        # The sinks of soc-bc follow at n_states + node, one per node.
+        indptr, indices = _with_sinks(sg)
+        assert indptr.shape[0] - 1 == sg.n_states + n
+        assert np.array_equal(np.diff(indptr)[sg.n_states :], np.zeros(n))
+        into = np.zeros(sg.n_states + n, dtype=np.int64)
+        np.add.at(into, indices, 1)
+        assert np.array_equal(into[sg.n_states :], np.full(n, kappa + 1))
 
 
 def test_arcs_match_dense_block_matrix(small_instances):
     for inst in small_instances[:20]:
-        sg = build_state_graph(inst, starred=False)
+        sg = build_state_graph(inst)
         dense = dense_bkappa(inst)
         got = np.zeros_like(dense)
         for s, d in zip(sg.arc_src, sg.indices):
@@ -77,31 +96,23 @@ def test_arcs_match_dense_block_matrix(small_instances):
         assert np.array_equal(got, dense)
 
 
-def test_apply_bkappa_agrees_with_dense(small_instances):
+def test_adjacency_agrees_with_dense(small_instances):
     rng = np.random.default_rng(3)
     for inst in small_instances[:20]:
         sg = build_state_graph(inst)
         dense = dense_bkappa(inst)
         x = rng.normal(size=sg.n_states)
-        assert np.allclose(apply_bkappa(sg, x), dense @ x, atol=1e-12)
+        assert np.allclose(sg.adjacency @ x, dense @ x, atol=1e-12)
 
 
-def test_apply_bkappa_zero_and_basis():
+def test_adjacency_zero_and_basis():
     inst = make_instance(Graph(2, [(0, 1)], directed=True), [], 1)
     sg = build_state_graph(inst)
-    assert np.array_equal(apply_bkappa(sg, np.zeros(4)), np.zeros(4))
+    assert np.array_equal(sg.adjacency @ np.zeros(4), np.zeros(4))
     e = np.zeros(4)
     e[sg.state_index(1, 0)] = 1.0
-    y = apply_bkappa(sg, e)
+    y = sg.adjacency @ e
     assert y[sg.state_index(0, 1)] == 1.0 and y.sum() == 1.0
-
-
-def test_apply_bkappa_errors():
-    inst = make_instance(path_graph(3), [], 1)
-    with pytest.raises(ValueError):
-        apply_bkappa(build_state_graph(inst), np.zeros(5))
-    with pytest.raises(ValueError):
-        apply_bkappa(build_state_graph(inst, starred=True), np.zeros(9))
 
 
 def test_count_identity_at_zero():
@@ -174,10 +185,10 @@ def test_count_saturation_flag():
 
 def test_shortest_feasible_walk_examples():
     p3 = path_graph(3)
-    assert shortest_feasible_walk_length(make_instance(p3, [], 2), 0, 2) == 2
-    assert shortest_feasible_walk_length(make_instance(p3, [], 1), 0, 2) is None
-    assert shortest_feasible_walk_length(make_instance(p3, [1], 1), 0, 2) == 2
-    assert shortest_feasible_walk_length(make_instance(p3, [], 1), 1, 1) == 0
+    assert walk_length(make_instance(p3, [], 2), 0, 2) == 2
+    assert walk_length(make_instance(p3, [], 1), 0, 2) is None
+    assert walk_length(make_instance(p3, [1], 1), 0, 2) == 2
+    assert walk_length(make_instance(p3, [], 1), 1, 1) == 0
 
 
 def test_shortest_feasible_walk_against_enumeration():
@@ -185,7 +196,7 @@ def test_shortest_feasible_walk_against_enumeration():
         n = inst.graph.n
         for s in range(n):
             for t in range(n):
-                got = shortest_feasible_walk_length(inst, s, t)
+                got = walk_length(inst, s, t)
                 walks = enumerate_feasible_walks(inst, s, t, max_len=8)
                 expect = min((len(w) - 1 for w in walks), default=None)
                 if expect is None:
@@ -200,6 +211,34 @@ def test_shortest_feasible_at_least_graph_distance(small_instances):
         for s in range(g.n):
             d = bfs(g.indptr, g.indices, s)[0]
             for t in range(g.n):
-                sfw = shortest_feasible_walk_length(inst, s, t)
+                sfw = walk_length(inst, s, t)
                 if sfw is not None:
                     assert d[t] >= 0 and sfw >= d[t]
+
+
+@pytest.mark.parametrize("seed", [1729, 1])
+def test_toward_matches_the_oracles(seed):
+    # dist is the oracle's reverse BFS from t's states; paths at (s, kappa) is the
+    # number of shortest feasible walks; the sink-augmented BFS of soc-bc reaches
+    # t's sink one hop later.
+    for inst in instance_corpus(40, seed=seed):
+        sg = build_state_graph(inst)
+        n = sg.n
+        indptr, indices = _with_sinks(sg)
+        from_source = [bfs(indptr, indices, sg.source_state(s))[0] for s in range(n)]
+        for t in range(n):
+            dist, paths = sg.toward(t)
+            expect = _distances_to_target(inst, t)
+            for idx in range(sg.n_states):
+                assert dist[idx] == expect.get(state_of(sg, idx), -1)
+            for s in range(n):
+                d = dist[sg.source_state(s)]
+                assert paths[sg.source_state(s)] == len(shortest_feasible_walks(inst, s, t))
+                assert from_source[s][sg.n_states + t] == (d + 1 if d >= 0 else -1)
+
+
+def test_toward_rejects_node_ids_out_of_range():
+    sg = build_state_graph(make_instance(path_graph(3), [], 1))
+    for t in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            sg.toward(t)

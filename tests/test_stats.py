@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from chargecent import kendall_tau, kendall_tau_naive
+from chargecent import kendall_tau
+from chargecent.oracles import kendall_tau_naive
 
 
 def test_fixed_examples():
