@@ -12,10 +12,11 @@ from chargecent.generators import (
     gnp_random_graph,
     grid_graph,
     path_graph,
+    sample_omega,
     star_graph,
     two_grids_bridged,
 )
-from chargecent.betweenness import _with_sinks
+from chargecent.betweenness import ENDPOINT_CONVENTIONS, _with_sinks
 from chargecent.graph import bfs
 from chargecent.oracles import (
     bfs_shortest_paths,
@@ -206,3 +207,33 @@ def test_standard_bc_large_grid_matches_networkx():
     want = 2.0 * np.array([ref[v] for v in range(g.n)])  # networkx counts unordered pairs
     assert got.min() >= 0.0
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+_PINNED_BC = {
+    # endpoints: (state scores at states 0, 77, 500, 1000, 1500; node scores at 13, 66, 143; bc at node 66)
+    "target": (
+        ["0x1.316eaed5f7a11p+7", "0x1.3966632cf1e53p+11", "0x1.6035405dd46eep+7",
+         "0x1.48965d7bfaa2cp+4", "0x1.343db0c79538ep+1"],
+        ["0x1.35b8eeab6f929p+9", "0x1.15d06b480a66bp+11", "0x1.31ae7fdac56e2p+7"],
+        "0x1.2573ebcc11205p+11",
+    ),
+    "none": (
+        ["0x1.36eaed5f7a11dp+3", "0x1.2786632cf1e54p+11", "0x1.4e35405dd46eep+7",
+         "0x1.644fd1d371b16p+3", "0x1.362c05fc41efdp+0"],
+        ["0x1.dc71dd56df24cp+8", "0x1.03f06b480a66cp+11", "0x1.3ae7fdac56e1cp+3"],
+        "0x1.1393ebcc11206p+11",
+    ),
+}
+
+
+@pytest.mark.parametrize("endpoints", ENDPOINT_CONVENTIONS)
+def test_soc_bc_scores_are_pinned(endpoints):
+    # Exact bits of soc-bc and bc on a grid whose path counts are not powers of
+    # two, so any reordering of the float adds shows here.
+    g = grid_graph(12, 12)
+    inst = make_instance(g, sample_omega(144, 0.2, seed=5), 10)
+    states, nodes, plain = _PINNED_BC[endpoints]
+    got = soc_betweenness_scores(inst, endpoints)
+    assert [float(got.state_scores[i]).hex() for i in (0, 77, 500, 1000, 1500)] == states
+    assert [float(got.node_scores[v]).hex() for v in (13, 66, 143)] == nodes
+    assert float(standard_betweenness(g, endpoints).values[66]).hex() == plain
