@@ -12,6 +12,24 @@ the target set restricted to the sinks. A state is only processed once it is
 known to lie on some shortest source-to-sink path (the gating flag), exactly
 mirroring the restricted recursion.
 
+Sources run in chunks of C = max(1, ``CELLS`` // N), N being the number of
+nodes searched (states and sinks for soc-bc, nodes for bc). A chunk is one
+``bfs`` and one accumulation over C disjoint copies of the searched graph,
+copy i starting at i*N plus its source. Copies share no arc, so this is C
+independent BFSs, with one numpy pass per level for all of them. Each
+source's row is then added to the total one row at a time, in source order,
+so every float is summed in the same order as by one BFS per source.
+
+soc-bc's search drops charge-dominated states. A move from (u, i) is also
+possible from (u, i') with i' >= i, and it leaves at least as much charge.
+So a state (u, i) first reached after some (u, i'), i' >= i, was reached at
+an earlier level lies on no shortest source-to-sink walk: the same
+continuation from (u, i') would arrive sooner. Every state on such a walk,
+and every shortest path into it, is kept, so sigma there, the dependencies
+and the scores are unchanged (the dominance rule of resource-constrained
+shortest paths; Irnich & Desaulniers, 2005). Plain bc has no charge to
+dominate by.
+
 Endpoint convention: the walk's target node is credited (each ordered pair
 with a feasible walk adds one unit at the arrival states), the source never
 is. ``endpoints="none"`` switches to the textbook convention that credits
@@ -30,6 +48,11 @@ from .scores import ScoreVector
 from .statespace import StateGraph, build_state_graph
 
 ENDPOINT_CONVENTIONS = ("target", "none")
+# Cells (copies x searched nodes) per chunk. soc-bc on the 16x16 grid with
+# kappa 16 (4608 searched nodes) took 0.47 s one source at a time, and in
+# chunks of 2**16 cells 0.27 s, 2**18 0.29 s, 2**20 0.39 s (2 vCPUs, without
+# dominance). The larger chunks were slower on BA n=2000 too.
+CELLS = 2**16
 
 
 def _with_sinks(sg: StateGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -39,6 +62,16 @@ def _with_sinks(sg: StateGraph) -> tuple[np.ndarray, np.ndarray]:
     dst = np.concatenate((sg.indices, sg.n_states + states % sg.n))
     indptr, indices, _ = csr(sg.n_states + sg.n, src, dst)
     return indptr, indices
+
+
+def _charge_dominance(sg: StateGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``bfs`` dominance over ``_with_sinks(sg)``: a state's group is its node, its rank its block.
+
+    A lower block holds more charge. Sinks are group -1, never dropped.
+    """
+    states = np.arange(sg.n_states, dtype=np.int64)
+    sinks = np.zeros(sg.n, dtype=np.int64)
+    return np.concatenate((states % sg.n, sinks - 1)), np.concatenate((states // sg.n, sinks))
 
 
 def _backward_accumulate(sigma, level_nodes, tree_arcs, target_mask, bc_state):
@@ -67,6 +100,7 @@ class BcScores:
     state_scores: np.ndarray
     node_scores: np.ndarray
     endpoints: str
+    settled_states: int
 
     def node_vector(self, inst: SocInstance) -> ScoreVector:
         """The per-node scores with their metadata, as ``soc_betweenness`` returns them."""
@@ -75,8 +109,61 @@ class BcScores:
             "kappa": inst.kappa,
             "omega": inst.omega.sorted_members(),
             "endpoints": self.endpoints,
+            "states": int(self.state_scores.shape[0]),
+            "settled_states": self.settled_states,
         }
         return ScoreVector.for_graph(inst.graph, self.node_scores, meta)
+
+
+def _source_sums(indptr, indices, sources, targets, credit=None, dominance=None):
+    """Every source's dependency row, then its ``credit`` row, added up in source order.
+
+    ``credit(d, sigma, tree_arcs, targets)`` gives a chunk's endpoint rows;
+    ``dominance`` is per node of one copy and lifted to the copies here.
+    Returns the sums and, per node, the number of sources that labelled it.
+    """
+    n = indptr.shape[0] - 1
+    c = max(1, CELLS // n)
+    copy = np.arange(c)
+    cptr = np.append((indptr[:-1] + indices.shape[0] * copy[:, None]).ravel(), c * indices.shape[0])
+    cidx = (indices + n * copy[:, None]).ravel()
+    ctargets = np.tile(targets, c)
+    if dominance is not None:
+        group, rank = dominance
+        lifted = np.where(group >= 0, group + (int(group.max()) + 1) * copy[:, None], -1)
+        dominance = (lifted.ravel(), np.tile(rank, c))
+    total = np.zeros(n)
+    labelled = np.zeros(n, dtype=np.int64)
+    for first in range(0, len(sources), c):
+        chunk = sources[first : first + c]
+        d, sigma, level_nodes, tree_arcs = bfs(cptr, cidx, chunk + n * copy[: len(chunk)], dominance)
+        rows = np.zeros(c * n)
+        _backward_accumulate(sigma, level_nodes, tree_arcs, ctargets, rows)
+        extra = None if credit is None else credit(d, sigma, tree_arcs, ctargets).reshape(c, n)
+        for i, row in enumerate(rows.reshape(c, n)[: len(chunk)]):
+            total += row
+            if extra is not None:
+                total += extra[i]
+        labelled += (d.reshape(c, n) >= 0).sum(axis=0)
+    return total, labelled
+
+
+def _arrival_debit(d, sigma, tree_arcs, sinks):
+    """Minus each pair's one unit of arrival credit, at the arrival states.
+
+    Level 0 holds only the sources, whose one sink arc leads to their own node.
+    """
+    debit = np.zeros(sigma.shape[0])
+    for tsrc, tdst in tree_arcs[1:]:
+        into_sink = sinks[tdst]
+        xs = tsrc[into_sink]
+        debit[xs] = -(sigma[xs] / sigma[tdst[into_sink]])
+    return debit
+
+
+def _target_credit(d, sigma, tree_arcs, targets):
+    """One unit per pair at its target: every node the source reached."""
+    return (d >= 1).astype(float)
 
 
 def soc_betweenness_scores(inst: SocInstance, endpoints: str = "target") -> BcScores:
@@ -87,20 +174,13 @@ def soc_betweenness_scores(inst: SocInstance, endpoints: str = "target") -> BcSc
     indptr, indices = _with_sinks(sg)
     sinks = np.zeros(n_states + n, dtype=bool)
     sinks[n_states:] = True
-    bc_state = np.zeros(n_states + n)
-    for s in range(n):
-        d, sigma, level_nodes, tree_arcs = bfs(indptr, indices, sg.source_state(s))
-        _backward_accumulate(sigma, level_nodes, tree_arcs, sinks, bc_state)
-        if endpoints == "none":
-            # Remove each pair's one unit of arrival credit from the arrival states.
-            for tsrc, tdst in tree_arcs:
-                into_sink = sinks[tdst] & (tdst != n_states + s)
-                xs, st = tsrc[into_sink], tdst[into_sink]
-                if xs.size:
-                    np.add.at(bc_state, xs, -(sigma[xs] / sigma[st]))
+    credit = _arrival_debit if endpoints == "none" else None
+    # Source s departs from (s, kappa), state s.
+    bc_state, labelled = _source_sums(indptr, indices, np.arange(n), sinks, credit, _charge_dominance(sg))
     # Sinks have no successors, so they are never credited.
     bc_state = bc_state[:n_states]
-    return BcScores(bc_state, bc_state.reshape(inst.kappa + 1, n).sum(axis=0), endpoints)
+    node_scores = bc_state.reshape(inst.kappa + 1, n).sum(axis=0)
+    return BcScores(bc_state, node_scores, endpoints, int(labelled[:n_states].sum()))
 
 
 def soc_betweenness(inst: SocInstance, endpoints: str = "target") -> ScoreVector:
@@ -112,11 +192,6 @@ def standard_betweenness(g: Graph, endpoints: str = "target") -> ScoreVector:
     """Unnormalized shortest-path betweenness with the matching endpoint convention."""
     if endpoints not in ENDPOINT_CONVENTIONS:
         raise ValueError(f"endpoints must be one of {ENDPOINT_CONVENTIONS}")
-    bc = np.zeros(g.n)
-    all_targets = np.ones(g.n, dtype=bool)
-    for s in range(g.n):
-        d, sigma, level_nodes, tree_arcs = bfs(g.indptr, g.indices, s)
-        _backward_accumulate(sigma, level_nodes, tree_arcs, all_targets, bc)
-        if endpoints == "target":
-            bc[d >= 1] += 1.0
+    credit = _target_credit if endpoints == "target" else None
+    bc, _ = _source_sums(g.indptr, g.indices, np.arange(g.n), np.ones(g.n, dtype=bool), credit)
     return ScoreVector.for_graph(g, bc, {"measure": "bc", "endpoints": endpoints})

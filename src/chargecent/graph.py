@@ -51,7 +51,10 @@ def adjacency_matrix(n: int, indptr: np.ndarray, indices: np.ndarray) -> scipy.s
 
 
 def bfs(
-    indptr: np.ndarray, indices: np.ndarray, source: int | np.ndarray
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    source: int | np.ndarray,
+    dominance: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
     """Level-synchronous BFS over a CSR digraph from one source or an array of them.
 
@@ -60,6 +63,11 @@ def bfs(
     level, and per level the tree arcs (tails, heads) into the next one.
     Path counts are float64, as in networkx: exact below 2**53 and beyond
     that rounded rather than wrapped (a 40x40 grid already exceeds int64).
+
+    ``dominance`` is an optional per-node (group, rank) pair of int64 arrays.
+    A head whose group was labelled at an earlier level with a rank at most
+    the head's own is dropped: it stays unlabelled and gets no tree arcs.
+    Group -1 is never dropped. Without it, every reachable node is labelled.
     """
     n = indptr.shape[0] - 1
     d = np.full(n, -1, dtype=np.int64)
@@ -69,26 +77,32 @@ def bfs(
     sigma[frontier] = 1.0
     level_nodes = [frontier]
     tree_arcs: list[tuple[np.ndarray, np.ndarray]] = []
+    if dominance is not None:
+        group, rank = dominance
+        # best[g]: the lowest rank of group g labelled so far. Group -1 reads
+        # the extra last slot, which no label lowers.
+        best = np.full(int(group.max()) + 2, np.iinfo(np.int64).max)
     level = 0
     while True:
         starts = indptr[frontier]
         cnt = indptr[frontier + 1] - starts
-        offs = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        adst = indices[np.repeat(starts, cnt) + offs]  # heads of the frontier's arcs, in CSR order
-        if adst.shape[0] == 0:
+        # Arc j of the frontier's k-th node sits at starts[k] + (j - first arc of k).
+        arcs = np.arange(int(cnt.sum())) + np.repeat(starts - (np.cumsum(cnt) - cnt), cnt)
+        heads = indices[arcs]  # heads of the frontier's arcs, in CSR order
+        new = d[heads] == -1  # arcs into unlabelled nodes: the tree arcs into the next level
+        tsrc, tdst = np.repeat(frontier, cnt)[new], heads[new]
+        if dominance is not None:
+            grouped = frontier[group[frontier] >= 0]
+            np.minimum.at(best, group[grouped], rank[grouped])
+            live = best[group[tdst]] > rank[tdst]
+            tsrc, tdst = tsrc[live], tdst[live]
+        if tdst.size == 0:
             break
-        asrc = np.repeat(frontier, cnt)
-        fresh = adst[d[adst] == -1]
-        if fresh.size:
-            d[fresh] = level + 1
-        tree = d[adst] == level + 1
-        tsrc, tdst = asrc[tree], adst[tree]
-        if tsrc.size == 0:
-            break
+        d[tdst] = level + 1
         np.add.at(sigma, tdst, sigma[tsrc])
         tree_arcs.append((tsrc, tdst))
-        fresh.sort()  # sort, then drop repeats: np.unique's frontier without its hash pass
-        frontier = np.concatenate((fresh[:1], fresh[1:][fresh[1:] != fresh[:-1]]))
+        heads = np.sort(tdst)  # sort, then drop repeats: np.unique's frontier without its hash pass
+        frontier = np.concatenate((heads[:1], heads[1:][heads[1:] != heads[:-1]]))
         level_nodes.append(frontier)
         level += 1
     return d, sigma, level_nodes, tree_arcs

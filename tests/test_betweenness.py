@@ -9,6 +9,7 @@ from chargecent import (
     standard_betweenness,
 )
 from chargecent.generators import (
+    barabasi_albert_graph,
     gnp_random_graph,
     grid_graph,
     path_graph,
@@ -16,7 +17,8 @@ from chargecent.generators import (
     star_graph,
     two_grids_bridged,
 )
-from chargecent.betweenness import ENDPOINT_CONVENTIONS, _with_sinks
+import chargecent.betweenness as betweenness
+from chargecent.betweenness import ENDPOINT_CONVENTIONS, _backward_accumulate, _charge_dominance, _with_sinks
 from chargecent.graph import bfs
 from chargecent.oracles import (
     bfs_shortest_paths,
@@ -24,6 +26,8 @@ from chargecent.oracles import (
     shortest_feasible_walks,
     target_restricted_dependency,
 )
+
+from conftest import instance_corpus
 
 
 def test_path_kappa_one_only_adjacent_pairs():
@@ -237,3 +241,79 @@ def test_soc_bc_scores_are_pinned(endpoints):
     assert [float(got.state_scores[i]).hex() for i in (0, 77, 500, 1000, 1500)] == states
     assert [float(got.node_scores[v]).hex() for v in (13, 66, 143)] == nodes
     assert float(standard_betweenness(g, endpoints).values[66]).hex() == plain
+
+
+def _one_source_at_a_time_soc_bc(inst, endpoints):
+    """soc-bc state scores by one plain ``bfs`` and one accumulation per source."""
+    sg = build_state_graph(inst)
+    n, n_states = sg.n, sg.n_states
+    indptr, indices = _with_sinks(sg)
+    sinks = np.zeros(n_states + n, dtype=bool)
+    sinks[n_states:] = True
+    bc_state = np.zeros(n_states + n)
+    for s in range(n):
+        d, sigma, level_nodes, tree_arcs = bfs(indptr, indices, sg.source_state(s))
+        _backward_accumulate(sigma, level_nodes, tree_arcs, sinks, bc_state)
+        if endpoints == "none":
+            for tsrc, tdst in tree_arcs:
+                into_sink = sinks[tdst] & (tdst != n_states + s)
+                xs, st = tsrc[into_sink], tdst[into_sink]
+                if xs.size:
+                    np.add.at(bc_state, xs, -(sigma[xs] / sigma[st]))
+    return bc_state[:n_states]
+
+
+def _one_source_at_a_time_bc(g, endpoints):
+    """Plain bc by one ``bfs`` and one accumulation per source."""
+    bc = np.zeros(g.n)
+    all_targets = np.ones(g.n, dtype=bool)
+    for s in range(g.n):
+        d, sigma, level_nodes, tree_arcs = bfs(g.indptr, g.indices, s)
+        _backward_accumulate(sigma, level_nodes, tree_arcs, all_targets, bc)
+        if endpoints == "target":
+            bc[d >= 1] += 1.0
+    return bc
+
+
+@pytest.fixture(scope="module")
+def one_source_at_a_time():
+    insts = [
+        make_instance(grid_graph(16, 16), sample_omega(256, 0.2, seed=1), 16),
+        make_instance(barabasi_albert_graph(300, 3, seed=2), sample_omega(300, 0.3, seed=3), 5),
+        *instance_corpus(40, seed=1729),  # directed graphs and self-loops among them
+    ]
+    return [
+        (inst, endpoints, _one_source_at_a_time_soc_bc(inst, endpoints), _one_source_at_a_time_bc(inst.graph, endpoints))
+        for inst in insts
+        for endpoints in ENDPOINT_CONVENTIONS
+    ]
+
+
+@pytest.mark.parametrize("copies", [None, 1, 7])
+def test_chunked_scores_are_bit_identical_to_one_source_at_a_time(one_source_at_a_time, monkeypatch, copies):
+    # copies=None keeps CELLS; 1 is one source per chunk, as on a graph larger
+    # than CELLS; 7 leaves a partial last chunk on every instance but n=7.
+    for inst, endpoints, want_states, want_bc in one_source_at_a_time:
+        n, kappa = inst.graph.n, inst.kappa
+        if copies is not None:
+            monkeypatch.setattr(betweenness, "CELLS", copies * n * (kappa + 2))
+        got = soc_betweenness_scores(inst, endpoints)
+        assert np.array_equal(got.state_scores, want_states)
+        assert np.array_equal(got.node_scores, want_states.reshape(kappa + 1, n).sum(axis=0))
+        if copies is not None:
+            monkeypatch.setattr(betweenness, "CELLS", copies * n)
+        assert np.array_equal(standard_betweenness(inst.graph, endpoints).values, want_bc)
+
+
+def test_soc_bc_meta_counts_the_states_the_search_settled():
+    inst = make_instance(grid_graph(6, 6), sample_omega(36, 0.2, seed=2), 6)
+    sg = build_state_graph(inst)
+    indptr, indices = _with_sinks(sg)
+    settled = plain = 0
+    for s in range(sg.n):
+        settled += int((bfs(indptr, indices, s, _charge_dominance(sg))[0][: sg.n_states] >= 0).sum())
+        plain += int((bfs(indptr, indices, s)[0][: sg.n_states] >= 0).sum())
+    meta = soc_betweenness(inst).meta
+    assert (meta["states"], meta["settled_states"]) == (sg.n_states, settled)
+    assert settled < plain  # dominated states were dropped
+    assert "settled_states" not in standard_betweenness(inst.graph).meta

@@ -11,11 +11,12 @@ from chargecent import (
     make_instance,
     write_snap_tsv,
 )
+from chargecent.betweenness import _charge_dominance, _with_sinks
 from chargecent.graph import _is_acyclic, bfs, power_iteration_radius
 from chargecent.generators import path_graph, star_graph
-from chargecent.oracles import dense_adjacency
+from chargecent.oracles import _distances_to_target, dense_adjacency
 
-from conftest import random_graph
+from conftest import instance_corpus, random_graph
 
 
 def test_snap_trivial(tmp_path):
@@ -196,6 +197,35 @@ def test_multi_source_bfs_is_the_minimum_over_single_sources(small_instances):
             paths = sum(np.where(ds == nearest, ss, 0.0) for ds, ss in singles)
             assert np.array_equal(sigma, paths)
             assert levels[0].tolist() == sorted(set(sources.tolist()))
+
+
+@pytest.mark.parametrize("seed", [1729, 1])
+def test_dominance_keeps_every_shortest_walk_to_a_sink(seed):
+    # soc-bc's charge dominance over the sink-augmented state graph. A state on
+    # a shortest source-to-sink walk keeps its plain distance and path count;
+    # no kept state comes a level after a same-node state with at least its charge.
+    dropped = 0
+    for inst in instance_corpus(40, seed=seed):
+        sg = build_state_graph(inst)
+        n, n_states, kappa = sg.n, sg.n_states, sg.kappa
+        indptr, indices = _with_sinks(sg)
+        to_t = [_distances_to_target(inst, t) for t in range(n)]
+        for s in range(n):
+            d, sigma, _, _ = bfs(indptr, indices, s)
+            kd, ksigma, _, _ = bfs(indptr, indices, s, _charge_dominance(sg))
+            on_path = np.zeros(n_states + n, dtype=bool)
+            on_path[n_states:] = d[n_states:] >= 0
+            for w in np.flatnonzero(d[:n_states] >= 0):
+                state = (w % n, kappa - w // n)
+                on_path[w] = any(d[n_states + t] >= 0 and state in to_t[t]
+                                 and d[w] + to_t[t][state] + 1 == d[n_states + t] for t in range(n))
+            assert np.array_equal(kd[on_path], d[on_path])
+            assert np.array_equal(ksigma[on_path], sigma[on_path])
+            levels = np.where(kd[:n_states] >= 0, kd[:n_states], n_states + n).reshape(kappa + 1, n)
+            earlier_fuller = np.minimum.accumulate(np.vstack((np.full(n, n_states + n), levels[:-1])))
+            assert np.all((kd[:n_states] < 0) | (levels <= earlier_fuller).ravel())
+            dropped += int((d >= 0).sum() - (kd >= 0).sum())
+    assert dropped > 0
 
 
 def test_labels_bijective():
