@@ -49,9 +49,10 @@ from .statespace import StateGraph, build_state_graph
 
 ENDPOINT_CONVENTIONS = ("target", "none")
 # Cells (copies x searched nodes) per chunk. soc-bc on the 16x16 grid with
-# kappa 16 (4608 searched nodes) took 0.47 s one source at a time, and in
-# chunks of 2**16 cells 0.27 s, 2**18 0.29 s, 2**20 0.39 s (2 vCPUs, without
-# dominance). The larger chunks were slower on BA n=2000 too.
+# kappa 16 (4608 searched nodes), without dominance, min of 5 runs on 2 vCPUs:
+# one source per chunk 0.48 s; chunks of 2**14 cells 0.34 s, 2**15 0.29 s,
+# 2**16 0.21 s, 2**17 0.24 s, 2**18 0.35 s, 2**20 0.45 s. With dominance,
+# 2**16 was fastest too. On BA n=2000, kappa 5, 2**18 was slower than 2**16.
 CELLS = 2**16
 
 
@@ -115,11 +116,12 @@ class BcScores:
         return ScoreVector.for_graph(inst.graph, self.node_scores, meta)
 
 
-def _source_sums(indptr, indices, sources, targets, credit=None, dominance=None):
+def _source_sums(indptr, indices, sources, targets, credit, dominance):
     """Every source's dependency row, then its ``credit`` row, added up in source order.
 
-    ``credit(d, sigma, tree_arcs, targets)`` gives a chunk's endpoint rows;
-    ``dominance`` is per node of one copy and lifted to the copies here.
+    ``credit(d, sigma, tree_arcs, targets)``, if not None, gives a chunk's
+    endpoint rows; ``dominance``, if not None, is ``bfs``'s per node of one
+    copy and is lifted to the copies here.
     Returns the sums and, per node, the number of sources that labelled it.
     """
     n = indptr.shape[0] - 1
@@ -193,5 +195,5 @@ def standard_betweenness(g: Graph, endpoints: str = "target") -> ScoreVector:
     if endpoints not in ENDPOINT_CONVENTIONS:
         raise ValueError(f"endpoints must be one of {ENDPOINT_CONVENTIONS}")
     credit = _target_credit if endpoints == "target" else None
-    bc, _ = _source_sums(g.indptr, g.indices, np.arange(g.n), np.ones(g.n, dtype=bool), credit)
+    bc, _ = _source_sums(g.indptr, g.indices, np.arange(g.n), np.ones(g.n, dtype=bool), credit, None)
     return ScoreVector.for_graph(g, bc, {"measure": "bc", "endpoints": endpoints})

@@ -101,8 +101,8 @@ def bfs(
         d[tdst] = level + 1
         np.add.at(sigma, tdst, sigma[tsrc])
         tree_arcs.append((tsrc, tdst))
-        heads = np.sort(tdst)  # sort, then drop repeats: np.unique's frontier without its hash pass
-        frontier = np.concatenate((heads[:1], heads[1:][heads[1:] != heads[:-1]]))
+        fresh = np.sort(tdst)  # sort, then drop repeats: np.unique's frontier without its hash pass
+        frontier = np.concatenate((fresh[:1], fresh[1:][fresh[1:] != fresh[:-1]]))
         level_nodes.append(frontier)
         level += 1
     return d, sigma, level_nodes, tree_arcs
