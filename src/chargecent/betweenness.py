@@ -12,8 +12,8 @@ the target set restricted to the sinks. A state is only processed once it is
 known to lie on some shortest source-to-sink path (the gating flag), exactly
 mirroring the restricted recursion.
 
-Sources run in chunks of C = max(1, ``CELLS`` // N), N being the number of
-nodes searched (states and sinks for soc-bc, nodes for bc). A chunk is one
+Sources run in chunks of C = max(1, ``CELLS`` // (N + A)) for the N nodes
+and A arcs searched (states and sinks for soc-bc, nodes for bc). A chunk is one
 ``bfs`` and one accumulation over C disjoint copies of the searched graph,
 copy i starting at i*N plus its source. Copies share no arc, so this is C
 independent BFSs, with one numpy pass per level for all of them. Each
@@ -48,12 +48,15 @@ from .scores import ScoreVector
 from .statespace import StateGraph, build_state_graph
 
 ENDPOINT_CONVENTIONS = ("target", "none")
-# Cells (copies x searched nodes) per chunk. soc-bc on the 16x16 grid with
-# kappa 16 (4608 searched nodes), without dominance, min of 5 runs on 2 vCPUs:
-# one source per chunk 0.48 s; chunks of 2**14 cells 0.34 s, 2**15 0.29 s,
-# 2**16 0.21 s, 2**17 0.24 s, 2**18 0.35 s, 2**20 0.45 s. With dominance,
-# 2**16 was fastest too. On BA n=2000, kappa 5, 2**18 was slower than 2**16.
-CELLS = 2**16
+# Entries of the copies' CSR, C * (N + A) for N nodes and A arcs, per chunk.
+# It bounds each chunk's arrays: one level expands at most C * A arcs. soc-bc,
+# min of 7 runs (one for BA) on 2 vCPUs, by copies per chunk: 16x16 grid,
+# kappa 16 (N + A = 24,509): 1 copy 0.44 s, 4 0.20 s, 8 0.16 s, 12 to 24
+# 0.15-0.16 s, 32 0.16 s, 64 0.18 s; BA n=2000, kappa 5 (88,767): 1 copy
+# 5.0 s, 4 to 8 3.9-4.6 s, 16 4.4-4.6 s; 30x30 grid, kappa 20 (108,992):
+# 3 copies 3.0-3.2 s, 6 2.6-3.0 s, 12 3.5-3.6 s. Counting nodes alone put
+# 327 copies of a complete graph on 200 nodes in one chunk (369 MB peak RSS).
+CELLS = 2**19
 
 
 def _with_sinks(sg: StateGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +128,7 @@ def _source_sums(indptr, indices, sources, targets, credit, dominance):
     Returns the sums and, per node, the number of sources that labelled it.
     """
     n = indptr.shape[0] - 1
-    c = max(1, CELLS // n)
+    c = max(1, CELLS // (n + indices.shape[0]))
     copy = np.arange(c)
     cptr = np.append((indptr[:-1] + indices.shape[0] * copy[:, None]).ravel(), c * indices.shape[0])
     cidx = (indices + n * copy[:, None]).ravel()

@@ -10,6 +10,7 @@ from chargecent import (
 )
 from chargecent.generators import (
     barabasi_albert_graph,
+    complete_graph,
     gnp_random_graph,
     grid_graph,
     path_graph,
@@ -294,15 +295,32 @@ def test_chunked_scores_are_bit_identical_to_one_source_at_a_time(one_source_at_
     # copies=None keeps CELLS; 1 is one source per chunk, as on a graph larger
     # than CELLS; 7 leaves a partial last chunk on every instance but n=7.
     for inst, endpoints, want_states, want_bc in one_source_at_a_time:
-        n, kappa = inst.graph.n, inst.kappa
+        g, kappa = inst.graph, inst.kappa
         if copies is not None:
-            monkeypatch.setattr(betweenness, "CELLS", copies * n * (kappa + 2))
+            indptr, indices = _with_sinks(build_state_graph(inst))
+            monkeypatch.setattr(betweenness, "CELLS", copies * (indptr.size - 1 + indices.size))
         got = soc_betweenness_scores(inst, endpoints)
         assert np.array_equal(got.state_scores, want_states)
-        assert np.array_equal(got.node_scores, want_states.reshape(kappa + 1, n).sum(axis=0))
+        assert np.array_equal(got.node_scores, want_states.reshape(kappa + 1, g.n).sum(axis=0))
         if copies is not None:
-            monkeypatch.setattr(betweenness, "CELLS", copies * n)
-        assert np.array_equal(standard_betweenness(inst.graph, endpoints).values, want_bc)
+            monkeypatch.setattr(betweenness, "CELLS", copies * (g.n + g.n_arcs))
+        assert np.array_equal(standard_betweenness(g, endpoints).values, want_bc)
+
+
+def test_a_chunk_of_copies_stays_within_cells(monkeypatch):
+    # A dense graph gets fewer copies per chunk, so no chunk's CSR, and no
+    # level's arc arrays, outgrow CELLS entries when one copy fits.
+    sizes = []
+    real_bfs = betweenness.bfs
+
+    def recording_bfs(indptr, indices, source, dominance=None):
+        sizes.append(indptr.size - 1 + indices.size)
+        return real_bfs(indptr, indices, source, dominance)
+
+    monkeypatch.setattr(betweenness, "bfs", recording_bfs)
+    standard_betweenness(complete_graph(200))
+    soc_betweenness(make_instance(gnp_random_graph(300, 0.3, seed=1), [1, 2, 3], 3))
+    assert sizes and max(sizes) <= betweenness.CELLS
 
 
 def test_soc_bc_meta_counts_the_states_the_search_settled():
