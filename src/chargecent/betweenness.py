@@ -49,13 +49,14 @@ from .statespace import StateGraph, build_state_graph
 
 ENDPOINT_CONVENTIONS = ("target", "none")
 # Entries of the copies' CSR, C * (N + A) for N nodes and A arcs, per chunk.
-# It bounds each chunk's arrays: one level expands at most C * A arcs. soc-bc,
-# min of 7 runs (one for BA) on 2 vCPUs, by copies per chunk: 16x16 grid,
-# kappa 16 (N + A = 24,509): 1 copy 0.44 s, 4 0.20 s, 8 0.16 s, 12 to 24
-# 0.15-0.16 s, 32 0.16 s, 64 0.18 s; BA n=2000, kappa 5 (88,767): 1 copy
-# 5.0 s, 4 to 8 3.9-4.6 s, 16 4.4-4.6 s; 30x30 grid, kappa 20 (108,992):
-# 3 copies 3.0-3.2 s, 6 2.6-3.0 s, 12 3.5-3.6 s. Counting nodes alone put
-# 327 copies of a complete graph on 200 nodes in one chunk (369 MB peak RSS).
+# It bounds each chunk's arrays: one level expands at most C * A arcs. soc-bc
+# on 2 vCPUs by copies per chunk (min of 7 runs on the 16x16 grid, single runs
+# elsewhere): 16x16 grid, kappa 16 (N + A = 24,509): 1 copy 0.44 s, 4 0.20 s,
+# 8 0.16 s, 12 to 24 0.15-0.16 s, 32 0.16 s, 64 0.18 s; BA n=2000, kappa 5
+# (88,767): 1 copy 5.0 s, 4 to 8 3.9-4.6 s, 16 4.4-4.6 s; 30x30 grid, kappa 20
+# (108,992): 3 copies 3.0-3.2 s, 6 2.6-3.0 s, 12 3.5-3.6 s. Counting nodes
+# alone put 327 copies of a complete graph on 200 nodes in one chunk (358 MB
+# peak RSS).
 CELLS = 2**19
 
 
