@@ -19,7 +19,6 @@ from .errors import NumericalError
 from .graph import (
     Graph,
     GraphParseError,
-    PowerIterationResult,
     RefillSet,
     SocInstance,
     load_edge_list,
@@ -39,7 +38,7 @@ from .simulate import (
     particle_hopping,
     sir_influence,
 )
-from .statespace import StateGraph, WalkCounts, build_state_graph, count_feasible_walks
+from .statespace import StateGraph, build_state_graph
 from .stats import kendall_tau
 
 __all__ = [
@@ -50,16 +49,13 @@ __all__ = [
     "HoppingParams",
     "KatzParams",
     "NumericalError",
-    "PowerIterationResult",
     "RefillSet",
     "ScoreVector",
     "SirParams",
     "SocInstance",
     "StateGraph",
-    "WalkCounts",
     "align_scores",
     "build_state_graph",
-    "count_feasible_walks",
     "kendall_tau",
     "load_edge_list",
     "make_instance",

@@ -1,4 +1,4 @@
-"""Base graph representation, edge-list ingestion, and spectral utilities.
+"""Base graph representation, edge-list ingestion, and a certified spectral-radius bracket.
 
 Node ids are dense integers in [0, n); external labels are kept as strings
 and mapped bijectively. Undirected edges are stored once but expanded to two
@@ -342,40 +342,46 @@ def write_snap_tsv(g: Graph, path: str | Path) -> None:
             fh.write(f"{g.labels[u]}\t{g.labels[v]}\n")
 
 
-@dataclass(frozen=True)
-class PowerIterationResult:
-    value: float
-    converged: bool
-    iterations: int
+# Steps of x <- (B_C + I) x after which ``radius_bracket`` returns the bracket it
+# has: 0.6 s on path_graph(2000) (2 vCPUs); 10x10-grid state graphs need 3,261.
+RADIUS_MAX_ITER = 20_000
+# ``radius_bracket`` stops once upper - lower <= RADIUS_RTOL * upper.
+RADIUS_RTOL = 1e-10
 
 
-def _is_acyclic(adj: scipy.sparse.csr_array) -> bool:
-    # Acyclic iff every strong component is one node and no node has a self-loop.
-    n_comp = connected_components(adj, directed=True, connection="strong")[0]
-    return n_comp == adj.shape[0] and not adj.diagonal().any()
+def radius_bracket(adj: scipy.sparse.csr_array) -> tuple[float, float]:
+    """Certified bracket ``(lower, upper)`` on the spectral radius of a nonnegative 0/1 matrix.
 
-
-def power_iteration_radius(
-    adj: scipy.sparse.csr_array, tol: float = 1e-10, max_iter: int = 100_000
-) -> PowerIterationResult:
-    """Spectral radius of a nonnegative 0/1 matrix by shifted power iteration.
-
-    Iterates x <- (B + I) x, which is aperiodic for any nonnegative B, and
-    reports the 1-norm growth ratio minus one. Acyclic arc sets short-circuit
-    to exactly zero.
+    rho(B) is the largest rho(B_C) over the strong components C, each with its
+    inner arcs only. A single node has rho 1 with a self-loop and 0 without,
+    so an acyclic arc set returns exactly (0, 0). The larger components iterate
+    x <- (B_C + I) x together; for any x > 0, min_i ((B_C + I) x)_i / x_i - 1
+    <= rho(B_C) <= max_i ((B_C + I) x)_i / x_i - 1 (Collatz-Wielandt; Meyer,
+    *Matrix Analysis and Applied Linear Algebra*, section 8.3). So, up to the
+    rounding of the ratios, the bracket holds when it narrows to ``RADIUS_RTOL``
+    and, wider, when the loop stops at ``RADIUS_MAX_ITER`` steps.
     """
     n = adj.shape[0]
-    if adj.nnz == 0 or _is_acyclic(adj):
-        return PowerIterationResult(0.0, True, 0)
-    x = np.full(n, 1.0 / n)
-    est = 0.0
-    for it in range(1, max_iter + 1):
-        y = adj @ x + x
-        norm = float(y.sum())
-        new_est = norm - 1.0
-        x = y / norm
-        if abs(new_est - est) <= tol * max(abs(new_est), 1.0):
-            return PowerIterationResult(new_est, True, it)
-        est = new_est
-    return PowerIterationResult(est, False, max_iter)
-
+    comp = connected_components(adj, directed=True, connection="strong")[1]
+    tails = np.repeat(np.arange(n), np.diff(adj.indptr))
+    inside = comp[tails] == comp[adj.indices]
+    multi = np.bincount(comp)[comp] > 1
+    if not multi.any():  # every inner arc is a self-loop
+        return (1.0, 1.0) if inside.any() else (0.0, 0.0)
+    # The larger components' nodes, sorted once by component for the segment
+    # reductions, and their inner arcs.
+    nodes = np.flatnonzero(multi)[np.argsort(comp[multi], kind="stable")]
+    inner = scipy.sparse.csr_array((inside.astype(float), adj.indices, adj.indptr), shape=adj.shape)
+    b = inner[nodes][:, nodes]
+    sizes = np.unique(comp[nodes], return_counts=True)[1]
+    starts = np.r_[0, np.cumsum(sizes)[:-1]]
+    x = np.ones(nodes.shape[0])
+    for _ in range(RADIUS_MAX_ITER):
+        y = b @ x + x
+        ratio = y / x
+        lower = float(np.minimum.reduceat(ratio, starts).max()) - 1.0
+        upper = float(np.maximum.reduceat(ratio, starts).max()) - 1.0
+        if upper - lower <= RADIUS_RTOL * upper:
+            break
+        x = y / np.repeat(np.maximum.reduceat(y, starts), sizes)
+    return lower, upper

@@ -6,7 +6,8 @@ node at full charge (length-0 walk included). That sum is the row sums of
 full-charge block of the solution x of (I - alpha B) x = 1. The standard
 variant runs the same kernel, ``_katz``, on the adjacency of the base graph.
 
-The kernel checks alpha against the measured bound 1/rho(B), takes one
+The kernel checks alpha against 1/upper, where ``graph.radius_bracket``
+certifies lower <= rho(B) <= upper; the default alpha is 0.9/upper. It takes one
 BiCGSTAB solve of v -> v - alpha B v and checks the true residual
 r = 1 - (I - alpha B) x: a solve that stops early or breaks down, ends with
 max|r| > tol, or leaves a score <= 0 raises NumericalError. A positive x with
@@ -19,7 +20,6 @@ own evaluation; it is about tol * max|x*| at most.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -27,34 +27,32 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .errors import NumericalError
-from .graph import Graph, SocInstance, power_iteration_radius
+from .graph import Graph, SocInstance, radius_bracket
 from .scores import ScoreVector
 from .statespace import build_state_graph
-
-logger = logging.getLogger(__name__)
 
 SOLVE_MAX_ITER = 10_000  # BiCGSTAB iterations before the solve counts as failed
 
 
 @dataclass(frozen=True)
 class KatzParams:
-    alpha: float | None  # None: 0.9 of the measured bound, or 0.03 when the bound is infinite
+    alpha: float | None  # None: 0.9 of the bound 1/upper, or 0.03 when the bound is infinite
     tol: float = 1e-10  # bound on max|r| of the solve; the score error is then about tol * max score
 
 
 @dataclass(frozen=True)
 class AlphaBound:
-    """Usable damping-factor bound 1/lambda_max; +inf for acyclic arc sets."""
+    """Usable damping-factor bound 1/upper from the bracket lower <= rho <= upper; +inf if upper is 0."""
 
     max_alpha: float
-    radius: float
-    converged: bool
+    lower: float
+    upper: float
 
 
 def max_alpha(adj: scipy.sparse.csr_array) -> AlphaBound:
-    """Upper bound on usable alpha for the 0/1 matrix ``adj``, from its power-iteration radius."""
-    res = power_iteration_radius(adj)
-    return AlphaBound(1.0 / res.value if res.value > 0.0 else math.inf, res.value, res.converged)
+    """Bound on usable alpha for the 0/1 matrix ``adj``: every alpha below it is below 1/rho."""
+    lower, upper = radius_bracket(adj)
+    return AlphaBound(1.0 / upper if upper > 0.0 else math.inf, lower, upper)
 
 
 def _katz(adj: scipy.sparse.csr_array, p: KatzParams, meta: dict) -> np.ndarray:
@@ -64,13 +62,8 @@ def _katz(adj: scipy.sparse.csr_array, p: KatzParams, meta: dict) -> np.ndarray:
     if alpha is None:
         alpha = 0.03 if math.isinf(bound.max_alpha) else 0.9 * bound.max_alpha
     if not (0.0 <= alpha < bound.max_alpha):
-        raise ValueError(f"alpha={alpha} is not below the measured bound 1/lambda_max={bound.max_alpha:.6g}")
-    meta.update(alpha=alpha, tol=p.tol, radius_converged=bound.converged)
-    if not bound.converged:
-        logger.warning(
-            "%s: power iteration did not converge; the damping bound rests on the estimate %.6g",
-            meta["measure"], bound.radius,
-        )
+        raise ValueError(f"alpha={alpha} is not below the certified bound 1/rho_upper={bound.max_alpha:.6g}")
+    meta.update(alpha=alpha, tol=p.tol, radius_lower=bound.lower, radius_upper=bound.upper)
     n, tol = adj.shape[0], p.tol
     op = scipy.sparse.linalg.LinearOperator((n, n), lambda v: v - alpha * (adj @ v), dtype=float)
     ones, steps = np.ones(n), []

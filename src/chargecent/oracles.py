@@ -18,8 +18,10 @@ import numpy as np
 from .errors import NumericalError
 from .graph import Graph, SocInstance, bfs, csr
 from .scores import ScoreVector
+from .statespace import build_state_graph
 
 DEFAULT_MAX_WALKS = 2_000_000
+_U64_MAX = 2**64 - 1
 
 
 class BudgetExceeded(ValueError):
@@ -76,6 +78,56 @@ def enumerate_feasible_walks(
 
     rec(s, inst.kappa)
     return walks
+
+
+@dataclass
+class WalkCounts:
+    """Exact feasible-walk counts with a saturation view for wide entries."""
+
+    counts: list[list[int]]
+    saturated: bool
+
+    def as_array(self) -> np.ndarray:
+        """uint64 view; entries above 2**64-1 saturate (flagged in ``saturated``)."""
+        n = len(self.counts)
+        out = np.zeros((n, n), dtype=np.uint64)
+        for i in range(n):
+            for j in range(n):
+                out[i, j] = min(self.counts[i][j], _U64_MAX)
+        return out
+
+
+def count_feasible_walks(inst: SocInstance, k: int) -> WalkCounts:
+    """Number of length-k walks i -> j traversable when departing at full charge.
+
+    Entry (i, j) sums arrivals over all charge levels. Counts are exact
+    (arbitrary precision); ``saturated`` flags entries wider than 64 bits.
+    """
+    if k < 0:
+        raise ValueError("walk length must be nonnegative")
+    sg = build_state_graph(inst)
+    n = inst.graph.n
+    indptr, indices = sg.indptr, sg.indices
+    counts: list[list[int]] = []
+    saturated = False
+    for i in range(n):
+        cur: dict[int, int] = {sg.source_state(i): 1}
+        for _ in range(k):
+            nxt: dict[int, int] = {}
+            for st, c in cur.items():
+                for d in indices[indptr[st] : indptr[st + 1]]:
+                    d = int(d)
+                    nxt[d] = nxt.get(d, 0) + c
+            cur = nxt
+            if not cur:
+                break
+        row = [0] * n
+        for st, c in cur.items():
+            row[st % n] += c
+        counts.append(row)
+        if any(c > _U64_MAX for c in row):
+            saturated = True
+    return WalkCounts(counts, saturated)
 
 
 def _state_distances(inst: SocInstance, start: tuple[int, int]) -> dict[tuple[int, int], int]:

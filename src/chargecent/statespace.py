@@ -13,14 +13,12 @@ them at once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable
 import numpy as np
 import scipy.sparse
 
 from .graph import SocInstance, adjacency_matrix, bfs, csr
 
-_U64_MAX = 2**64 - 1
 # Random source-target draws before an input counts as having no feasible pair.
 MAX_PAIR_DRAWS = 1000
 
@@ -95,56 +93,6 @@ class StateGraph:
 def build_state_graph(inst: SocInstance) -> StateGraph:
     """Construct the state graph of an instance."""
     return StateGraph(inst)
-
-
-@dataclass
-class WalkCounts:
-    """Exact feasible-walk counts with a saturation view for wide entries."""
-
-    counts: list[list[int]]
-    saturated: bool
-
-    def as_array(self) -> np.ndarray:
-        """uint64 view; entries above 2**64-1 saturate (flagged in ``saturated``)."""
-        n = len(self.counts)
-        out = np.zeros((n, n), dtype=np.uint64)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = min(self.counts[i][j], _U64_MAX)
-        return out
-
-
-def count_feasible_walks(inst: SocInstance, k: int) -> WalkCounts:
-    """Number of length-k walks i -> j traversable when departing at full charge.
-
-    Entry (i, j) sums arrivals over all charge levels. Counts are exact
-    (arbitrary precision); ``saturated`` flags entries wider than 64 bits.
-    """
-    if k < 0:
-        raise ValueError("walk length must be nonnegative")
-    sg = build_state_graph(inst)
-    n = inst.graph.n
-    indptr, indices = sg.indptr, sg.indices
-    counts: list[list[int]] = []
-    saturated = False
-    for i in range(n):
-        cur: dict[int, int] = {sg.source_state(i): 1}
-        for _ in range(k):
-            nxt: dict[int, int] = {}
-            for st, c in cur.items():
-                for d in indices[indptr[st] : indptr[st + 1]]:
-                    d = int(d)
-                    nxt[d] = nxt.get(d, 0) + c
-            cur = nxt
-            if not cur:
-                break
-        row = [0] * n
-        for st, c in cur.items():
-            row[st % n] += c
-        counts.append(row)
-        if any(c > _U64_MAX for c in row):
-            saturated = True
-    return WalkCounts(counts, saturated)
 
 
 def draw_feasible_pair(

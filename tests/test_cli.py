@@ -317,7 +317,7 @@ def test_default_alpha_measures_the_bound_once(graph_file, tmp_path, monkeypatch
     g = load_edge_list(graph_file)
     bound = max_alpha(build_state_graph(make_instance(g, sample_omega(g.n, 0.5, 3), 2)).adjacency).max_alpha
     calls = {"radius": 0, "state_graph": 0}
-    radius, init = chargecent.graph.power_iteration_radius, StateGraph.__init__
+    radius, init = chargecent.graph.radius_bracket, StateGraph.__init__
 
     def counting_radius(*args, **kwargs):
         calls["radius"] += 1
@@ -328,7 +328,7 @@ def test_default_alpha_measures_the_bound_once(graph_file, tmp_path, monkeypatch
         init(self, *args, **kwargs)
 
     for mod in (chargecent.graph, chargecent.katz):
-        monkeypatch.setattr(mod, "power_iteration_radius", counting_radius)
+        monkeypatch.setattr(mod, "radius_bracket", counting_radius)
     monkeypatch.setattr(StateGraph, "__init__", counting_init)
     out = tmp_path / "run"
     assert run("centrality", "--input", graph_file, "--kappa", "2", "--omega-ratio", "0.5",

@@ -12,9 +12,9 @@ from chargecent import (
     write_snap_tsv,
 )
 from chargecent.betweenness import _charge_dominance, _with_sinks
-from chargecent.graph import _is_acyclic, bfs, power_iteration_radius
-from chargecent.generators import path_graph, star_graph
-from chargecent.oracles import _distances_to_target, dense_adjacency
+from chargecent.graph import RADIUS_RTOL, bfs, radius_bracket
+from chargecent.generators import grid_graph, path_graph, star_graph
+from chargecent.oracles import _distances_to_target, dense_adjacency, dense_bkappa
 
 from conftest import instance_corpus, random_graph
 
@@ -139,27 +139,55 @@ def test_out_neighbors_sorted_and_degree_sum():
 
 def test_spectral_radius_examples():
     edge = Graph(2, [(0, 1)], directed=False)
-    assert power_iteration_radius(edge.adjacency).value == pytest.approx(1.0, abs=1e-8)
+    assert radius_bracket(edge.adjacency) == pytest.approx((1.0, 1.0), abs=1e-8)
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)], directed=False)
-    assert power_iteration_radius(tri.adjacency).value == pytest.approx(2.0, abs=1e-8)
-    assert power_iteration_radius(star_graph(4).adjacency).value == pytest.approx(2.0, abs=1e-8)
+    assert radius_bracket(tri.adjacency) == pytest.approx((2.0, 2.0), abs=1e-8)
+    assert radius_bracket(star_graph(4).adjacency) == pytest.approx((2.0, 2.0), abs=1e-8)
 
 
 def test_spectral_radius_matches_dense_and_lower_bound():
     rng = np.random.default_rng(23)
     for _ in range(15):
         g = random_graph(rng, n_max=10, p=0.4, directed=False)
-        est = power_iteration_radius(g.adjacency, tol=1e-12, max_iter=200_000)
-        exact = max(abs(np.linalg.eigvals(dense_adjacency(g))))
-        assert est.value == pytest.approx(float(exact), abs=1e-7)
+        lower, upper = radius_bracket(g.adjacency)
+        exact = float(max(abs(np.linalg.eigvals(dense_adjacency(g)))))
+        assert (lower, upper) == pytest.approx((exact, exact), abs=1e-7)
         if g.n:
-            assert est.value >= 2 * g.m / g.n - 1e-7  # all-ones Rayleigh quotient
+            assert lower >= 2 * g.m / g.n - 1e-7  # all-ones Rayleigh quotient
 
 
 def test_spectral_radius_dag_is_zero():
     dag = Graph(4, [(0, 1), (1, 2), (0, 3)], directed=True)
-    res = power_iteration_radius(dag.adjacency)
-    assert res.value == 0.0 and res.converged
+    assert radius_bracket(dag.adjacency) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", [1729, 1, 2, 3])
+def test_radius_bracket_contains_the_dense_radius(seed):
+    # Both the state graph and the base graph of every corpus instance.
+    for inst in instance_corpus(40, seed):
+        for adj, dense in ((build_state_graph(inst).adjacency, dense_bkappa(inst)),
+                           (inst.graph.adjacency, dense_adjacency(inst.graph))):
+            lower, upper = radius_bracket(adj)
+            rho = float(max(abs(np.linalg.eigvals(dense))))
+            assert lower - 1e-9 <= rho <= upper + 1e-9
+
+
+def test_radius_bracket_closed_forms():
+    # Path graphs have rho = 2cos(pi/(n+1)) and the 30x30 grid 4cos(pi/31).
+    for n in (2, 5, 50, 300):
+        lower, upper = radius_bracket(path_graph(n).adjacency)
+        assert lower - 1e-12 <= 2 * np.cos(np.pi / (n + 1)) <= upper + 1e-12
+    lower, upper = radius_bracket(grid_graph(30, 30).adjacency)
+    assert lower - 1e-12 <= 4 * np.cos(np.pi / 31) <= upper + 1e-12
+    assert upper - lower <= RADIUS_RTOL * upper
+
+
+def test_radius_bracket_at_the_iteration_cap_still_holds():
+    # A long path mixes too slowly to narrow within RADIUS_MAX_ITER steps; the
+    # wider bracket it returns at the cap is still valid.
+    lower, upper = radius_bracket(path_graph(1000).adjacency)
+    assert upper - lower > RADIUS_RTOL * upper
+    assert lower <= 2 * np.cos(np.pi / 1001) <= upper
 
 
 def test_is_acyclic_matches_networkx():
@@ -174,7 +202,7 @@ def test_is_acyclic_matches_networkx():
         ref = nx.DiGraph(arcs)
         ref.add_nodes_from(range(n))
         want = nx.is_directed_acyclic_graph(ref)
-        assert _is_acyclic(g.adjacency) == want
+        assert (radius_bracket(g.adjacency) == (0.0, 0.0)) == want
         seen.add((want, upper and g.self_loop_count > 0))
     # Both answers occur, and some graphs are cyclic only through self-loops.
     assert {(True, False), (False, False), (False, True)} <= seen

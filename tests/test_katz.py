@@ -1,18 +1,14 @@
-import logging
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-import chargecent.katz
 from chargecent import (
     Graph,
     KatzParams,
     NumericalError,
-    PowerIterationResult,
     build_state_graph,
-    count_feasible_walks,
     make_instance,
     max_alpha,
     soc_katz,
@@ -20,8 +16,14 @@ from chargecent import (
 )
 from chargecent.cli import main
 from chargecent.generators import gnp_random_graph, path_graph
-from chargecent.graph import power_iteration_radius
-from chargecent.oracles import dense_adjacency, dense_bkappa, dense_katz, dense_soc_katz
+from chargecent.graph import radius_bracket
+from chargecent.oracles import (
+    count_feasible_walks,
+    dense_adjacency,
+    dense_bkappa,
+    dense_katz,
+    dense_soc_katz,
+)
 
 from conftest import instance_corpus
 
@@ -130,7 +132,7 @@ def test_max_alpha_full_refill_matches_adjacency():
     g = path_graph(4)
     inst = make_instance(g, range(4), 2)
     bound = max_alpha(build_state_graph(inst).adjacency)
-    rho = power_iteration_radius(g.adjacency).value
+    rho = radius_bracket(g.adjacency)[1]
     assert bound.max_alpha == pytest.approx(1.0 / rho, rel=1e-6)
 
 
@@ -142,7 +144,7 @@ def test_lemma_ordering_on_random_instances(small_instances):
         assert rho_b <= rho_a + 1e-9
         est = max_alpha(build_state_graph(inst).adjacency)
         if math.isfinite(est.max_alpha):
-            assert est.radius == pytest.approx(float(rho_b), abs=1e-6)
+            assert (est.lower, est.upper) == pytest.approx((float(rho_b), float(rho_b)), abs=1e-6)
 
 
 def test_alpha_at_bound_rejected():
@@ -165,11 +167,7 @@ def test_error_bound_covers_dense_oracle(small_instances, tol):
         rho = max(abs(np.linalg.eigvals(dense_bkappa(inst))))
         for frac in (0.5, 0.99):
             alpha = 0.3 if math.isinf(bound.max_alpha) else frac * bound.max_alpha
-            if alpha * rho >= 1.0:
-                # The power iteration overestimated the bound; no positive solution exists.
-                with pytest.raises(NumericalError, match="min score"):
-                    soc_katz(inst, KatzParams(alpha, tol=tol))
-                continue
+            assert alpha * rho < 1.0
             got = soc_katz(inst, KatzParams(alpha, tol=tol))
             assert got.meta["solver"] == "bicgstab" and got.meta["max_residual"] <= tol
             err = np.abs(got.values - dense_soc_katz(inst, alpha).values)
@@ -178,13 +176,17 @@ def test_error_bound_covers_dense_oracle(small_instances, tol):
     assert checked >= 40
 
 
-def test_alpha_above_true_bound_raises():
-    # Power iteration stalls at radius 2/3 here (true radius 1), so the default
-    # alpha 1.35 lies past the pole; the solve finds x with negative entries.
+def test_default_alpha_below_true_bound_where_growth_plateaus():
+    # The 1-norm growth of x <- (B + I) x reads 1 + 2/3 on two steps in a row
+    # here while rho = 1: a stopping rule that trusts a plateau would put the
+    # default alpha at 0.9 / (2/3) = 1.35, past the pole.
     inst = make_instance(Graph(5, [(0, 4), (1, 2), (1, 3)], directed=False), [0, 4], 1)
-    assert max_alpha(build_state_graph(inst).adjacency).radius == pytest.approx(2 / 3)
-    with pytest.raises(NumericalError, match="min score"):
-        soc_katz(inst, KatzParams(None))
+    rho = float(max(abs(np.linalg.eigvals(dense_bkappa(inst)))))
+    got = soc_katz(inst, KatzParams(None))
+    alpha = got.meta["alpha"]
+    assert alpha * rho < 1.0
+    err = np.abs(got.values - dense_soc_katz(inst, alpha).values)
+    assert np.all(err <= got.meta["error_bound"])
 
 
 def test_failed_solve_raises_and_exits_2(tmp_path, monkeypatch, capsys):
@@ -201,50 +203,41 @@ def test_failed_solve_raises_and_exits_2(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_radius_convergence_recorded_in_meta(monkeypatch, caplog):
+def test_radius_bracket_recorded_in_meta():
     g = Graph(3, [(0, 1), (1, 2)], directed=False)
     inst = make_instance(g, [1], 2)
-    assert soc_katz(inst, KatzParams(0.1)).meta["radius_converged"] is True
-    assert standard_katz(g, KatzParams(0.1)).meta["radius_converged"] is True
-    # A stalled power iteration: the bound is still usable, but the run says so.
-    monkeypatch.setattr(chargecent.katz, "power_iteration_radius",
-                        lambda *a, **k: PowerIterationResult(1.5, False, 7))
-    with caplog.at_level(logging.WARNING, logger="chargecent.katz"):
-        soc = soc_katz(inst, KatzParams(0.1))
-        plain = standard_katz(g, KatzParams(0.1))
-    assert soc.meta["radius_converged"] is False
-    assert plain.meta["radius_converged"] is False
-    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warned) == 2
-    assert all("did not converge" in msg for msg in warned)
-    assert warned[0].startswith("soc-katz") and warned[1].startswith("katz")
+    for sv, dense in ((soc_katz(inst, KatzParams(0.1)), dense_bkappa(inst)),
+                      (standard_katz(g, KatzParams(0.1)), dense_adjacency(g))):
+        rho = float(max(abs(np.linalg.eigvals(dense))))
+        assert sv.meta["radius_lower"] - 1e-9 <= rho <= sv.meta["radius_upper"] + 1e-9
 
 
 def test_default_alpha_scores_and_meta_are_pinned():
-    # Exact bits of both Katz measures at the default alpha (0.9 of the measured
-    # bound): any change to the bound, the default or the solve shows here.
+    # Exact bits of both Katz measures at the default alpha (0.9 of the bound
+    # 1/upper): any change to the bound, the default or the solve shows here.
     g = gnp_random_graph(9, 0.35, seed=5)
     soc = soc_katz(make_instance(g, [1, 4], 2), KatzParams(None))
-    assert float(soc.meta["alpha"]).hex() == "0x1.751f497c010b1p-2"
-    assert soc.meta["iterations"] == 8 and soc.meta["radius_converged"] is True
+    assert float(soc.meta["alpha"]).hex() == "0x1.751f497b34346p-2"
+    assert soc.meta["iterations"] == 8
     assert [float(v).hex() for v in soc.values] == [
-        "0x1.016c153ecb27ap+4", "0x1.ce0ba4d91bb0fp+2", "0x1.b26c6df7a2b67p+2",
-        "0x1.36d145280357dp+3", "0x1.1875ea5ca6ae2p+4", "0x1.22d700c20ad09p+4",
-        "0x1.f0cc64d042f09p+2", "0x1.650a0fdf625f5p+3", "0x1.1df72711ef1f3p+4",
+        "0x1.016c1539866abp+4", "0x1.ce0ba4d11f317p+2", "0x1.b26c6df03beecp+2",
+        "0x1.36d14521e462bp+3", "0x1.1875ea56ef4b3p+4", "0x1.22d700bc14879p+4",
+        "0x1.f0cc64c73600fp+2", "0x1.650a0fd8bf14dp+3", "0x1.1df7270c0808dp+4",
     ]
-    assert soc.meta == {"measure": "soc-katz", "alpha": 0.3643771631179887, "kappa": 2,
-                        "omega": [1, 4], "tol": 1e-10, "radius_converged": True,
-                        "solver": "bicgstab", "iterations": 8,
-                        "max_residual": 5.329070518200751e-15,
-                        "error_bound": 1.1240244885926043e-12}
+    assert soc.meta == {"measure": "soc-katz", "alpha": 0.36437716307141377, "kappa": 2,
+                        "omega": [1, 4], "tol": 1e-10, "radius_lower": 2.4699681844196517,
+                        "radius_upper": 2.4699681846516004, "solver": "bicgstab", "iterations": 8,
+                        "max_residual": 3.552713678800501e-15,
+                        "error_bound": 1.0917347756185834e-12}
     plain = standard_katz(g, KatzParams(None))
-    assert float(plain.meta["alpha"]).hex() == "0x1.1f542b6388495p-2"
+    assert float(plain.meta["alpha"]).hex() == "0x1.1f542b62b9205p-2"
     assert [float(v).hex() for v in plain.values] == [
-        "0x1.66dd80bdf9d20p+3", "0x1.723c4eefef567p+2", "0x1.4c03b714d1d63p+2",
-        "0x1.8fa008e01a21ap+2", "0x1.92a58f32d0235p+3", "0x1.7baeef46b9f76p+3",
-        "0x1.86d3fbfa3e929p+2", "0x1.24772baee9f5fp+3", "0x1.7e92894ed433fp+3",
+        "0x1.66dd80b49815fp+3", "0x1.723c4ee7945fdp+2", "0x1.4c03b70da6878p+2",
+        "0x1.8fa008d6b4d63p+2", "0x1.92a58f284e3d3p+3", "0x1.7baeef3cf591ep+3",
+        "0x1.86d3fbf1249edp+2", "0x1.24772ba7a961dp+3", "0x1.7e928944f2edbp+3",
     ]
-    assert plain.meta == {"measure": "katz", "alpha": 0.2805945186137902, "tol": 1e-10,
-                          "radius_converged": True, "solver": "bicgstab", "iterations": 8,
+    assert plain.meta == {"measure": "katz", "alpha": 0.28059451856668743, "tol": 1e-10,
+                          "radius_lower": 3.2074753438386123, "radius_upper": 3.2074753441275856,
+                          "solver": "bicgstab", "iterations": 8,
                           "max_residual": 3.552713678800501e-15,
-                          "error_bound": 5.368744538857098e-13}
+                          "error_bound": 5.368744522850951e-13}

@@ -50,8 +50,9 @@ def test_removed_names_stay_out_of_the_package():
     # One entry point per measure and simulator: pair-level rwbc is
     # ``rwbc_all_pairs(g, [(s, t)])``, walk subgraphs live in ``oracles``, and
     # the simulators return ``ScoreVector``; the scalar SIR episode is
-    # reference code in ``oracles``. A spectral radius is
-    # ``power_iteration_radius(adjacency)``, and the Katz bound ``max_alpha``.
+    # reference code in ``oracles``, as is exact walk counting
+    # (``count_feasible_walks``). A spectral radius is the certified bracket
+    # ``graph.radius_bracket(adjacency)``, and the Katz bound ``max_alpha``.
     # The state graph has one shape: soc-bc adds its arrival sinks itself, and
     # "which states reach t" is ``StateGraph.toward(t)``. The B_kappa action is
     # ``sg.adjacency @ x``, and the quadratic Kendall tau is reference code in
@@ -59,13 +60,38 @@ def test_removed_names_stay_out_of_the_package():
     for name in ("directed_rwbc_pair", "FlowSolution", "StPair", "SimOutcome",
                  "walk_subgraph", "WalkSubgraph", "run_sir_episode",
                  "spectral_radius", "state_graph_radius",
-                 "STAR", "apply_bkappa", "shortest_feasible_walk_length", "kendall_tau_naive"):
+                 "STAR", "apply_bkappa", "shortest_feasible_walk_length", "kendall_tau_naive",
+                 "PowerIterationResult", "count_feasible_walks", "WalkCounts"):
         assert not hasattr(chargecent, name), name
         assert name not in chargecent.__all__, name
     # Names that lived in a module or class rather than at the package root.
     sg = chargecent.build_state_graph(chargecent.make_instance(chargecent.Graph(2, [(0, 1)], False), [], 1))
     for owner, name in ((chargecent.graph, "spectral_radius"), (chargecent.katz, "state_graph_radius"),
+                        (chargecent.graph, "power_iteration_radius"), (chargecent.graph, "_is_acyclic"),
                         (chargecent.rwbc, "_contract_target"), (chargecent.Graph, "out_degree"),
                         (chargecent.statespace, "reachable_nodes"),
                         (sg, "starred"), (sg, "n_numeric"), (sg, "state_of"), (sg, "out_states")):
         assert not hasattr(owner, name), name
+
+
+# Defaulted function parameters plus defaulted dataclass fields in the package.
+# A change that needs a new option raises this in the same diff and says why.
+MAX_OPTIONS = 60
+
+
+def test_options_do_not_grow():
+    def is_dataclass(node):
+        for dec in node.decorator_list:
+            f = dec.func if isinstance(dec, ast.Call) else dec
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass":
+                return True
+        return False
+
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    assert count <= MAX_OPTIONS, count

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from chargecent import Graph, build_state_graph, count_feasible_walks, make_instance
+from chargecent import Graph, build_state_graph, make_instance
 from chargecent.betweenness import _with_sinks
 from chargecent.generators import complete_graph, path_graph
 from chargecent.graph import bfs
 from chargecent.oracles import (
     _distances_to_target,
+    count_feasible_walks,
     dense_adjacency,
     dense_bkappa,
     enumerate_feasible_walks,
