@@ -14,8 +14,8 @@ mirroring the restricted recursion.
 
 Sources run in chunks of C = max(1, ``CELLS`` // (N + A)) for the N nodes
 and A arcs searched (states and sinks for soc-bc, nodes for bc). A chunk is one
-``bfs`` and one accumulation over C disjoint copies of the searched graph,
-copy i starting at i*N plus its source. Copies share no arc, so this is C
+``bfs`` and one accumulation over C disjoint copies of the searched graph
+(``graph.disjoint_copies``), copy i starting at i*N plus its source: C
 independent BFSs, with one numpy pass per level for all of them. Each
 source's row is then added to the total one row at a time, in source order,
 so every float is summed in the same order as by one BFS per source.
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, SocInstance, bfs, csr
+from .graph import Graph, SocInstance, bfs, csr, disjoint_copies
 from .scores import ScoreVector
 from .statespace import StateGraph, build_state_graph
 
@@ -131,8 +131,7 @@ def _source_sums(indptr, indices, sources, targets, credit, dominance):
     n = indptr.shape[0] - 1
     c = max(1, CELLS // (n + indices.shape[0]))
     copy = np.arange(c)
-    cptr = np.append((indptr[:-1] + indices.shape[0] * copy[:, None]).ravel(), c * indices.shape[0])
-    cidx = (indices + n * copy[:, None]).ravel()
+    cptr, cidx = disjoint_copies(indptr, indices, c)
     ctargets = np.tile(targets, c)
     if dominance is not None:
         group, rank = dominance

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 logger = logging.getLogger(__name__)
 
@@ -48,6 +47,20 @@ def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def adjacency_matrix(n: int, indptr: np.ndarray, indices: np.ndarray) -> scipy.sparse.csr_array:
     """The 0/1 matrix of a CSR arc set: row u holds a 1 at each head of u's out-arcs."""
     return scipy.sparse.csr_array((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
+
+
+def disjoint_copies(indptr: np.ndarray, indices: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of c disjoint copies of a digraph on N nodes; copy i holds node v at i*N + v.
+
+    Copies share no arc, so one ``bfs`` from sources in several copies runs as
+    many independent searches, one numpy pass per level for all of them. Each
+    copy's nodes, arcs and tree arcs keep their relative order, so its
+    distances and float path counts are bit-identical to a search of its own.
+    """
+    n, arcs = indptr.shape[0] - 1, indices.shape[0]
+    copy = np.arange(c)
+    cptr = np.append((indptr[:-1] + arcs * copy[:, None]).ravel(), c * arcs)
+    return cptr, (indices + n * copy[:, None]).ravel()
 
 
 def bfs(
@@ -361,6 +374,9 @@ def radius_bracket(adj: scipy.sparse.csr_array) -> tuple[float, float]:
     rounding of the ratios, the bracket holds when it narrows to ``RADIUS_RTOL``
     and, wider, when the loop stops at ``RADIUS_MAX_ITER`` steps.
     """
+    # Imported here: csgraph loads scipy.sparse.linalg, which only Katz and rwbc need.
+    from scipy.sparse.csgraph import connected_components
+
     n = adj.shape[0]
     comp = connected_components(adj, directed=True, connection="strong")[1]
     tails = np.repeat(np.arange(n), np.diff(adj.indptr))

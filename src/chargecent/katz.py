@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
+import scipy.sparse
 
 from .errors import NumericalError
 from .graph import Graph, SocInstance, radius_bracket
@@ -57,6 +57,8 @@ def max_alpha(adj: scipy.sparse.csr_array) -> AlphaBound:
 
 def _katz(adj: scipy.sparse.csr_array, p: KatzParams, meta: dict) -> np.ndarray:
     """Solve (I - alpha adj) x = 1 at the given or default alpha, recording the run in ``meta``."""
+    import scipy.sparse.linalg  # here, so that importing the package does not load it
+
     bound = max_alpha(adj)
     alpha = p.alpha
     if alpha is None:

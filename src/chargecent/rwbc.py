@@ -21,14 +21,12 @@ of every target's factorization, which then chooses no ordering of its own.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import NumericalError
 from .graph import Graph, SocInstance, bfs
@@ -65,6 +63,8 @@ def _base_rank(g: Graph) -> np.ndarray:
     Laplacian shifted by the identity (nonsingular; the ordering reads only
     its pattern). ``perm_c[u]`` is the position of column u.
     """
+    import scipy.sparse.linalg  # here, so that importing the package does not load it
+
     mat = (scipy.sparse.diags(np.diff(g.indptr) + 1.0) - g.adjacency.T).tocsc()
     try:
         return scipy.sparse.linalg.splu(mat, permc_spec=ORDERING).perm_c
@@ -83,6 +83,8 @@ def _absorbing_flows(n: int, src: np.ndarray, dst: np.ndarray, absorbing: np.nda
     from a fill-reducing ordering) and factored in that order; K is a
     column-diagonally dominant M-matrix, so the diagonal pivots stand.
     """
+    import scipy.sparse.linalg  # here, so that importing the package does not load it
+
     starts = np.asarray(starts, dtype=np.int64)
     absorbs = np.zeros(n, dtype=bool)
     absorbs[absorbing] = True
@@ -211,12 +213,11 @@ def sample_feasible_pairs(inst: SocInstance, count: int, seed: int) -> tuple[lis
     """
     rng = np.random.default_rng(seed)
     sg = build_state_graph(inst)
-    # Block 0 holds the full-charge states, so entry s says whether s can reach t.
-    reaches = functools.cache(lambda t: sg.toward(t)[0][: sg.n] >= 0)
     pairs: list[tuple[int, int]] = []
     resampled = 0
     for _ in range(count):
-        s, t, redraws = draw_feasible_pair(rng, inst.graph.n, lambda s, t: reaches(t)[s])
+        s, t, redraws = draw_feasible_pair(rng, inst.graph.n,
+                                           lambda s, t: sg.toward(t)[0][sg.source_state(s)] >= 0)
         pairs.append((s, t))
         resampled += redraws
     return pairs, resampled

@@ -15,7 +15,6 @@ waits. The realized score is each node's occupation ratio.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -161,7 +160,8 @@ class _Particle:
 def _router(sg, tables, occupied: np.ndarray, policy: str):
     """The routing rule: ``route(state, target, blocked_for, u)`` returns the next
     state of a particle, picked by the uniform draw ``u``; the caller blocks on
-    occupancy. ``tables(target)`` is ``sg.toward(target)``. Candidates are the
+    occupancy. ``tables(target)`` gives the (dist, paths) table of ``sg.toward(target)``,
+    which the state graph caches, so a move reads it without a search. Candidates are the
     successors one hop closer to the target (weighted by their shortest
     continuations), or under random-feasible any successor that keeps the
     target reachable (weight 1). A stalled particle keeps only the free
@@ -230,9 +230,9 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
     sg = build_state_graph(inst)
     rng = np.random.default_rng(p.seed)
     # Per target, the hops from each state to it and the shortest continuations
-    # that routing samples among, one hop at a time. A table takes 16 bytes per
-    # state (int64 dist, float64 paths); the cache holds about 300 MB.
-    tables = functools.lru_cache(maxsize=max(16, int(3e8 // (16 * sg.n_states))))(sg.toward)
+    # that routing samples among, one hop at a time. ``sg`` keeps the tables,
+    # about 300 MB of them, and builds them several targets per search.
+    tables = sg.toward
 
     def feasible(s: int, t: int) -> bool:
         return tables(t)[0][sg.source_state(s)] >= 0

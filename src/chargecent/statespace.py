@@ -7,24 +7,35 @@ otherwise decrements it by one; at charge 0 only refill nodes can be entered.
 Flat state index layout: block b holds charge kappa - b, so
 ``idx = (kappa - soc) * n + node``. A walk reaches node t when it enters any
 of t's kappa + 1 states; ``StateGraph.toward`` searches backward from all of
-them at once.
+them at once, for several targets per search, and keeps the tables.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from collections import OrderedDict
 from typing import Callable
 import numpy as np
 import scipy.sparse
 
-from .graph import SocInstance, adjacency_matrix, bfs, csr
+from .errors import NumericalError
+from .graph import SocInstance, adjacency_matrix, bfs, csr, disjoint_copies
 
 # Random source-target draws before an input counts as having no feasible pair.
 MAX_PAIR_DRAWS = 1000
+# Bytes of the tables one state graph keeps, 12 per state per target (int32
+# dist, float64 paths): max(1, TABLE_BYTES // (12 * states)) tables, the least
+# recently used evicted past that.
+TABLE_BYTES = 3 * 10**8
+# Entries of the reverse copies' CSR per search, C * (N + A) for N states and A
+# arcs. The tables of a chunk are copied out of its search arrays, so its peak
+# memory is a few times C * (N + A) words.
+TABLE_CELLS = 2**17
 
 
 class StateGraph:
-    """Immutable CSR adjacency over flat state indices."""
+    """Immutable CSR adjacency over flat state indices, with a cache of ``toward`` tables."""
 
     def __init__(self, instance: SocInstance):
         self.instance = instance
@@ -33,6 +44,7 @@ class StateGraph:
         self.kappa = instance.kappa
         self.n_states = g.n * (instance.kappa + 1)
         self.indptr, self.indices, self.arc_src = self._build()
+        self._tables: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
     def _build(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g = self.instance.graph
@@ -60,9 +72,12 @@ class StateGraph:
         return adjacency_matrix(self.n_states, self.indptr, self.indices)
 
     @functools.cached_property
-    def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
+    def _reverse_copies(self) -> tuple[int, int, np.ndarray, np.ndarray]:
+        """Targets per search C, tables kept, and the CSR of C disjoint copies of the reverse graph."""
+        keep = max(1, TABLE_BYTES // (12 * self.n_states))
+        c = min(max(1, TABLE_CELLS // (self.n_states + self.n_arcs)), keep)
         rptr, ridx, _ = csr(self.n_states, self.indices, self.arc_src)
-        return rptr, ridx
+        return c, keep, *disjoint_copies(rptr, ridx, c)
 
     def state_index(self, node: int, soc: int) -> int:
         if not (0 <= soc <= self.kappa):
@@ -74,17 +89,41 @@ class StateGraph:
         return self.state_index(node, self.kappa)
 
     def toward(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """One backward BFS from t's states at every charge level.
+        """The table of target t: a backward BFS from t's states at every charge level.
 
         Per state: ``dist``, the hops of a shortest feasible walk to node t (0 at
-        t's own states, -1 where t is unreachable), and ``paths``, the number of
-        such shortest walks (float64, as ``bfs`` counts).
+        t's own states, -1 where t is unreachable; int32), and ``paths``, the
+        number of such shortest walks (float64, as ``bfs`` counts).
+
+        Tables are cached. A miss searches for t and the next uncached node ids
+        after it (wrapping around), C targets in all, as one ``bfs`` over C
+        disjoint copies of the reverse state graph; each copy's tables are
+        bit-identical to a search of their own. C = max(1, ``TABLE_CELLS`` //
+        (N + A)) for N states and A arcs, at most the number of tables kept.
         """
+        tables = self._tables
+        if t in tables:
+            tables.move_to_end(t)
+            return tables[t]
         if not (0 <= t < self.n):
             raise ValueError(f"node id {t} out of range [0,{self.n})")
-        rptr, ridx = self._reverse
-        dist, paths, _, _ = bfs(rptr, ridx, np.arange(self.kappa + 1) * self.n + t)
-        return dist, paths
+        c, keep, cptr, cidx = self._reverse_copies
+        n, size = self.n, self.n_states
+        after = itertools.chain(range(t, n), range(t))
+        todo = list(itertools.islice((u for u in after if u not in tables), c))
+        # Copy i searches from target todo[i]'s states, at i * size + b * n + todo[i] for every block b.
+        starts = (np.arange(len(todo)) * size + np.array(todo))[:, None] + np.arange(self.kappa + 1) * n
+        dist, paths, _, _ = bfs(cptr, cidx, starts.ravel())
+        if dist.max() > np.iinfo(np.int32).max:
+            raise NumericalError(f"a shortest feasible walk of {dist.max()} hops overflows int32")
+        for i, u in enumerate(todo):
+            # Copies, so that the chunk's arrays are freed.
+            row = slice(i * size, (i + 1) * size)
+            tables[u] = (dist[row].astype(np.int32), paths[row].copy())
+        tables.move_to_end(t)
+        while len(tables) > keep:
+            tables.popitem(last=False)
+        return tables[t]
 
     def __repr__(self) -> str:
         return f"StateGraph(states={self.n_states}, arcs={self.n_arcs})"

@@ -1,6 +1,8 @@
 """Package-wide guards: invariants that survive ``python -O`` and a clean public surface."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import chargecent
@@ -72,6 +74,15 @@ def test_removed_names_stay_out_of_the_package():
                         (chargecent.statespace, "reachable_nodes"),
                         (sg, "starred"), (sg, "n_numeric"), (sg, "state_of"), (sg, "out_states")):
         assert not hasattr(owner, name), name
+
+
+def test_importing_the_package_does_not_load_sparse_linalg():
+    # Katz, rwbc and the radius bracket import scipy.sparse.linalg (csgraph loads
+    # it too) where they use it, so a run that needs none of them skips its import.
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import chargecent, chargecent.cli; "
+            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # Defaulted function parameters plus defaulted dataclass fields in the package.

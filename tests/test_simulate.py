@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from chargecent.generators import (
 )
 from chargecent.oracles import plain_sir_outbreaks, run_sir_episode
 from chargecent.simulate import STALL_ESCAPE_AFTER, STALL_REROUTE_AFTER, _router, _sir_outbreaks
-from chargecent.statespace import build_state_graph
+from chargecent import statespace
+from chargecent.generators import sample_omega
+from chargecent.statespace import StateGraph, build_state_graph
 
 from conftest import instance_corpus
 
@@ -351,6 +354,20 @@ def test_router_raises_for_stranded_particle(policy):
     state = sg.state_index(0, 1)
     with pytest.raises(NumericalError, match="stranded"):
         route(state, 2, 0, 0.5)
+
+
+def test_hopping_builds_its_tables_in_chunks(monkeypatch):
+    # Every node becomes a target, so with C targets per search the tables take
+    # ceil(n / C) searches; one search per target would take n.
+    inst = make_instance(grid_graph(16, 16), sample_omega(256, 0.2, seed=1), 16)
+    real_bfs, real_toward = statespace.bfs, StateGraph.toward
+    searches, targets = [], set()
+    monkeypatch.setattr(statespace, "bfs", lambda *args: searches.append(1) or real_bfs(*args))
+    monkeypatch.setattr(StateGraph, "toward", lambda sg, t: targets.add(t) or real_toward(sg, t))
+    particle_hopping(inst, HoppingParams(duration=4000, injection_rate=0.5, seed=1))
+    c = build_state_graph(inst)._reverse_copies[0]
+    assert len(targets) == inst.graph.n and c > 1
+    assert len(searches) == math.ceil(inst.graph.n / c)
 
 
 def test_hopping_blocked_injection_delays():

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from chargecent import Graph, build_state_graph, make_instance
+from chargecent import Graph, build_state_graph, make_instance, statespace
 from chargecent.betweenness import _with_sinks
 from chargecent.generators import complete_graph, path_graph
-from chargecent.graph import bfs
+from chargecent.graph import bfs, csr
 from chargecent.oracles import (
     _distances_to_target,
     count_feasible_walks,
@@ -243,3 +245,36 @@ def test_toward_rejects_node_ids_out_of_range():
     for t in (-1, 3):
         with pytest.raises(ValueError, match="out of range"):
             sg.toward(t)
+
+
+@pytest.mark.parametrize("seed", [1729, 1])
+@pytest.mark.parametrize("copies, keep", [(None, None), (3, None), (None, 2)], ids=["default", "3-copies", "keep-2"])
+def test_toward_is_bit_identical_to_one_search_per_target(monkeypatch, seed, copies, keep):
+    # Every target twice, forward then backward. 3 copies leave a last chunk
+    # shorter than C wherever 3 does not divide n; keeping 2 tables, fewer than
+    # n, evicts tables that the backward pass must search for again.
+    real_bfs, searches = statespace.bfs, []
+    monkeypatch.setattr(statespace, "bfs", lambda *args: searches.append(1) or real_bfs(*args))
+    unreachable = 0
+    for inst in instance_corpus(40, seed=seed):
+        sg = build_state_graph(inst)
+        if copies is not None:
+            monkeypatch.setattr(statespace, "TABLE_CELLS", copies * (sg.n_states + sg.n_arcs))
+        if keep is not None:
+            monkeypatch.setattr(statespace, "TABLE_BYTES", keep * 12 * sg.n_states)
+        rptr, ridx, _ = csr(sg.n_states, sg.indices, sg.arc_src)
+        searches.clear()
+        for t in [*range(sg.n), *reversed(range(sg.n))]:
+            dist, paths = sg.toward(t)
+            want_dist, want_paths, _, _ = real_bfs(rptr, ridx, np.arange(sg.kappa + 1) * sg.n + t)
+            assert dist.dtype == np.int32 and np.array_equal(dist, want_dist)
+            assert [x.hex() for x in paths.tolist()] == [x.hex() for x in want_paths.tolist()]
+            unreachable += int((dist == -1).sum())
+        c = sg._reverse_copies[0]
+        if copies is not None:
+            assert c == copies
+        if keep is None:
+            assert len(searches) == math.ceil(sg.n / c)
+        else:
+            assert len(sg._tables) <= keep and (sg.n <= keep or len(searches) > math.ceil(sg.n / keep))
+    assert unreachable > 0  # directed instances with unreachable targets are among them
