@@ -160,8 +160,8 @@ class _Particle:
 def _router(sg, tables, occupied: np.ndarray, policy: str):
     """The routing rule: ``route(state, target, blocked_for, u)`` returns the next
     state of a particle, picked by the uniform draw ``u``; the caller blocks on
-    occupancy. ``tables(target)`` gives the (dist, paths) table of ``sg.toward(target)``,
-    which the state graph caches, so a move reads it without a search. Candidates are the
+    occupancy. ``tables(target)`` is the (dist, paths) table of ``sg.toward(target)``,
+    which the state graph caches: a move reads it and searches nothing. Candidates are the
     successors one hop closer to the target (weighted by their shortest
     continuations), or under random-feasible any successor that keeps the
     target reachable (weight 1). A stalled particle keeps only the free
@@ -229,13 +229,12 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
             raise ValueError(f"hopping pair ({s}, {t}) has a node id outside [0,{n})")
     sg = build_state_graph(inst)
     rng = np.random.default_rng(p.seed)
-    # Per target, the hops from each state to it and the shortest continuations
-    # that routing samples among, one hop at a time. ``sg`` keeps the tables,
-    # about 300 MB of them, and builds them several targets per search.
-    tables = sg.toward
+    # ``sg.toward(t)`` is target t's table: the hops from each state to t and the
+    # shortest continuations that routing samples among, one hop at a time. The
+    # state graph keeps about 300 MB of tables and builds several per search.
 
     def feasible(s: int, t: int) -> bool:
-        return tables(t)[0][sg.source_state(s)] >= 0
+        return sg.toward(t)[0][sg.source_state(s)] >= 0
 
     # Injection schedule: whole part of the rate is deterministic, the
     # fractional part is a Bernoulli coin per step.
@@ -272,7 +271,7 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
     completed = 0
     delayed_steps = 0
     gridlock_step = None
-    route = _router(sg, tables, occupied, p.policy)
+    route = _router(sg, sg.toward, occupied, p.policy)
 
     for step in range(p.duration):
         # Move existing particles in a fresh random order; blocked moves are
