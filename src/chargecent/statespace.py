@@ -29,9 +29,10 @@ MAX_PAIR_DRAWS = 1000
 # recently used evicted past that.
 TABLE_BYTES = 3 * 10**8
 # Entries of the reverse copies' CSR per search, C * (N + A) for N states and A
-# arcs. All 256 tables of the 16x16 grid, kappa 16, ratio 0.2 (N + A = 19,901)
-# on 2 vCPUs, min of 7 runs, and the process's peak RSS: 1 copy 0.31 s, 3 0.22 s,
-# 6 0.18 s (66.7 MB), 13 0.19 s, 26 0.20 s (74.4 MB).
+# arcs. On the 16x16 grid, kappa 16, ratio 0.2 (N + A = 19,901), 2 vCPUs, by
+# copies: all 256 tables (min of 7 runs) 1 copy 0.22 s, 3 0.15 s, 6 0.13 s, 13
+# 0.14 s, 26 0.12 s; peak RSS of four soc-bc + hopping experiment runs in one
+# process 94.8, 95.2, 98.5, 100.8, 103.4 MB (99.6 MB with a search per target).
 TABLE_CELLS = 2**17
 
 
@@ -114,11 +115,12 @@ class StateGraph:
         todo = list(itertools.islice((u for u in after if u not in tables), c))
         # Copy i searches from target todo[i]'s states, at i * size + b * n + todo[i] for every block b.
         starts = (np.arange(len(todo)) * size + np.array(todo))[:, None] + np.arange(self.kappa + 1) * n
-        dist, paths, _, _ = bfs(cptr, cidx, starts.ravel())
+        # The level and tree-arc lists are freed before the rows are copied out,
+        # and the rows are copies, so no chunk array outlives the call.
+        dist, paths = bfs(cptr, cidx, starts.ravel())[:2]
         if dist.max() > np.iinfo(np.int32).max:
             raise NumericalError(f"a shortest feasible walk of {dist.max()} hops overflows int32")
         for i, u in enumerate(todo):
-            # Copies, so that the chunk's arrays are freed.
             row = slice(i * size, (i + 1) * size)
             tables[u] = (dist[row].astype(np.int32), paths[row].copy())
         tables.move_to_end(t)
