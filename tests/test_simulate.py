@@ -14,6 +14,7 @@ from chargecent import (
     make_instance,
     particle_hopping,
     sir_influence,
+    statespace,
 )
 from chargecent.generators import (
     barabasi_albert_graph,
@@ -21,12 +22,11 @@ from chargecent.generators import (
     gnp_random_graph,
     grid_graph,
     path_graph,
+    sample_omega,
     star_graph,
 )
 from chargecent.oracles import plain_sir_outbreaks, run_sir_episode
 from chargecent.simulate import STALL_ESCAPE_AFTER, STALL_REROUTE_AFTER, _router, _sir_outbreaks
-from chargecent import statespace
-from chargecent.generators import sample_omega
 from chargecent.statespace import StateGraph, build_state_graph
 
 from conftest import instance_corpus
