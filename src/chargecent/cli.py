@@ -410,6 +410,9 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
         raise ValueError("experiment needs --measure and --sim")
     if cfg.sim == "sir" and cfg.alpha is None:
         raise ValueError("sir needs --alpha")
+    for name in ("reps", "workers"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"--{name} must be at least 1, not {getattr(cfg, name)}")
     ratios = [float(r) for r in (cfg.ratios or "0.1").split(",")]
     keys = [_ratio_key(r) for r in ratios]
     if len(set(keys)) != len(keys):

@@ -68,19 +68,20 @@ def bfs(
     indices: np.ndarray,
     source: int | np.ndarray,
     dominance: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Level-synchronous BFS over a CSR digraph from one source or an array of them.
 
-    Level 0 is the sorted unique sources, each with one path. Returns
-    distances (-1 where unreached), shortest-path counts, the nodes of each
-    level, and per level the tree arcs (tails, heads) into the next one.
-    Path counts are float64, as in networkx: exact below 2**53 and beyond
-    that rounded rather than wrapped (a 40x40 grid already exceeds int64).
+    Level 0 is the unique sources, each with one path. Returns distances (-1
+    where unreached), shortest-path counts, and per level the tree arcs
+    (tails, heads) into the next one. Level L's nodes, sorted, are
+    ``np.flatnonzero(d == L)``. Path counts are float64, as in networkx: exact
+    below 2**53 and beyond that rounded rather than wrapped (a 40x40 grid
+    already exceeds int64).
 
-    ``dominance`` is an optional per-node (group, rank) pair of int64 arrays.
-    A head whose group was labelled at an earlier level with a rank at most
-    the head's own is dropped: it stays unlabelled and gets no tree arcs.
-    Group -1 is never dropped. Without it, every reachable node is labelled.
+    ``dominance`` is an optional per-node (group, rank) pair of nonnegative
+    int64 arrays. A head whose group was labelled at an earlier level with a
+    rank at most the head's own is dropped: it stays unlabelled and gets no
+    tree arcs. Without it, every reachable node is labelled.
     """
     n = indptr.shape[0] - 1
     d = np.full(n, -1, dtype=np.int64)
@@ -88,13 +89,11 @@ def bfs(
     frontier = np.unique(np.asarray(source, dtype=np.int64).reshape(-1))
     d[frontier] = 0
     sigma[frontier] = 1.0
-    level_nodes = [frontier]
     tree_arcs: list[tuple[np.ndarray, np.ndarray]] = []
     if dominance is not None:
         group, rank = dominance
-        # best[g]: the lowest rank of group g labelled so far. Group -1 reads
-        # the extra last slot, which no label lowers.
-        best = np.full(int(group.max()) + 2, np.iinfo(np.int64).max)
+        # best[g]: the lowest rank of group g labelled so far.
+        best = np.full(int(group.max()) + 1, np.iinfo(np.int64).max)
     level = 0
     while True:
         starts = indptr[frontier]
@@ -105,8 +104,7 @@ def bfs(
         new = d[heads] == -1  # arcs into unlabelled nodes: the tree arcs into the next level
         tsrc, tdst = np.repeat(frontier, cnt)[new], heads[new]
         if dominance is not None:
-            grouped = frontier[group[frontier] >= 0]
-            np.minimum.at(best, group[grouped], rank[grouped])
+            np.minimum.at(best, group[frontier], rank[frontier])
             live = best[group[tdst]] > rank[tdst]
             tsrc, tdst = tsrc[live], tdst[live]
         if tdst.size == 0:
@@ -116,9 +114,8 @@ def bfs(
         tree_arcs.append((tsrc, tdst))
         fresh = np.sort(tdst)  # sort, then drop repeats: np.unique's frontier without its hash pass
         frontier = np.concatenate((fresh[:1], fresh[1:][fresh[1:] != fresh[:-1]]))
-        level_nodes.append(frontier)
         level += 1
-    return d, sigma, level_nodes, tree_arcs
+    return d, sigma, tree_arcs
 
 
 class Graph:

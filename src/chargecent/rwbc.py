@@ -216,8 +216,7 @@ def sample_feasible_pairs(inst: SocInstance, count: int, seed: int) -> tuple[lis
     pairs: list[tuple[int, int]] = []
     resampled = 0
     for _ in range(count):
-        s, t, redraws = draw_feasible_pair(rng, inst.graph.n,
-                                           lambda s, t: sg.toward(t)[0][sg.source_state(s)] >= 0)
+        s, t, redraws = draw_feasible_pair(rng, sg)
         pairs.append((s, t))
         resampled += redraws
     return pairs, resampled

@@ -233,9 +233,6 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
     # shortest continuations that routing samples among, one hop at a time. The
     # state graph keeps about 300 MB of tables and builds several per search.
 
-    def feasible(s: int, t: int) -> bool:
-        return sg.toward(t)[0][sg.source_state(s)] >= 0
-
     # Injection schedule: whole part of the rate is deterministic, the
     # fractional part is a Bernoulli coin per step.
     base = int(np.floor(p.injection_rate))
@@ -254,11 +251,11 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
             requested += 1
             if p.pairs is not None:
                 s, t = p.pairs[int(rng.integers(len(p.pairs)))]
-                if not feasible(s, t):
+                if not sg.feasible(s, t):
                     infeasible_skipped += 1
                     continue
             else:
-                s, t, redraws = draw_feasible_pair(rng, n, feasible)
+                s, t, redraws = draw_feasible_pair(rng, sg)
                 resampled += redraws
             step_requests.append((s, t))
         schedule.append(step_requests)

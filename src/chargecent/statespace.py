@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import OrderedDict
-from typing import Callable
+
 import numpy as np
 import scipy.sparse
 
@@ -115,8 +115,8 @@ class StateGraph:
         todo = list(itertools.islice((u for u in after if u not in tables), c))
         # Copy i searches from target todo[i]'s states, at i * size + b * n + todo[i] for every block b.
         starts = (np.arange(len(todo)) * size + np.array(todo))[:, None] + np.arange(self.kappa + 1) * n
-        # The level and tree-arc lists are freed before the rows are copied out,
-        # and the rows are copies, so no chunk array outlives the call.
+        # The tree-arc lists are freed before the rows are copied out, and the
+        # rows are copies, so no chunk array outlives the call.
         dist, paths = bfs(cptr, cidx, starts.ravel())[:2]
         if dist.max() > np.iinfo(np.int32).max:
             raise NumericalError(f"a shortest feasible walk of {dist.max()} hops overflows int32")
@@ -128,6 +128,10 @@ class StateGraph:
             tables.popitem(last=False)
         return tables[t]
 
+    def feasible(self, s: int, t: int) -> bool:
+        """Whether a feasible walk leads from node s, departing at full charge, to node t."""
+        return bool(self.toward(t)[0][self.source_state(s)] >= 0)
+
     def __repr__(self) -> str:
         return f"StateGraph(states={self.n_states}, arcs={self.n_arcs})"
 
@@ -137,23 +141,21 @@ def build_state_graph(inst: SocInstance) -> StateGraph:
     return StateGraph(inst)
 
 
-def draw_feasible_pair(
-    rng: np.random.Generator, n: int, feasible: Callable[[int, int], bool]
-) -> tuple[int, int, int]:
-    """Uniform ordered pair (s, t), s != t, with ``feasible(s, t)``, and the infeasible draws skipped.
+def draw_feasible_pair(rng: np.random.Generator, sg: StateGraph) -> tuple[int, int, int]:
+    """Uniform ordered pair (s, t), s != t, with ``sg.feasible(s, t)``, and the infeasible draws skipped.
 
     Each draw takes s, then t. A draw with s == t is redrawn and not counted
     as infeasible. Raises ``ValueError`` after ``MAX_PAIR_DRAWS`` draws.
     """
-    if n < 2:
+    if sg.n < 2:
         raise ValueError("need at least two nodes to sample pairs")
     resampled = 0
     for _ in range(MAX_PAIR_DRAWS):
-        s = int(rng.integers(n))
-        t = int(rng.integers(n))
+        s = int(rng.integers(sg.n))
+        t = int(rng.integers(sg.n))
         if s == t:
             continue
-        if feasible(s, t):
+        if sg.feasible(s, t):
             return s, t, resampled
         resampled += 1
     raise ValueError(f"no feasible source-target pair in {MAX_PAIR_DRAWS} draws")

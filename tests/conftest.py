@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from chargecent import Graph, make_instance
+from chargecent.betweenness import _charge_dominance
+from chargecent.graph import csr
 
 
 def random_graph(rng, n_max=8, p=0.3, directed=None):
@@ -35,3 +37,27 @@ def instance_corpus(count, seed, **kw):
 def small_instances():
     """Shared mixed corpus for cross-checks in module tests."""
     return instance_corpus(40, seed=1729)
+
+
+def with_sinks(sg):
+    """CSR (indptr, indices) of the state graph plus node u's sink at ``sg.n_states + u``.
+
+    Each state's last arc enters its node's sink, so a shortest feasible s-to-t
+    walk is a shortest path from (s, kappa) to t's sink less its sink hop: the
+    reference formulation of soc-bc, which the package computes without sinks.
+    """
+    states = np.arange(sg.n_states, dtype=np.int64)
+    src = np.concatenate((sg.arc_src, states))
+    dst = np.concatenate((sg.indices, sg.n_states + states % sg.n))
+    indptr, indices, _ = csr(sg.n_states + sg.n, src, dst)
+    return indptr, indices
+
+
+def sink_dominance(sg):
+    """soc-bc's charge dominance lifted to ``with_sinks(sg)``: each sink is a group of its own.
+
+    A sink's group holds nothing else, so it is never dropped.
+    """
+    group, rank = _charge_dominance(sg)
+    sinks = np.arange(sg.n, dtype=np.int64)
+    return np.concatenate((group, sg.n + sinks)), np.concatenate((rank, 0 * sinks))

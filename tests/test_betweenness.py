@@ -19,7 +19,7 @@ from chargecent.generators import (
     two_grids_bridged,
 )
 import chargecent.betweenness as betweenness
-from chargecent.betweenness import ENDPOINT_CONVENTIONS, _backward_accumulate, _charge_dominance, _with_sinks
+from chargecent.betweenness import ENDPOINT_CONVENTIONS
 from chargecent.graph import bfs
 from chargecent.oracles import (
     bfs_shortest_paths,
@@ -28,7 +28,7 @@ from chargecent.oracles import (
     target_restricted_dependency,
 )
 
-from conftest import instance_corpus
+from conftest import instance_corpus, sink_dominance, with_sinks
 
 
 def test_path_kappa_one_only_adjacent_pairs():
@@ -79,7 +79,7 @@ def test_reduction_to_standard_bc():
 def test_state_scores_aggregate_and_stars_zero():
     inst = make_instance(path_graph(4), [1], 2)
     scores = soc_betweenness_scores(inst)
-    assert scores.state_scores.shape == (build_state_graph(inst).n_states,)  # the sinks are not scored
+    assert scores.state_scores.shape == (build_state_graph(inst).n_states,)  # one score per state
     assert np.allclose(
         scores.state_scores.reshape(inst.kappa + 1, 4).sum(axis=0),
         scores.node_scores,
@@ -89,7 +89,7 @@ def test_state_scores_aggregate_and_stars_zero():
 def test_sigma_consistency_invariant(small_instances):
     for inst in small_instances[:10]:
         sg = build_state_graph(inst)
-        indptr, indices = _with_sinks(sg)
+        indptr, indices = with_sinks(sg)
         n_all = sg.n_states + sg.n
         state = bfs_shortest_paths(indptr, indices, n_all, sg.source_state(0))
         for w in range(n_all):
@@ -143,7 +143,7 @@ def test_dependency_matches_pair_enumeration():
 def test_dependency_bounds(small_instances):
     for inst in small_instances[:8]:
         sg = build_state_graph(inst)
-        indptr, indices = _with_sinks(sg)
+        indptr, indices = with_sinks(sg)
         stars = list(range(sg.n_states, sg.n_states + sg.n))
         for s in range(inst.graph.n):
             state = bfs_shortest_paths(indptr, indices, sg.n_states + sg.n, sg.source_state(s))
@@ -157,7 +157,7 @@ def test_engine_matches_reference_recursion(small_instances):
     # The vectorized kernel and the scalar recursion agree state by state.
     for inst in small_instances[:10]:
         sg = build_state_graph(inst)
-        indptr, indices = _with_sinks(sg)
+        indptr, indices = with_sinks(sg)
         n_all = sg.n_states + sg.n
         stars = np.zeros(n_all, dtype=bool)
         stars[sg.n_states :] = True
@@ -244,17 +244,37 @@ def test_soc_bc_scores_are_pinned(endpoints):
     assert float(standard_betweenness(g, endpoints).values[66]).hex() == plain
 
 
+def _accumulate_by_levels(d, sigma, tree_arcs, target_mask, bc_state):
+    """Dependency accumulation restricted to ``target_mask``, with gating, one level at a time.
+
+    Adds each gated node's dependency to ``bc_state``, the source's excepted.
+    """
+    delta = np.zeros(sigma.shape[0])
+    chi = target_mask.copy()
+    ind = target_mask.astype(float)
+    for lvl in range(len(tree_arcs), 0, -1):
+        w = np.flatnonzero(d == lvl)
+        sel = w[chi[w]]
+        bc_state[sel] += delta[sel]
+        tsrc, tdst = tree_arcs[lvl - 1]
+        m = chi[tdst]
+        ts, td = tsrc[m], tdst[m]
+        if ts.size:
+            chi[ts] = True
+            np.add.at(delta, ts, (sigma[ts] / sigma[td]) * (ind[td] + delta[td]))
+
+
 def _one_source_at_a_time_soc_bc(inst, endpoints):
-    """soc-bc state scores by one plain ``bfs`` and one accumulation per source."""
+    """soc-bc state scores by one plain ``bfs`` over the sink graph and one accumulation per source."""
     sg = build_state_graph(inst)
     n, n_states = sg.n, sg.n_states
-    indptr, indices = _with_sinks(sg)
+    indptr, indices = with_sinks(sg)
     sinks = np.zeros(n_states + n, dtype=bool)
     sinks[n_states:] = True
     bc_state = np.zeros(n_states + n)
     for s in range(n):
-        d, sigma, level_nodes, tree_arcs = bfs(indptr, indices, sg.source_state(s))
-        _backward_accumulate(sigma, level_nodes, tree_arcs, sinks, bc_state)
+        d, sigma, tree_arcs = bfs(indptr, indices, sg.source_state(s))
+        _accumulate_by_levels(d, sigma, tree_arcs, sinks, bc_state)
         if endpoints == "none":
             for tsrc, tdst in tree_arcs:
                 into_sink = sinks[tdst] & (tdst != n_states + s)
@@ -269,8 +289,8 @@ def _one_source_at_a_time_bc(g, endpoints):
     bc = np.zeros(g.n)
     all_targets = np.ones(g.n, dtype=bool)
     for s in range(g.n):
-        d, sigma, level_nodes, tree_arcs = bfs(g.indptr, g.indices, s)
-        _backward_accumulate(sigma, level_nodes, tree_arcs, all_targets, bc)
+        d, sigma, tree_arcs = bfs(g.indptr, g.indices, s)
+        _accumulate_by_levels(d, sigma, tree_arcs, all_targets, bc)
         if endpoints == "target":
             bc[d >= 1] += 1.0
     return bc
@@ -293,12 +313,13 @@ def one_source_at_a_time():
 @pytest.mark.parametrize("copies", [None, 1, 7])
 def test_chunked_scores_are_bit_identical_to_one_source_at_a_time(one_source_at_a_time, monkeypatch, copies):
     # copies=None keeps CELLS; 1 is one source per chunk, as on a graph larger
-    # than CELLS; 7 leaves a partial last chunk on every instance but n=7.
+    # than CELLS; 7 leaves a partial last chunk on the grid, the BA graph and the
+    # 8-node instances (a graph of n <= 7 nodes takes its n sources in one chunk).
     for inst, endpoints, want_states, want_bc in one_source_at_a_time:
         g, kappa = inst.graph, inst.kappa
         if copies is not None:
-            indptr, indices = _with_sinks(build_state_graph(inst))
-            monkeypatch.setattr(betweenness, "CELLS", copies * (indptr.size - 1 + indices.size))
+            sg = build_state_graph(inst)
+            monkeypatch.setattr(betweenness, "CELLS", copies * (sg.n_states + sg.n_arcs))
         got = soc_betweenness_scores(inst, endpoints)
         assert np.array_equal(got.state_scores, want_states)
         assert np.array_equal(got.node_scores, want_states.reshape(kappa + 1, g.n).sum(axis=0))
@@ -323,13 +344,24 @@ def test_a_chunk_of_copies_stays_within_cells(monkeypatch):
     assert sizes and max(sizes) <= betweenness.CELLS
 
 
+def test_a_chunk_holds_no_more_copies_than_sources(monkeypatch):
+    # A 3-node path fits CELLS tens of thousands of times over, but has 3 sources.
+    nodes = []
+    real_bfs = betweenness.bfs
+    monkeypatch.setattr(betweenness, "bfs",
+                        lambda indptr, *rest: nodes.append(indptr.size - 1) or real_bfs(indptr, *rest))
+    standard_betweenness(path_graph(3))
+    soc_betweenness(make_instance(path_graph(3), [], 2))
+    assert nodes == [3 * 3, 3 * 9]
+
+
 def test_soc_bc_meta_counts_the_states_the_search_settled():
     inst = make_instance(grid_graph(6, 6), sample_omega(36, 0.2, seed=2), 6)
     sg = build_state_graph(inst)
-    indptr, indices = _with_sinks(sg)
+    indptr, indices = with_sinks(sg)
     settled = plain = 0
     for s in range(sg.n):
-        settled += int((bfs(indptr, indices, s, _charge_dominance(sg))[0][: sg.n_states] >= 0).sum())
+        settled += int((bfs(indptr, indices, s, sink_dominance(sg))[0][: sg.n_states] >= 0).sum())
         plain += int((bfs(indptr, indices, s)[0][: sg.n_states] >= 0).sum())
     meta = soc_betweenness(inst).meta
     assert (meta["states"], meta["settled_states"]) == (sg.n_states, settled)

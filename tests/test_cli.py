@@ -372,6 +372,28 @@ def test_experiment_rejects_ratios_sharing_a_seed_key(graph_file, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("reps", 0), ("workers", -3)])
+def test_experiment_rejects_counts_below_one_by_flag(graph_file, tmp_path, capsys, flag, value):
+    # Before, --reps 0 wrote taus.csv and experiment.meta.json and then failed, and
+    # --workers -3 ran serially with "workers": -3 in every output.
+    out = tmp_path / "exp"
+    assert run("experiment", "--input", graph_file, "--kappa", "2", "--measure", "bc",
+               "--sim", "sir", "--alpha", "0.5", "--runs", "2", f"--{flag}", value, "--out", out) == 1
+    assert f"--{flag} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("reps", 0), ("workers", -3)])
+def test_experiment_rejects_counts_below_one_by_config(graph_file, tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(graph_file), key: value}))
+    out = tmp_path / "exp"
+    assert run("experiment", "--config", cfg, "--kappa", "2", "--measure", "bc",
+               "--sim", "sir", "--alpha", "0.5", "--runs", "2", "--out", out) == 1
+    assert f"--{key} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_pair_label_is_named(graph_file, tmp_path, capsys):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("0 2\n1 99\n")

@@ -11,12 +11,11 @@ from chargecent import (
     make_instance,
     write_snap_tsv,
 )
-from chargecent.betweenness import _charge_dominance, _with_sinks
 from chargecent.graph import RADIUS_RTOL, bfs, radius_bracket
 from chargecent.generators import grid_graph, path_graph, star_graph
 from chargecent.oracles import _distances_to_target, dense_adjacency, dense_bkappa
 
-from conftest import instance_corpus, random_graph
+from conftest import instance_corpus, random_graph, sink_dominance, with_sinks
 
 
 def test_snap_trivial(tmp_path):
@@ -217,14 +216,14 @@ def test_multi_source_bfs_is_the_minimum_over_single_sources(small_instances):
         for indptr, indices, n in ((inst.graph.indptr, inst.graph.indices, inst.graph.n),
                                    (sg.indptr, sg.indices, sg.n_states)):
             sources = rng.integers(n, size=int(rng.integers(1, 5)))  # repeats allowed
-            d, sigma, levels, _ = bfs(indptr, indices, sources)
+            d, sigma, _ = bfs(indptr, indices, sources)
             singles = [bfs(indptr, indices, int(s))[:2] for s in np.unique(sources)]
             dist = np.stack([np.where(ds >= 0, ds, n + 1) for ds, _ in singles])
             nearest = dist.min(axis=0)
             assert np.array_equal(d, np.where(nearest <= n, nearest, -1))
             paths = sum(np.where(ds == nearest, ss, 0.0) for ds, ss in singles)
             assert np.array_equal(sigma, paths)
-            assert levels[0].tolist() == sorted(set(sources.tolist()))
+            assert np.flatnonzero(d == 0).tolist() == sorted(set(sources.tolist()))
 
 
 @pytest.mark.parametrize("seed", [1729, 1])
@@ -236,11 +235,11 @@ def test_dominance_keeps_every_shortest_walk_to_a_sink(seed):
     for inst in instance_corpus(40, seed=seed):
         sg = build_state_graph(inst)
         n, n_states, kappa = sg.n, sg.n_states, sg.kappa
-        indptr, indices = _with_sinks(sg)
+        indptr, indices = with_sinks(sg)
         to_t = [_distances_to_target(inst, t) for t in range(n)]
         for s in range(n):
-            d, sigma, _, _ = bfs(indptr, indices, s)
-            kd, ksigma, _, _ = bfs(indptr, indices, s, _charge_dominance(sg))
+            d, sigma, _ = bfs(indptr, indices, s)
+            kd, ksigma, _ = bfs(indptr, indices, s, sink_dominance(sg))
             on_path = np.zeros(n_states + n, dtype=bool)
             on_path[n_states:] = d[n_states:] >= 0
             for w in np.flatnonzero(d[:n_states] >= 0):

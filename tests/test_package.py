@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import chargecent
+import chargecent.betweenness
 import chargecent.graph
 import chargecent.katz
 import chargecent.rwbc
@@ -55,8 +56,10 @@ def test_removed_names_stay_out_of_the_package():
     # reference code in ``oracles``, as is exact walk counting
     # (``count_feasible_walks``). A spectral radius is the certified bracket
     # ``graph.radius_bracket(adjacency)``, and the Katz bound ``max_alpha``.
-    # The state graph has one shape: soc-bc adds its arrival sinks itself, and
-    # "which states reach t" is ``StateGraph.toward(t)``. The B_kappa action is
+    # The state graph has one shape, with no sink states: soc-bc credits each
+    # pair at its arrival states in its one accumulation (the sink-augmented
+    # graph is test reference code), and "which states reach t" is
+    # ``StateGraph.toward(t)``. The B_kappa action is
     # ``sg.adjacency @ x``, and the quadratic Kendall tau is reference code in
     # ``oracles``.
     for name in ("directed_rwbc_pair", "FlowSolution", "StPair", "SimOutcome",
@@ -72,6 +75,8 @@ def test_removed_names_stay_out_of_the_package():
                         (chargecent.graph, "power_iteration_radius"), (chargecent.graph, "_is_acyclic"),
                         (chargecent.rwbc, "_contract_target"), (chargecent.Graph, "out_degree"),
                         (chargecent.statespace, "reachable_nodes"),
+                        (chargecent.betweenness, "_with_sinks"), (chargecent.betweenness, "_arrival_debit"),
+                        (chargecent.betweenness, "_target_credit"),
                         (sg, "starred"), (sg, "n_numeric"), (sg, "state_of"), (sg, "out_states")):
         assert not hasattr(owner, name), name
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chargecent import Graph, build_state_graph, make_instance, statespace
-from chargecent.betweenness import _with_sinks
 from chargecent.generators import complete_graph, path_graph
 from chargecent.graph import bfs, csr
 from chargecent.oracles import (
@@ -16,7 +15,7 @@ from chargecent.oracles import (
     shortest_feasible_walks,
 )
 
-from conftest import instance_corpus
+from conftest import instance_corpus, with_sinks
 
 
 def state_of(sg, idx):
@@ -48,7 +47,7 @@ def test_single_arc_refill_target():
 def test_starred_path_counts_and_dead_state():
     inst = make_instance(path_graph(3), [], 2)
     sg = build_state_graph(inst)
-    indptr, indices = _with_sinks(sg)
+    indptr, indices = with_sinks(sg)
     assert indptr.shape[0] - 1 == 3 * 3 + 3
     state = sg.state_index(1, 0)
     assert indices[indptr[state] : indptr[state + 1]].tolist() == [sg.n_states + 1]  # only node 1's sink
@@ -80,8 +79,8 @@ def test_state_count_and_flat_index_bijection(small_instances):
                 assert state_of(sg, idx) == (node, soc)
                 seen.add(idx)
         assert seen == set(range(sg.n_states))
-        # The sinks of soc-bc follow at n_states + node, one per node.
-        indptr, indices = _with_sinks(sg)
+        # The reference sinks of soc-bc follow at n_states + node, one per node.
+        indptr, indices = with_sinks(sg)
         assert indptr.shape[0] - 1 == sg.n_states + n
         assert np.array_equal(np.diff(indptr)[sg.n_states :], np.zeros(n))
         into = np.zeros(sg.n_states + n, dtype=np.int64)
@@ -222,12 +221,12 @@ def test_shortest_feasible_at_least_graph_distance(small_instances):
 @pytest.mark.parametrize("seed", [1729, 1])
 def test_toward_matches_the_oracles(seed):
     # dist is the oracle's reverse BFS from t's states; paths at (s, kappa) is the
-    # number of shortest feasible walks; the sink-augmented BFS of soc-bc reaches
-    # t's sink one hop later.
+    # number of shortest feasible walks; a BFS of the reference sink graph
+    # (``conftest.with_sinks``) reaches t's sink one hop later.
     for inst in instance_corpus(40, seed=seed):
         sg = build_state_graph(inst)
         n = sg.n
-        indptr, indices = _with_sinks(sg)
+        indptr, indices = with_sinks(sg)
         from_source = [bfs(indptr, indices, sg.source_state(s))[0] for s in range(n)]
         for t in range(n):
             dist, paths = sg.toward(t)
@@ -266,7 +265,7 @@ def test_toward_is_bit_identical_to_one_search_per_target(monkeypatch, seed, cop
         searches.clear()
         for t in [*range(sg.n), *reversed(range(sg.n))]:
             dist, paths = sg.toward(t)
-            want_dist, want_paths, _, _ = real_bfs(rptr, ridx, np.arange(sg.kappa + 1) * sg.n + t)
+            want_dist, want_paths, _ = real_bfs(rptr, ridx, np.arange(sg.kappa + 1) * sg.n + t)
             assert dist.dtype == np.int32 and np.array_equal(dist, want_dist)
             assert [x.hex() for x in paths.tolist()] == [x.hex() for x in want_paths.tolist()]
             unreachable += int((dist == -1).sum())
