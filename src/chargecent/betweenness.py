@@ -14,12 +14,11 @@ block, where init is 1.0 at every reached node.
 
 Sources run in chunks of C = max(1, min(n, ``CELLS`` // (N + A))) for the n
 sources and the N nodes and A arcs searched (states for soc-bc, nodes for
-bc), so a small graph is not copied past its sources. A chunk is one
-``bfs`` and one accumulation over C disjoint copies of the searched graph
-(``graph.disjoint_copies``), copy i starting at i*N plus its source: C
-independent BFSs, with one numpy pass per level for all of them. Each
-source's row is then added to the total one row at a time, in source order,
-so every float is summed in the same order as by one BFS per source.
+bc). A chunk is one ``bfs`` with one row per source, which runs C
+independent searches with one numpy pass per level for all of them, and one
+accumulation over the C rows. Each source's row is then added to the total
+one row at a time, in source order, so every float is summed in the same
+order as by one BFS per source.
 
 soc-bc's search drops charge-dominated states. A move from (u, i) is also
 possible from (u, i') with i' >= i, and it leaves at least as much charge.
@@ -42,20 +41,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, SocInstance, bfs, disjoint_copies
+from .graph import Graph, SocInstance, bfs
 from .scores import ScoreVector
 from .statespace import StateGraph, build_state_graph
 
 ENDPOINT_CONVENTIONS = ("target", "none")
-# Entries of the copies' CSR, C * (N + A) for N nodes and A arcs, per chunk.
-# It bounds each chunk's arrays: one level expands at most C * A arcs. soc-bc
-# on 2 vCPUs by copies per chunk, timed with a sink state per node searched too
-# (min of 7 runs on the 16x16 grid, single runs elsewhere): 16x16 grid, kappa
-# 16 (N + A = 19,901): 1 copy 0.44 s, 4 0.20 s, 8 0.16 s, 12 to 24 0.15-0.16 s,
-# 32 0.16 s, 64 0.18 s; BA n=2000, kappa 5 (74,767): 1 copy 5.0 s, 4 to 8
-# 3.9-4.6 s, 16 4.4-4.6 s; 30x30 grid, kappa 20 (89,192): 3 copies 3.0-3.2 s,
-# 6 2.6-3.0 s, 12 3.5-3.6 s. Counting nodes alone put 327 copies of a complete
-# graph on 200 nodes in one chunk (358 MB peak RSS).
+# Bound on C * (N + A) per chunk, for C sources and N nodes and A arcs searched.
+# It bounds one ``bfs`` call's arrays: C * N labels, and at most C * A arcs
+# expanded at one level. soc-bc on 2 vCPUs by sources per chunk, timed when
+# each chunk searched a CSR of C graph copies with a sink state per node (min
+# of 7 runs on the 16x16 grid, single runs elsewhere): 16x16 grid, kappa 16
+# (N + A = 19,901): 1 source 0.44 s, 4 0.20 s, 8 0.16 s, 12 to 24 0.15-0.16 s,
+# 32 0.16 s, 64 0.18 s; BA n=2000, kappa 5 (74,767): 1 source 5.0 s, 4 to 8
+# 3.9-4.6 s, 16 4.4-4.6 s; 30x30 grid, kappa 20 (89,192): 3 sources 3.0-3.2 s,
+# 6 2.6-3.0 s, 12 3.5-3.6 s. Counting nodes alone put 327 sources of a
+# complete graph on 200 nodes in one chunk (358 MB peak RSS).
 CELLS = 2**19
 
 
@@ -68,7 +68,7 @@ def _charge_dominance(sg: StateGraph) -> tuple[np.ndarray, np.ndarray]:
 def _arrival_credit(d: np.ndarray, sigma: np.ndarray, blocks: int, n: int) -> np.ndarray:
     """init: sigma(x) / sigma(s -> t) at the arrival states x of every node t but the source's, else 0.
 
-    ``d`` and ``sigma`` are a chunk's, each copy ``blocks`` blocks of n nodes.
+    ``d`` and ``sigma`` are a chunk's, each row ``blocks`` blocks of n nodes.
     """
     d3, s3 = d.reshape(-1, blocks, n), sigma.reshape(-1, blocks, n)
     least = d3.min(axis=1, keepdims=True, initial=np.iinfo(np.int64).max, where=d3 >= 0)
@@ -123,31 +123,24 @@ def _source_sums(indptr, indices, blocks, dominance, own, endpoint):
     The searched graph is ``blocks`` blocks of n nodes, and node s departs
     from s, in block 0. Source s adds its ``rest`` row (``init + rest`` if
     ``own``), then, if ``endpoint`` is nonzero, ``endpoint * init``.
-    ``dominance``, if not None, is ``bfs``'s (node, rank) per node of one copy
-    and is lifted to the copies here.
+    ``dominance``, if not None, is ``bfs``'s (node, rank) per node.
     """
     size = indptr.shape[0] - 1
     n = size // blocks
     c = max(1, min(n, CELLS // (size + indices.shape[0])))
-    copy = np.arange(c)
-    cptr, cidx = disjoint_copies(indptr, indices, c)
-    if dominance is not None:
-        group, rank = dominance
-        dominance = ((group + n * copy[:, None]).ravel(), np.tile(rank, c))
     total = np.zeros(size)
     labelled = 0
     for first in range(0, n, c):
         chunk = np.arange(first, min(first + c, n))
-        d, sigma, tree_arcs = bfs(cptr, cidx, chunk + size * copy[: len(chunk)], dominance)
+        d, sigma, tree_arcs = bfs(indptr, indices, chunk[:, None], dominance)
         init = _arrival_credit(d, sigma, blocks, n)
         rows = _backward_accumulate(sigma, tree_arcs, init)
         if own:
             rows += init
-        rows, init = rows.reshape(c, size), init.reshape(c, size)
-        for i in range(len(chunk)):
-            total += rows[i]
+        for row, credit in zip(rows.reshape(-1, size), init.reshape(-1, size)):
+            total += row
             if endpoint:
-                total += endpoint * init[i]
+                total += endpoint * credit
         labelled += int((d >= 0).sum())
     return total, labelled
 

@@ -161,6 +161,10 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
             setattr(cfg, name, file_cfg[name])
     if not cfg.input:
         raise ValueError("--input is required (flag or config file)")
+    for name, least in (("pairs", 1), ("max_injections", 0), ("reps", 1), ("workers", 1)):
+        value = getattr(cfg, name)
+        if value is not None and value < least:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, not {value}")
     return cfg
 
 
@@ -410,9 +414,6 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
         raise ValueError("experiment needs --measure and --sim")
     if cfg.sim == "sir" and cfg.alpha is None:
         raise ValueError("sir needs --alpha")
-    for name in ("reps", "workers"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"--{name} must be at least 1, not {getattr(cfg, name)}")
     ratios = [float(r) for r in (cfg.ratios or "0.1").split(",")]
     keys = [_ratio_key(r) for r in ratios]
     if len(set(keys)) != len(keys):

@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse
 
+from .errors import NumericalError
+
 logger = logging.getLogger(__name__)
 
 FORMATS = ("snap-tsv", "matrix-market", "csv")
@@ -38,7 +40,9 @@ def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Returns ``indptr``, ``indices`` (the heads) and ``arc_src`` (the tails),
     the latter two aligned arc by arc.
     """
-    order = np.lexsort((dst, src))
+    if n * n >= 2**63:
+        raise NumericalError(f"sort keys tail * n + head overflow int64 at n={n}")
+    order = np.argsort(np.asarray(src, dtype=np.int64) * n + dst, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return indptr, dst[order], src[order]
@@ -47,20 +51,6 @@ def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def adjacency_matrix(n: int, indptr: np.ndarray, indices: np.ndarray) -> scipy.sparse.csr_array:
     """The 0/1 matrix of a CSR arc set: row u holds a 1 at each head of u's out-arcs."""
     return scipy.sparse.csr_array((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
-
-
-def disjoint_copies(indptr: np.ndarray, indices: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of c disjoint copies of a digraph on N nodes; copy i holds node v at i*N + v.
-
-    Copies share no arc, so one ``bfs`` from sources in several copies runs as
-    many independent searches, one numpy pass per level for all of them. Each
-    copy's nodes, arcs and tree arcs keep their relative order, so its
-    distances and float path counts are bit-identical to a search of its own.
-    """
-    n, arcs = indptr.shape[0] - 1, indices.shape[0]
-    copy = np.arange(c)
-    cptr = np.append((indptr[:-1] + arcs * copy[:, None]).ravel(), c * arcs)
-    return cptr, (indices + n * copy[:, None]).ravel()
 
 
 def bfs(
@@ -78,37 +68,52 @@ def bfs(
     below 2**53 and beyond that rounded rather than wrapped (a 40x40 grid
     already exceeds int64).
 
+    A 2-D ``source`` runs one independent search per row over the same graph,
+    with one numpy pass per level for all of them. Row i's node v is labelled
+    at i*N + v for the graph's N nodes: its frontier node g expands the arcs
+    of g % N, shifted by g - g % N. Each row's labels and tree arcs, less i*N,
+    are bit-identical to a search from that row alone.
+
     ``dominance`` is an optional per-node (group, rank) pair of nonnegative
     int64 arrays. A head whose group was labelled at an earlier level with a
     rank at most the head's own is dropped: it stays unlabelled and gets no
-    tree arcs. Without it, every reachable node is labelled.
+    tree arcs. Without it, every reachable node is labelled. Each row has
+    groups of its own.
     """
     n = indptr.shape[0] - 1
-    d = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n)
-    frontier = np.unique(np.asarray(source, dtype=np.int64).reshape(-1))
+    source = np.asarray(source, dtype=np.int64)
+    rows = source.shape[0] if source.ndim == 2 else 1
+    d = np.full(rows * n, -1, dtype=np.int64)
+    sigma = np.zeros(rows * n)
+    frontier = np.unique(source.reshape(rows, -1) + n * np.arange(rows)[:, None])
     d[frontier] = 0
     sigma[frontier] = 1.0
     tree_arcs: list[tuple[np.ndarray, np.ndarray]] = []
     if dominance is not None:
         group, rank = dominance
+        span = int(group.max()) + 1
+        group, rank = (group + span * np.arange(rows)[:, None]).ravel(), np.tile(rank, rows)
         # best[g]: the lowest rank of group g labelled so far.
-        best = np.full(int(group.max()) + 1, np.iinfo(np.int64).max)
+        best = np.full(span * rows, np.iinfo(np.int64).max)
     level = 0
     while True:
-        starts = indptr[frontier]
-        cnt = indptr[frontier + 1] - starts
+        local = frontier % n
+        starts = indptr[local]
+        cnt = indptr[local + 1] - starts
         # Arc j of the frontier's k-th node sits at starts[k] + (j - first arc of k).
         arcs = np.arange(int(cnt.sum())) + np.repeat(starts - (np.cumsum(cnt) - cnt), cnt)
-        heads = indices[arcs]  # heads of the frontier's arcs, in CSR order
-        new = d[heads] == -1  # arcs into unlabelled nodes: the tree arcs into the next level
-        tsrc, tdst = np.repeat(frontier, cnt)[new], heads[new]
+        heads = indices[arcs] + np.repeat(frontier - local, cnt)  # in CSR order, in the tails' rows
+        # The arcs into unlabelled nodes, the tree arcs into the next level, by
+        # position: np.flatnonzero and a take beat a boolean mask's indexing.
+        new = np.flatnonzero(d[heads] == -1)
+        tdst = heads[new]
         if dominance is not None:
             np.minimum.at(best, group[frontier], rank[frontier])
-            live = best[group[tdst]] > rank[tdst]
-            tsrc, tdst = tsrc[live], tdst[live]
+            live = np.flatnonzero(best[group[tdst]] > rank[tdst])
+            new, tdst = new[live], tdst[live]
         if tdst.size == 0:
             break
+        tsrc = np.repeat(frontier, cnt)[new]
         d[tdst] = level + 1
         np.add.at(sigma, tdst, sigma[tsrc])
         tree_arcs.append((tsrc, tdst))

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import NumericalError
-from .graph import SocInstance, adjacency_matrix, bfs, csr, disjoint_copies
+from .graph import SocInstance, adjacency_matrix, bfs, csr
 
 # Random source-target draws before an input counts as having no feasible pair.
 MAX_PAIR_DRAWS = 1000
@@ -28,11 +28,13 @@ MAX_PAIR_DRAWS = 1000
 # dist, float64 paths): max(1, TABLE_BYTES // (12 * states)) tables, the least
 # recently used evicted past that.
 TABLE_BYTES = 3 * 10**8
-# Entries of the reverse copies' CSR per search, C * (N + A) for N states and A
-# arcs. On the 16x16 grid, kappa 16, ratio 0.2 (N + A = 19,901), 2 vCPUs, by
-# copies: all 256 tables (min of 7 runs) 1 copy 0.22 s, 3 0.15 s, 6 0.13 s, 13
-# 0.14 s, 26 0.12 s; peak RSS of four soc-bc + hopping experiment runs in one
-# process 94.8, 95.2, 98.5, 100.8, 103.4 MB (99.6 MB with a search per target).
+# Bound on C * (N + A) per search, for C targets and N states and A arcs: one
+# ``bfs`` call's C * N labels and at most C * A arcs at one level. On the 16x16
+# grid, kappa 16, ratio 0.2 (N + A = 19,901), 2 vCPUs, by targets per search,
+# timed when each search ran over a CSR of C reverse-graph copies: all 256
+# tables (min of 7 runs) 1 target 0.22 s, 3 0.15 s, 6 0.13 s, 13 0.14 s, 26
+# 0.12 s; peak RSS of four soc-bc + hopping experiment runs in one process
+# 94.8, 95.2, 98.5, 100.8, 103.4 MB (99.6 MB with a search per target).
 TABLE_CELLS = 2**17
 
 
@@ -74,12 +76,9 @@ class StateGraph:
         return adjacency_matrix(self.n_states, self.indptr, self.indices)
 
     @functools.cached_property
-    def _reverse_copies(self) -> tuple[int, int, np.ndarray, np.ndarray]:
-        """Targets per search C, tables kept, and the CSR of C disjoint copies of the reverse graph."""
-        keep = max(1, TABLE_BYTES // (12 * self.n_states))
-        c = min(max(1, TABLE_CELLS // (self.n_states + self.n_arcs)), keep)
-        rptr, ridx, _ = csr(self.n_states, self.indices, self.arc_src)
-        return c, keep, *disjoint_copies(rptr, ridx, c)
+    def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR (indptr, indices) of the reverse state graph, which ``toward`` searches."""
+        return csr(self.n_states, self.indices, self.arc_src)[:2]
 
     def state_index(self, node: int, soc: int) -> int:
         if not (0 <= soc <= self.kappa):
@@ -98,8 +97,8 @@ class StateGraph:
         number of such shortest walks (float64, as ``bfs`` counts).
 
         Tables are cached. A miss searches for t and the next uncached node ids
-        after it (wrapping around), C targets in all, as one ``bfs`` over C
-        disjoint copies of the reverse state graph; each copy's tables are
+        after it (wrapping around), C targets in all, as one ``bfs`` of the
+        reverse state graph with one row per target; each row's tables are
         bit-identical to a search of their own. C = max(1, ``TABLE_CELLS`` //
         (N + A)) for N states and A arcs, at most the number of tables kept.
         """
@@ -109,20 +108,18 @@ class StateGraph:
             return tables[t]
         if not (0 <= t < self.n):
             raise ValueError(f"node id {t} out of range [0,{self.n})")
-        c, keep, cptr, cidx = self._reverse_copies
         n, size = self.n, self.n_states
+        keep = max(1, TABLE_BYTES // (12 * size))
+        c = min(max(1, TABLE_CELLS // (size + self.n_arcs)), keep)
         after = itertools.chain(range(t, n), range(t))
         todo = list(itertools.islice((u for u in after if u not in tables), c))
-        # Copy i searches from target todo[i]'s states, at i * size + b * n + todo[i] for every block b.
-        starts = (np.arange(len(todo)) * size + np.array(todo))[:, None] + np.arange(self.kappa + 1) * n
         # The tree-arc lists are freed before the rows are copied out, and the
         # rows are copies, so no chunk array outlives the call.
-        dist, paths = bfs(cptr, cidx, starts.ravel())[:2]
+        dist, paths = bfs(*self._reverse, np.array(todo)[:, None] + np.arange(self.kappa + 1) * n)[:2]
         if dist.max() > np.iinfo(np.int32).max:
             raise NumericalError(f"a shortest feasible walk of {dist.max()} hops overflows int32")
-        for i, u in enumerate(todo):
-            row = slice(i * size, (i + 1) * size)
-            tables[u] = (dist[row].astype(np.int32), paths[row].copy())
+        for u, row_dist, row_paths in zip(todo, dist.reshape(-1, size), paths.reshape(-1, size)):
+            tables[u] = (row_dist.astype(np.int32), row_paths.copy())
         tables.move_to_end(t)
         while len(tables) > keep:
             tables.popitem(last=False)

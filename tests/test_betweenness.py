@@ -329,13 +329,13 @@ def test_chunked_scores_are_bit_identical_to_one_source_at_a_time(one_source_at_
 
 
 def test_a_chunk_of_copies_stays_within_cells(monkeypatch):
-    # A dense graph gets fewer copies per chunk, so no chunk's CSR, and no
-    # level's arc arrays, outgrow CELLS entries when one copy fits.
+    # A dense graph gets fewer sources per chunk, so no chunk's rows of labels
+    # plus arcs, and no level's arc arrays, outgrow CELLS entries when one row fits.
     sizes = []
     real_bfs = betweenness.bfs
 
     def recording_bfs(indptr, indices, source, dominance=None):
-        sizes.append(indptr.size - 1 + indices.size)
+        sizes.append(len(source) * (indptr.size - 1 + indices.size))
         return real_bfs(indptr, indices, source, dominance)
 
     monkeypatch.setattr(betweenness, "bfs", recording_bfs)
@@ -345,11 +345,12 @@ def test_a_chunk_of_copies_stays_within_cells(monkeypatch):
 
 
 def test_a_chunk_holds_no_more_copies_than_sources(monkeypatch):
-    # A 3-node path fits CELLS tens of thousands of times over, but has 3 sources.
+    # A 3-node path fits CELLS tens of thousands of times over, but has 3
+    # sources: one search row each, of N nodes.
     nodes = []
     real_bfs = betweenness.bfs
-    monkeypatch.setattr(betweenness, "bfs",
-                        lambda indptr, *rest: nodes.append(indptr.size - 1) or real_bfs(indptr, *rest))
+    monkeypatch.setattr(betweenness, "bfs", lambda indptr, indices, source, *rest: nodes.append(
+        len(source) * (indptr.size - 1)) or real_bfs(indptr, indices, source, *rest))
     standard_betweenness(path_graph(3))
     soc_betweenness(make_instance(path_graph(3), [], 2))
     assert nodes == [3 * 3, 3 * 9]

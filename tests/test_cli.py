@@ -431,3 +431,25 @@ def test_hopping_self_pair_is_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error" in err and "same source and target" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, least", [("pairs", 0, 1), ("pairs", -3, 1), ("max-injections", -4, 0)])
+def test_simulate_rejects_counts_below_their_least_by_flag(graph_file, tmp_path, capsys, flag, value, least):
+    # Before, --pairs 0 sampled uniform requests and wrote "pairs": 0, --pairs -3
+    # failed in numpy's sampler, and --max-injections -4 wrote all-zero scores.
+    out = tmp_path / "sim"
+    assert run("simulate", "--input", graph_file, "--kappa", "2", "--sim", "hopping",
+               "--duration", "10", f"--{flag}", value, "--out", out) == 1
+    assert f"--{flag} must be at least {least}, not {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, least", [("pairs", 0, 1), ("max_injections", -4, 0)])
+def test_simulate_rejects_counts_below_their_least_by_config(graph_file, tmp_path, capsys, key, value, least):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(graph_file), key: value}))
+    out = tmp_path / "sim"
+    assert run("simulate", "--config", cfg, "--kappa", "2", "--sim", "hopping",
+               "--duration", "10", "--out", out) == 1
+    assert f"must be at least {least}, not {value}" in capsys.readouterr().err
+    assert not out.exists()

@@ -11,7 +11,9 @@ from chargecent import (
     make_instance,
     write_snap_tsv,
 )
-from chargecent.graph import RADIUS_RTOL, bfs, radius_bracket
+from chargecent.betweenness import _charge_dominance
+from chargecent.errors import NumericalError
+from chargecent.graph import RADIUS_RTOL, bfs, csr, radius_bracket
 from chargecent.generators import grid_graph, path_graph, star_graph
 from chargecent.oracles import _distances_to_target, dense_adjacency, dense_bkappa
 
@@ -224,6 +226,42 @@ def test_multi_source_bfs_is_the_minimum_over_single_sources(small_instances):
             paths = sum(np.where(ds == nearest, ss, 0.0) for ds, ss in singles)
             assert np.array_equal(sigma, paths)
             assert np.flatnonzero(d == 0).tolist() == sorted(set(sources.tolist()))
+
+
+def test_csr_sorts_by_tail_then_head_and_rejects_keys_past_int64():
+    rng = np.random.default_rng(5)
+    src, dst = rng.integers(50, size=(2, 400))  # repeated arcs among them
+    indptr, indices, arc_src = csr(50, src, dst)
+    order = np.lexsort((dst, src))
+    assert np.array_equal(indices, dst[order]) and np.array_equal(arc_src, src[order])
+    assert np.array_equal(indptr, np.r_[0, np.cumsum(np.bincount(src, minlength=50))])
+    with pytest.raises(NumericalError, match="overflow int64"):
+        csr(2**32, np.array([0]), np.array([1]))
+
+
+@pytest.mark.parametrize("dominated", [False, True], ids=["plain", "dominance"])
+def test_each_row_of_starts_searches_as_its_own_bfs(small_instances, dominated):
+    # A 2-D source runs one search per row over the one state graph; row i's
+    # labels and tree arcs, less i*N, are bit-identical to that row's own bfs.
+    # Rows hold several starts (repeats allowed), and dominance is per state.
+    rng = np.random.default_rng(83)
+    for inst in small_instances:
+        sg = build_state_graph(inst)
+        n = sg.n_states
+        dominance = _charge_dominance(sg) if dominated else None
+        rows = rng.integers(n, size=(int(rng.integers(1, 6)), int(rng.integers(1, 4))))
+        d, sigma, tree_arcs = bfs(sg.indptr, sg.indices, rows, dominance)
+        assert d.shape == sigma.shape == (len(rows) * n,)
+        for i, row in enumerate(rows):
+            want_d, want_sigma, want_arcs = bfs(sg.indptr, sg.indices, row, dominance)
+            assert np.array_equal(d[i * n : (i + 1) * n], want_d)
+            assert sigma[i * n : (i + 1) * n].tobytes() == want_sigma.tobytes()
+            # Row i's search ends at its first level without tree arcs.
+            got = [(tsrc[mine] - i * n, tdst[mine] - i * n)
+                   for tsrc, tdst in tree_arcs for mine in [tdst // n == i] if mine.any()]
+            assert len(got) == len(want_arcs)
+            for (got_src, got_dst), (want_src, want_dst) in zip(got, want_arcs):
+                assert np.array_equal(got_src, want_src) and np.array_equal(got_dst, want_dst)
 
 
 @pytest.mark.parametrize("seed", [1729, 1])

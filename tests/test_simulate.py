@@ -362,10 +362,10 @@ def test_hopping_builds_its_tables_in_chunks(monkeypatch):
     inst = make_instance(grid_graph(16, 16), sample_omega(256, 0.2, seed=1), 16)
     real_bfs, real_toward = statespace.bfs, StateGraph.toward
     searches, targets = [], set()
-    monkeypatch.setattr(statespace, "bfs", lambda *args: searches.append(1) or real_bfs(*args))
+    monkeypatch.setattr(statespace, "bfs", lambda *args: searches.append(len(args[2])) or real_bfs(*args))
     monkeypatch.setattr(StateGraph, "toward", lambda sg, t: targets.add(t) or real_toward(sg, t))
     particle_hopping(inst, HoppingParams(duration=4000, injection_rate=0.5, seed=1))
-    c = build_state_graph(inst)._reverse_copies[0]
+    c = max(searches)  # targets per search, one row each
     assert len(targets) == inst.graph.n and c > 1
     assert len(searches) == math.ceil(inst.graph.n / c)
 

@@ -246,6 +246,23 @@ def test_toward_rejects_node_ids_out_of_range():
             sg.toward(t)
 
 
+def test_toward_searches_no_more_rows_than_nodes(monkeypatch):
+    # A 3-node path, kappa 2, fits TABLE_CELLS thousands of times over, but
+    # has 3 targets: all tables come from one search of 3 rows of 9 states.
+    sg = build_state_graph(make_instance(path_graph(3), [], 2))
+    real_bfs, labels = statespace.bfs, []
+
+    def recording_bfs(*args):
+        found = real_bfs(*args)
+        labels.append(found[0].size)
+        return found
+
+    monkeypatch.setattr(statespace, "bfs", recording_bfs)
+    for t in range(sg.n):
+        sg.toward(t)
+    assert labels == [sg.n * sg.n_states]
+
+
 @pytest.mark.parametrize("seed", [1729, 1])
 @pytest.mark.parametrize("copies, keep", [(None, None), (3, None), (None, 2)], ids=["default", "3-copies", "keep-2"])
 def test_toward_is_bit_identical_to_one_search_per_target(monkeypatch, seed, copies, keep):
@@ -253,7 +270,7 @@ def test_toward_is_bit_identical_to_one_search_per_target(monkeypatch, seed, cop
     # shorter than C wherever 3 does not divide n; keeping 2 tables, fewer than
     # n, evicts tables that the backward pass must search for again.
     real_bfs, searches = statespace.bfs, []
-    monkeypatch.setattr(statespace, "bfs", lambda *args: searches.append(1) or real_bfs(*args))
+    monkeypatch.setattr(statespace, "bfs", lambda *args: searches.append(len(args[2])) or real_bfs(*args))
     unreachable = 0
     for inst in instance_corpus(40, seed=seed):
         sg = build_state_graph(inst)
@@ -269,9 +286,9 @@ def test_toward_is_bit_identical_to_one_search_per_target(monkeypatch, seed, cop
             assert dist.dtype == np.int32 and np.array_equal(dist, want_dist)
             assert [x.hex() for x in paths.tolist()] == [x.hex() for x in want_paths.tolist()]
             unreachable += int((dist == -1).sum())
-        c = sg._reverse_copies[0]
+        c = max(searches)  # targets per search, one row each
         if copies is not None:
-            assert c == copies
+            assert c == min(copies, sg.n)
         if keep is None:
             assert len(searches) == math.ceil(sg.n / c)
         else:
