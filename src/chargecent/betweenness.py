@@ -88,7 +88,7 @@ def _backward_accumulate(sigma: np.ndarray, tree_arcs, init: np.ndarray) -> np.n
     rest = np.zeros(sigma.shape[0])
     gated = init > 0
     for tsrc, tdst in reversed(tree_arcs[1:]):
-        m = gated[tdst]
+        m = np.flatnonzero(gated[tdst])  # by position: cheaper than a boolean mask's indexing
         ts, td = tsrc[m], tdst[m]
         gated[ts] = True
         np.add.at(rest, ts, (sigma[ts] / sigma[td]) * (init[td] + rest[td]))

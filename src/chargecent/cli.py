@@ -365,26 +365,29 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def _correlate_batch(root: Path, out: Path) -> int:
     rows = []
     for ratio_dir in sorted(root.glob("ratio_*")):
-        ratio = float(ratio_dir.name.split("_", 1)[1])
         taus = []
         for rep_dir in sorted(ratio_dir.glob("rep_*")):
             exp, real = rep_dir / "expected.csv", rep_dir / "realized.csv"
-            if not (exp.exists() and real.exists()):
-                continue
-            taus.append(_correlate_files(exp, real)["tau"])
+            if exp.exists() and real.exists():
+                taus.append(_correlate_files(exp, real)["tau"])
         if taus:
-            q = np.quantile(taus, [0.0, 0.25, 0.5, 0.75, 1.0])
-            rows.append((ratio, len(taus), *q))
+            rows.append((float(ratio_dir.name.split("_", 1)[1]), taus))
     if not rows:
         raise ValueError(f"no ratio_*/rep_*/ score pairs under {root}")
+    _write_summary(out, rows)
+    return 0
+
+
+def _write_summary(out: Path, rows: list[tuple[float, list[float]]]) -> None:
+    """summary.csv: per (ratio, taus) row, the repetitions and the quantiles of their taus."""
     out.mkdir(parents=True, exist_ok=True)
     path = out / "summary.csv"
     with open(path, "w") as fh:
         fh.write("ratio,reps,tau_min,tau_q1,tau_median,tau_q3,tau_max\n")
-        for ratio, k, *qs in rows:
-            fh.write(f"{ratio!r},{k}," + ",".join(repr(float(x)) for x in qs) + "\n")
+        for ratio, taus in rows:
+            q = np.quantile(taus, [0.0, 0.25, 0.5, 0.75, 1.0])
+            fh.write(f"{ratio!r},{len(taus)}," + ",".join(repr(float(x)) for x in q) + "\n")
     print(f"wrote {path} ({len(rows)} ratios)")
-    return 0
 
 
 def _ratio_key(ratio: float) -> int:
@@ -435,7 +438,10 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
             fh.write(f"{ratio!r},{rep},{tau!r}\n")
     meta = {"config": _embedded(cfg), "version": __version__}
     (out / "experiment.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    _correlate_batch(out, out)
+    taus: dict[float, list[float]] = {}
+    for ratio, _, tau in results:
+        taus.setdefault(ratio, []).append(tau)
+    _write_summary(out, list(taus.items()))  # this run's repetitions only
     return 0
 
 

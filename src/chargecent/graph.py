@@ -126,6 +126,7 @@ def bfs(
 class Graph:
     """Unweighted graph over dense node ids with a CSR arc view.
 
+    ``edges`` is an int ``(m, 2)`` array of (u, v) ids or a sequence of pairs.
     Duplicate edges are collapsed (counted in ``duplicates_collapsed``);
     self-loops are kept but counted once in degrees. Instances are immutable
     after construction and safe to share across workers.
@@ -134,7 +135,7 @@ class Graph:
     def __init__(
         self,
         n: int,
-        edges: Sequence[tuple[int, int]],
+        edges: np.ndarray | Sequence[tuple[int, int]],
         directed: bool,
         labels: Sequence[str] | None = None,
     ):
@@ -240,28 +241,17 @@ def make_instance(graph: Graph, omega: Iterable[int], kappa: int) -> SocInstance
     return SocInstance(graph, RefillSet(omega, graph.n), int(kappa))
 
 
-def _finish(
-    pairs: list[tuple[str, str]], directed: bool, n_hint: int | None = None
-) -> Graph:
-    labels: list[str] = []
-    ids: dict[str, int] = {}
-    if n_hint is not None:
-        labels = [str(i + 1) for i in range(n_hint)]
-        ids = {lab: i for i, lab in enumerate(labels)}
-    edges = []
-    for a, b in pairs:
-        for lab in (a, b):
-            if lab not in ids:
-                ids[lab] = len(labels)
-                labels.append(lab)
-        edges.append((ids[a], ids[b]))
-    if not labels:
+def _finish(tokens: list[str], directed: bool, labels: Sequence[str] = ()) -> Graph:
+    """Graph of the flat tokens u1, v1, u2, v2, ...; ids by first appearance after ``labels``."""
+    ids = {lab: i for i, lab in enumerate(labels)}
+    edges = np.array([ids.setdefault(tok, len(ids)) for tok in tokens], dtype=np.int64).reshape(-1, 2)
+    if not ids:
         raise GraphParseError("empty graph: no nodes found")
-    return Graph(len(labels), edges, directed, labels)
+    return Graph(len(ids), edges, directed, list(ids))
 
 
-def _parse_snap(lines: Iterable[str]) -> list[tuple[str, str]]:
-    pairs = []
+def _parse_snap(lines: Iterable[str]) -> list[str]:
+    tokens: list[str] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -273,12 +263,12 @@ def _parse_snap(lines: Iterable[str]) -> list[tuple[str, str]]:
             int(toks[0]), int(toks[1])
         except ValueError:
             raise GraphParseError(f"non-integer node id in {toks!r}", lineno) from None
-        pairs.append((toks[0], toks[1]))
-    return pairs
+        tokens += toks
+    return tokens
 
 
-def _parse_csv(lines: Iterable[str]) -> list[tuple[str, str]]:
-    pairs = []
+def _parse_csv(lines: Iterable[str]) -> list[str]:
+    tokens: list[str] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -288,11 +278,11 @@ def _parse_csv(lines: Iterable[str]) -> list[tuple[str, str]]:
             continue
         if len(toks) != 2:
             raise GraphParseError(f"expected two comma-separated fields, got {len(toks)}", lineno)
-        pairs.append((toks[0], toks[1]))
-    return pairs
+        tokens += toks
+    return tokens
 
 
-def _parse_matrix_market(lines: list[str]) -> tuple[list[tuple[str, str]], int, bool]:
+def _parse_matrix_market(lines: list[str]) -> tuple[list[str], int, bool]:
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise GraphParseError("missing %%MatrixMarket header", 1)
     header = lines[0].lower().split()
@@ -300,7 +290,7 @@ def _parse_matrix_market(lines: list[str]) -> tuple[list[tuple[str, str]], int, 
         raise GraphParseError("only coordinate matrices are supported", 1)
     symmetric = "symmetric" in header
     dims = None
-    pairs: list[tuple[str, str]] = []
+    tokens: list[str] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -323,10 +313,10 @@ def _parse_matrix_market(lines: list[str]) -> tuple[list[tuple[str, str]], int, 
             raise GraphParseError(f"non-integer coordinate in {toks!r}", lineno) from None
         if dims and not (1 <= i <= dims and 1 <= j <= dims):
             raise GraphParseError(f"coordinate ({i},{j}) outside {dims}x{dims}", lineno)
-        pairs.append((str(i), str(j)))
+        tokens += (str(i), str(j))
     if dims is None or dims == 0:
         raise GraphParseError("empty graph: no size line or zero dimensions")
-    return pairs, dims, symmetric
+    return tokens, dims, symmetric
 
 
 def load_edge_list(path: str | Path, format: str = "snap-tsv", directed: bool = False) -> Graph:
@@ -341,10 +331,10 @@ def load_edge_list(path: str | Path, format: str = "snap-tsv", directed: bool = 
     elif format == "csv":
         g = _finish(_parse_csv(lines), directed)
     else:
-        pairs, dims, symmetric = _parse_matrix_market(lines)
-        if directed and symmetric:
-            pairs = pairs + [(b, a) for a, b in pairs if a != b]
-        g = _finish(pairs, directed, n_hint=dims)
+        tokens, dims, symmetric = _parse_matrix_market(lines)
+        if directed and symmetric:  # the mirror of each stored off-diagonal entry, after all of them
+            tokens += [tok for a, b in zip(tokens[::2], tokens[1::2]) if a != b for tok in (b, a)]
+        g = _finish(tokens, directed, [str(i + 1) for i in range(dims)])
     logger.info("loaded %s from %s", g, path)
     return g
 

@@ -12,11 +12,12 @@ The charge-aware variant runs the same computation on the state graph, with
 the target's states at every charge level as the absorbing set, and sums the
 net flows of the other states over charge levels per node.
 
-Each measure call orders the base graph once by minimum degree. Every target
-system is a principal submatrix of one matrix, so that order (lifted to the
-states node-major for the charge-aware variant: node u's charge levels take
-consecutive positions at u's place) serves as the fill-reducing column order
-of every target's factorization, which then chooses no ordering of its own.
+Every target system is a principal submatrix of one matrix. Each measure call
+slices them all from one reverse adjacency A^T, and orders the base graph once
+by minimum degree; that order (lifted to the states node-major for the
+charge-aware variant: node u's charge levels take consecutive positions at
+u's place) is the fill-reducing column order of every target's factorization,
+which then chooses no ordering of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import NumericalError
-from .graph import Graph, SocInstance, bfs
+from .graph import Graph, SocInstance, adjacency_matrix, bfs, csr
 from .scores import ScoreVector
 from .statespace import build_state_graph, draw_feasible_pair
 
@@ -72,36 +73,32 @@ def _base_rank(g: Graph) -> np.ndarray:
         raise NumericalError(f"minimum-degree ordering of the base graph failed: {exc}") from exc
 
 
-def _absorbing_flows(n: int, src: np.ndarray, dst: np.ndarray, absorbing: np.ndarray, starts,
+def _absorbing_flows(into: scipy.sparse.csr_array, absorbing: np.ndarray, starts,
                      rank: np.ndarray) -> AbsorbingFlows:
-    """Random walks on the digraph ``src -> dst`` over n nodes, absorbed at any ``absorbing`` node.
+    """Random walks absorbed at any ``absorbing`` node, on the digraph whose A^T is ``into``.
 
     The walk is restricted to the nodes that can reach the absorbing set, so
-    absorption is certain and the restricted system K = (D - A)^T is
-    nonsingular. It depends only on that set, so one LU factorization serves
-    every start. The unknowns are ordered by ``rank`` (a position per node,
-    from a fill-reducing ordering) and factored in that order; K is a
-    column-diagonally dominant M-matrix, so the diagonal pivots stand.
+    absorption is certain and the restricted system K = (D - A)^T, sliced
+    from ``into``, is nonsingular. It depends only on that set, so one LU
+    factorization serves every start. The unknowns are ordered by ``rank`` (a
+    position per node from a fill-reducing ordering) and factored in that
+    order; K is a column-diagonally dominant M-matrix, so its pivots stand.
     """
     import scipy.sparse.linalg  # here, so that importing the package does not load it
 
-    starts = np.asarray(starts, dtype=np.int64)
-    absorbs = np.zeros(n, dtype=bool)
-    absorbs[absorbing] = True
-    live = ~absorbs[src]  # out-arcs of absorbing nodes carry nothing
-    # into[v, u] = 1 for each arc u -> v, so the CSR rows list in-neighbors.
-    into = scipy.sparse.csr_matrix((np.ones(int(live.sum())), (dst[live], src[live])), shape=(n, n))
+    n, starts = into.shape[0], np.asarray(starts, dtype=np.int64)
     reach = bfs(into.indptr, into.indices, absorbing)[0] >= 0
     feasible = reach[starts]
     usage, net = np.zeros(n), np.zeros(n)
     if not feasible.any():
         return AbsorbingFlows(usage, net, feasible, 0.0, 0)
 
-    keep = np.flatnonzero(reach & ~absorbs)
+    reach[absorbing] = False  # the unknowns: the other nodes that reach the set
+    keep = np.flatnonzero(reach)
     keep = keep[np.argsort(rank[keep])]
     local = np.append(keep, absorbing)  # local ids: the k unknowns, then the absorbing nodes
     k, m = keep.shape[0], local.shape[0]
-    into = into[local][:, keep].tocsc()
+    into = into[local][:, keep].tocsc()  # the keep columns: out-arcs of absorbing nodes carry nothing
     mat = (scipy.sparse.diags(np.asarray(into.sum(axis=0)).ravel()) - into[:k]).tocsc()
     try:
         lu = scipy.sparse.linalg.splu(mat, permc_spec="NATURAL")
@@ -151,6 +148,8 @@ def _solver_meta(solved: list[AbsorbingFlows], ordering: str) -> dict:
 
 def _sources_by_target(pairs: Sequence[tuple[int, int]], n: int) -> dict[int, list[int]]:
     """Sources of each distinct target, targets in order of first appearance."""
+    if not pairs:
+        raise ValueError("at least one source-target pair required")
     groups: dict[int, list[int]] = {}
     for s, t in pairs:
         if not (0 <= s < n and 0 <= t < n):
@@ -167,10 +166,9 @@ def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector
     Pairs without a feasible walk contribute nothing and are counted in the
     metadata as skipped.
     """
-    if not pairs:
-        raise ValueError("at least one source-target pair required")
     groups = _sources_by_target(pairs, inst.graph.n)
     sg = build_state_graph(inst)
+    into = adjacency_matrix(sg.n_states, *sg.reverse)
     levels = np.arange(inst.kappa + 1)
     # State (u, level b) sits at b * n + u; node-major, it takes position rank[u] * (kappa + 1) + b.
     rank = (_base_rank(inst.graph) * (inst.kappa + 1) + levels[:, None]).ravel()
@@ -178,8 +176,7 @@ def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector
     solved: list[AbsorbingFlows] = []
     for t, sources in groups.items():
         absorbing = levels * sg.n + t  # t at every charge level
-        flows = _absorbing_flows(sg.n_states, sg.arc_src, sg.indices, absorbing,
-                                 [sg.source_state(s) for s in sources], rank)
+        flows = _absorbing_flows(into, absorbing, [sg.source_state(s) for s in sources], rank)
         flows.net[absorbing] = 0.0  # arrivals at t carry no score
         y_states += flows.net
         solved.append(flows)
@@ -196,10 +193,11 @@ def rwbc_all_pairs(g: Graph, pairs: Sequence[tuple[int, int]]) -> ScoreVector:
     """Plain directed random-walk betweenness summed over the given pairs."""
     groups = _sources_by_target(pairs, g.n)
     rank = _base_rank(g)
+    into = adjacency_matrix(g.n, *csr(g.n, g.indices, g.arc_src)[:2])
     total = np.zeros(g.n)
     solved: list[AbsorbingFlows] = []
     for t, sources in groups.items():
-        flows = _absorbing_flows(g.n, g.arc_src, g.indices, np.array([t]), sources, rank)
+        flows = _absorbing_flows(into, np.array([t]), sources, rank)
         total += flows.net
         solved.append(flows)
     meta = {"measure": "rwbc", "pairs": len(pairs), **_solver_meta(solved, f"{ORDERING} of the base graph")}

@@ -76,8 +76,8 @@ class StateGraph:
         return adjacency_matrix(self.n_states, self.indptr, self.indices)
 
     @functools.cached_property
-    def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR (indptr, indices) of the reverse state graph, which ``toward`` searches."""
+    def reverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reverse state-graph CSR (indptr, indices): ``toward`` searches it, soc-rwbc slices A^T from it."""
         return csr(self.n_states, self.indices, self.arc_src)[:2]
 
     def state_index(self, node: int, soc: int) -> int:
@@ -115,7 +115,7 @@ class StateGraph:
         todo = list(itertools.islice((u for u in after if u not in tables), c))
         # The tree-arc lists are freed before the rows are copied out, and the
         # rows are copies, so no chunk array outlives the call.
-        dist, paths = bfs(*self._reverse, np.array(todo)[:, None] + np.arange(self.kappa + 1) * n)[:2]
+        dist, paths = bfs(*self.reverse, np.array(todo)[:, None] + np.arange(self.kappa + 1) * n)[:2]
         if dist.max() > np.iinfo(np.int32).max:
             raise NumericalError(f"a shortest feasible walk of {dist.max()} hops overflows int32")
         for u, row_dist, row_paths in zip(todo, dist.reshape(-1, size), paths.reshape(-1, size)):

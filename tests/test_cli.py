@@ -313,6 +313,33 @@ def test_experiment_and_batch_summary(graph_file, tmp_path):
     assert (out / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
 
+def _sweep(graph_file, out, ratios, reps):
+    return run("experiment", "--input", graph_file, "--kappa", "2", "--measure", "soc-katz",
+               "--alpha", "0.05", "--sim", "sir", "--runs", "10", "--ratios", ratios,
+               "--reps", reps, "--seed", "11", "--out", out)
+
+
+def test_experiment_summary_covers_only_its_own_run(graph_file, tmp_path):
+    out = tmp_path / "exp"
+    assert _sweep(graph_file, out, "0.25,0.75", 3) == 0
+    assert _sweep(graph_file, out, "0.5", 2) == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["0.5", "2"]]
+
+
+def test_correlate_batch_summarizes_every_ratio_directory(graph_file, tmp_path):
+    out = tmp_path / "exp"
+    assert _sweep(graph_file, out, "0.25,0.75", 3) == 0
+    first = (out / "summary.csv").read_bytes()
+    assert run("correlate", "--batch", out, "--out", tmp_path / "again") == 0
+    assert (tmp_path / "again" / "summary.csv").read_bytes() == first
+    # The batch walks the directory, so an earlier sweep's ratios stay in.
+    assert _sweep(graph_file, out, "0.5", 2) == 0
+    assert run("correlate", "--batch", out) == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["0.25", "3"], ["0.5", "2"], ["0.75", "3"]]
+
+
 def test_default_alpha_measures_the_bound_once(graph_file, tmp_path, monkeypatch):
     g = load_edge_list(graph_file)
     bound = max_alpha(build_state_graph(make_instance(g, sample_omega(g.n, 0.5, 3), 2)).adjacency).max_alpha

@@ -82,6 +82,52 @@ def test_matrix_market_isolated_nodes_counted(tmp_path):
     assert load_edge_list(f, "matrix-market").n == 5
 
 
+@pytest.mark.parametrize(
+    "fmt, text, labels, undirected, directed",
+    [
+        ("snap-tsv", "5 3\n# c\n007\t7\n3 5\n10 2\n", ["5", "3", "007", "7", "10", "2"],
+         [(0, 1), (2, 3), (4, 5)], [(0, 1), (2, 3), (1, 0), (4, 5)]),
+        ("csv", "source,target\nNew York, Boston\n a b , c d \nBoston,New York\n",
+         ["New York", "Boston", "a b", "c d"], [(0, 1), (2, 3)], [(0, 1), (2, 3), (1, 0)]),
+        # Node 5 is isolated; "01" is the pre-labelled node "1".
+        ("matrix-market", "%%MatrixMarket matrix coordinate pattern general\n5 5 4\n3 1\n1 3\n2 2\n01 4\n",
+         ["1", "2", "3", "4", "5"], [(2, 0), (1, 1), (0, 3)], [(2, 0), (0, 2), (1, 1), (0, 3)]),
+        # Symmetric storage: the mirror arcs follow every stored entry.
+        ("matrix-market",
+         "%%MatrixMarket matrix coordinate real symmetric\n6 6 4\n3 1 1.0\n2 2 2\n4 3 1\n5 1 .5\n",
+         ["1", "2", "3", "4", "5", "6"], [(2, 0), (1, 1), (3, 2), (4, 0)],
+         [(2, 0), (1, 1), (3, 2), (4, 0), (0, 2), (2, 3), (0, 4)]),
+    ],
+)
+def test_loaders_keep_labels_and_edges_in_order_of_first_appearance(tmp_path, fmt, text, labels,
+                                                                    undirected, directed):
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    for is_directed, edges in ((False, undirected), (True, directed)):
+        g = load_edge_list(f, fmt, directed=is_directed)
+        assert g.labels == labels and g.edges == edges
+
+
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [
+        ("snap-tsv", "0 1\n1 2 3\n", "line 2: expected two fields, got 3"),
+        ("snap-tsv", "0 1\n\na b\n", "line 3: non-integer node id in ['a', 'b']"),
+        ("csv", "u,v\n1,2\n1,2,3\n", "line 3: expected two comma-separated fields, got 3"),
+        ("matrix-market", "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 x\n",
+         "line 3: non-integer coordinate in ['1', 'x']"),
+        ("matrix-market", "%%MatrixMarket matrix coordinate pattern general\n% c\n3 3 1\n1 4\n",
+         "line 4: coordinate (1,4) outside 3x3"),
+    ],
+)
+def test_parse_errors_name_the_line(tmp_path, fmt, text, message):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    with pytest.raises(GraphParseError) as err:
+        load_edge_list(f, fmt)
+    assert str(err.value) == message and err.value.line == int(message.split(":")[0][5:])
+
+
 def test_matrix_market_bad_header(tmp_path):
     f = tmp_path / "g.mtx"
     f.write_text("not a header\n1 1 0\n")

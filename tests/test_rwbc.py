@@ -11,6 +11,7 @@ from chargecent import (
     soc_rwbc,
 )
 from chargecent.generators import barabasi_albert_graph, cycle_graph, gnp_random_graph, grid_graph, path_graph
+from chargecent.graph import adjacency_matrix, csr
 from chargecent.oracles import current_flow_throughflow, monte_carlo_rwbc, walk_subgraph
 from chargecent.rwbc import _absorbing_flows, _base_rank
 from chargecent.statespace import build_state_graph
@@ -55,6 +56,11 @@ def test_walk_subgraph_matches_reachability_oracle():
         assert sub.nodes.tolist() == expect
 
 
+def reverse_adjacency(g):
+    """A^T of a graph, as ``rwbc_all_pairs`` builds it for ``_absorbing_flows``."""
+    return adjacency_matrix(g.n, *csr(g.n, g.indices, g.arc_src)[:2])
+
+
 def pair_flow(g, s, t):
     """Net throughflow of the single pair (s, t)."""
     return rwbc_all_pairs(g, [(s, t)]).values
@@ -62,7 +68,7 @@ def pair_flow(g, s, t):
 
 def test_pair_flow_deterministic_path():
     g = Graph(3, [(0, 1), (1, 2)], directed=True)
-    flows = _absorbing_flows(g.n, g.arc_src, g.indices, np.array([2]), [0], _base_rank(g))
+    flows = _absorbing_flows(reverse_adjacency(g), np.array([2]), [0], _base_rank(g))
     assert np.allclose(flows.usage, [1.0, 1.0, 0.0], atol=1e-12)  # arc u -> v carries usage[u]
     assert np.allclose(flows.net, [0.5, 1.0, 0.5], atol=1e-12)
     assert np.allclose(pair_flow(g, 0, 2), [0.5, 1.0, 0.5], atol=1e-12)
@@ -94,7 +100,7 @@ def test_conservation_invariant():
         if sub.empty:
             continue
         checked += 1
-        usage = _absorbing_flows(g.n, g.arc_src, g.indices, np.array([t]), [s], _base_rank(g)).usage
+        usage = _absorbing_flows(reverse_adjacency(g), np.array([t]), [s], _base_rank(g)).usage
         outflow = np.zeros(g.n)
         inflow = np.zeros(g.n)
         for u, v in zip(sub.nodes[sub.arc_src], sub.nodes[sub.arc_dst]):
@@ -213,6 +219,14 @@ def test_sample_feasible_pairs_stream_is_pinned(kappa, pairs, resampled):
 def test_stpair_validation():
     with pytest.raises(ValueError, match="differ"):
         rwbc_all_pairs(path_graph(3), [(1, 1)])
+
+
+def test_both_measures_reject_an_empty_pair_list():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="at least one source-target pair"):
+        rwbc_all_pairs(g, [])
+    with pytest.raises(ValueError, match="at least one source-target pair"):
+        soc_rwbc(make_instance(g, [1], 2), [])
 
 
 @pytest.mark.parametrize("pair", [(-1, 2), (0, -1), (0, 9), (10, 0)])
