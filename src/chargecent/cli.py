@@ -7,7 +7,7 @@ three together). Every output embeds the fully resolved configuration, and
 identical configurations with identical seeds reproduce byte-identical
 files.
 
-Exit codes: 0 success, 1 input error, 2 numerical failure.
+Exit codes: 0 success, 1 input error (a usage error too), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -73,105 +73,128 @@ class ExperimentConfig:
     out: str = "."
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with any of the long options as keys")
-    p.add_argument("--input", help="edge-list file")
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--directed", action="store_const", const=True)
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--omega-file", help="file with one refill node label per line")
-    p.add_argument("--omega-ratio", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+# Per field, the types its hint allows (a value's own type first, then None where allowed).
+_TYPES = {name: typing.get_args(hint) or (hint,)
+          for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+
+# Per ExperimentConfig field: the run subcommands that take it as a flag (c, s, e for
+# centrality, simulate, experiment; upper case where that run requires it), its
+# choices, its least value and its help. Every field is a config key of every run.
+_FIELDS: dict[str, tuple[str, tuple[str, ...] | None, int | None, str | None]] = {
+    "input": ("CSE", None, None, "edge-list file"),
+    "format": ("cse", FORMATS, None, None),
+    "directed": ("cse", None, None, None),
+    "kappa": ("cse", None, None, None),
+    "omega_file": ("cse", None, None, "file with one refill node label per line"),
+    "omega_ratio": ("cse", None, None, None),
+    "seed": ("cse", None, None, None),
+    "measure": ("CE", MEASURES, None, None),
+    "alpha": ("cse", None, None, "Katz damping factor (default 0.9 of the certified bound) "
+                                 "or SIR transmission probability; experiment uses it as both"),
+    "pairs": ("cse", None, 1, "number of sampled source-target pairs"),
+    "pairs_file": ("cse", None, None, "file of 'source target' label pairs"),
+    "sim": ("SE", SIMULATIONS, None, None),
+    "runs": ("se", None, None, None),
+    "policy": ("se", POLICIES, None, None),
+    "duration": ("se", None, None, None),
+    "injection_rate": ("se", None, None, None),
+    "max_injections": ("se", None, 0, None),
+    "ratios": ("e", None, None, "comma-separated refill ratios, e.g. 0.1,0.2"),
+    "reps": ("e", None, 1, None),
+    "workers": ("e", None, 1, None),
+    "endpoints": ("ce", ENDPOINT_CONVENTIONS, None, None),
+    "verify": ("c", None, None, "cross-check against the brute-force oracle (small inputs)"),
+    "state_dump": ("c", None, None, "also write per-(node, charge) scores (soc-bc only)"),
+    "out": ("cse", None, None, None),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 1): exit 2 means a numerical failure."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        raise ValueError(f"{message} (see {self.prog} --help)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="chargecent", description=__doc__)
+    ap = _Parser(prog="chargecent", description=__doc__)
     ap.add_argument("--version", action="version", version=f"chargecent {__version__}")
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("centrality", help="compute expected centrality scores")
-    _add_common(c)
-    c.add_argument("--measure", choices=MEASURES)
-    c.add_argument("--alpha", type=float)
-    c.add_argument("--pairs", type=int, help="number of sampled source-target pairs")
-    c.add_argument("--pairs-file", help="file of 'source target' label pairs")
-    c.add_argument("--endpoints", choices=ENDPOINT_CONVENTIONS)
-    c.add_argument("--verify", action="store_const", const=True,
-                   help="cross-check against the brute-force oracle (small inputs)")
-    c.add_argument("--state-dump", action="store_const", const=True,
-                   help="also write per-(node, charge) scores (soc-bc only)")
-
-    s = sub.add_parser("simulate", help="run a realized-centrality simulation")
-    _add_common(s)
-    s.add_argument("--sim", choices=SIMULATIONS)
-    s.add_argument("--alpha", type=float, help="transmission probability (sir)")
-    s.add_argument("--runs", type=int)
-    s.add_argument("--policy", choices=POLICIES)
-    s.add_argument("--duration", type=int)
-    s.add_argument("--injection-rate", type=float)
-    s.add_argument("--max-injections", type=int)
-    s.add_argument("--pairs", type=int)
-    s.add_argument("--pairs-file")
+    common = argparse.ArgumentParser(add_help=False)  # the flags every run takes, declared once
+    common.add_argument("--config", help="JSON file of option values, keyed omega_ratio for --omega-ratio")
+    rest = []
+    for name, (commands, choices, _, text) in _FIELDS.items():
+        kind = _TYPES[name][0]
+        # The metavar only shows the choices: _resolve checks them, with the config file's values.
+        kwargs = ({"help": text, "action": "store_const", "const": True} if kind is bool else
+                  {"help": text, "type": kind, "metavar": choices and "{" + ",".join(choices) + "}"})
+        if commands.lower() == "cse":
+            common.add_argument(_flag(name), **kwargs)
+        else:
+            rest.append((commands.lower(), _flag(name), kwargs))
+    runs = {command[0]: sub.add_parser(command, help=text, parents=[common])
+            for command, text in (("centrality", "compute expected centrality scores"),
+                                  ("simulate", "run a realized-centrality simulation"),
+                                  ("experiment", "ratio sweep with repetitions"))}
+    for commands, flag, kwargs in rest:
+        for c in commands:
+            runs[c].add_argument(flag, **kwargs)
 
     r = sub.add_parser("correlate", help="rank-correlate expected vs realized scores")
     r.add_argument("--expected", help="expected-score CSV")
     r.add_argument("--realized", help="realized-score CSV")
     r.add_argument("--batch", help="experiment directory with ratio_*/rep_*/ runs")
     r.add_argument("--out")
-
-    e = sub.add_parser("experiment", help="ratio sweep with repetitions")
-    _add_common(e)
-    e.add_argument("--measure", choices=MEASURES)
-    e.add_argument("--alpha", type=float)
-    e.add_argument("--sim", choices=SIMULATIONS)
-    e.add_argument("--runs", type=int)
-    e.add_argument("--policy", choices=POLICIES)
-    e.add_argument("--duration", type=int)
-    e.add_argument("--injection-rate", type=float)
-    e.add_argument("--max-injections", type=int)
-    e.add_argument("--pairs", type=int)
-    e.add_argument("--ratios", help="comma-separated refill ratios, e.g. 0.1,0.2")
-    e.add_argument("--reps", type=int)
-    e.add_argument("--workers", type=int)
     return ap
 
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text())
-        unknown = set(file_cfg) - set(ExperimentConfig.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(ExperimentConfig)
-        for name, value in file_cfg.items():
-            allowed = typing.get_args(hints[name]) or (hints[name],)
+    """Merge the config file and the flags (a flag wins) and check every rule, before any work."""
+    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    unknown = set(file_cfg) - set(_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    cfg = ExperimentConfig(input="")
+    for name, (_, choices, least, _) in _FIELDS.items():
+        value = getattr(args, name, None)
+        if value is None and name in file_cfg:
+            value = file_cfg[name]
             # JSON values have exact types: an int may stand for a float, a bool for no number.
-            if not any(type(value) is t or (t is float and type(value) is int) for t in allowed):
-                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            if not any(type(value) is t or (t is float and type(value) is int) for t in _TYPES[name]):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in _TYPES[name])
                 raise ValueError(f"config key {name!r} must be {names}, not {value!r}")
-    cfg = ExperimentConfig(input=file_cfg.get("input", ""))
-    for name in ExperimentConfig.__dataclass_fields__:
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            setattr(cfg, name, cli_val)
-        elif name in file_cfg:
-            setattr(cfg, name, file_cfg[name])
-    if not cfg.input:
-        raise ValueError("--input is required (flag or config file)")
-    for name, least in (("pairs", 1), ("max_injections", 0), ("reps", 1), ("workers", 1)):
-        value = getattr(cfg, name)
-        if value is not None and value < least:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, not {value}")
+        if value is None:
+            continue
+        if choices and value not in choices:
+            raise ValueError(f"{_flag(name)} must be one of {', '.join(choices)}, not {value!r}")
+        if least is not None and value < least:
+            raise ValueError(f"{_flag(name)} must be at least {least}, not {value}")
+        setattr(cfg, name, value)
+    run = args.command[0]
+    for name, (commands, *_) in _FIELDS.items():
+        if run.upper() in commands and not getattr(cfg, name):
+            raise ValueError(f"{_flag(name)} is required (flag or config file)")
+    for name, broken, message in (  # rules across fields, checked where the run takes the field
+        ("sim", cfg.sim == "sir" and cfg.alpha is None, "sir needs --alpha (transmission probability)"),
+        ("measure", cfg.measure in ("soc-rwbc", "rwbc") and not (cfg.pairs or cfg.pairs_file),
+         "random-walk betweenness needs --pairs N or --pairs-file"),
+        ("state_dump", cfg.state_dump and cfg.measure != "soc-bc", "--state-dump applies to soc-bc only"),
+        ("verify", cfg.verify and cfg.measure not in ("soc-bc", "soc-katz"),
+         "--verify supports soc-bc and soc-katz"),
+    ):
+        if broken and run in _FIELDS[name][0].lower():
+            raise ValueError(message)
     return cfg
 
 
 def _load_instance(cfg: ExperimentConfig):
     g = load_edge_list(cfg.input, cfg.format, cfg.directed)
-    omega = _resolve_omega(cfg, g)
-    return g, make_instance(g, omega, cfg.kappa)
+    return g, make_instance(g, _resolve_omega(cfg, g), cfg.kappa)
 
 
 def _resolve_omega(cfg: ExperimentConfig, g: Graph) -> list[int]:
@@ -186,7 +209,8 @@ def _resolve_omega(cfg: ExperimentConfig, g: Graph) -> list[int]:
     return []
 
 
-def _resolve_pairs(cfg: ExperimentConfig, g: Graph, inst) -> list[tuple[int, int]]:
+def _resolve_pairs(cfg: ExperimentConfig, g: Graph, inst) -> tuple[tuple[int, int], ...] | None:
+    """The run's source-target pairs: read from --pairs-file, else sampled by --pairs, else None."""
     if cfg.pairs_file:
         pairs = []
         for ln in Path(cfg.pairs_file).read_text().splitlines():
@@ -201,11 +225,10 @@ def _resolve_pairs(cfg: ExperimentConfig, g: Graph, inst) -> list[tuple[int, int
             pairs.append((g.label_to_id[toks[0]], g.label_to_id[toks[1]]))
         if not pairs:
             raise ValueError("empty pairs file")
-        return pairs
+        return tuple(pairs)
     if cfg.pairs:
-        sampled, _ = sample_feasible_pairs(inst, cfg.pairs, cfg.seed)
-        return sampled
-    raise ValueError("random-walk betweenness needs --pairs N or --pairs-file")
+        return tuple(sample_feasible_pairs(inst, cfg.pairs, cfg.seed)[0])
+    return None
 
 
 def compute_measure(cfg: ExperimentConfig, g: Graph, inst) -> ScoreVector:
@@ -221,30 +244,23 @@ def compute_measure(cfg: ExperimentConfig, g: Graph, inst) -> ScoreVector:
     pairs = _resolve_pairs(cfg, g, inst)
     if measure == "soc-rwbc":
         return soc_rwbc(inst, pairs)
-    if measure == "rwbc":
-        return rwbc_all_pairs(g, pairs)
-    raise ValueError(f"--measure must be one of {MEASURES}")
+    return rwbc_all_pairs(g, pairs)
 
 
 def run_simulation(cfg: ExperimentConfig, g: Graph, inst) -> ScoreVector:
     if cfg.sim == "sir":
-        if cfg.alpha is None:
-            raise ValueError("sir needs --alpha (transmission probability)")
         return sir_influence(inst, SirParams(alpha=cfg.alpha, runs=cfg.runs, seed=cfg.seed))
-    if cfg.sim == "hopping":
-        pairs = tuple(_resolve_pairs(cfg, g, inst)) if cfg.pairs_file or cfg.pairs else None
-        return particle_hopping(
-            inst,
-            HoppingParams(
-                policy=cfg.policy,
-                duration=cfg.duration,
-                injection_rate=cfg.injection_rate,
-                seed=cfg.seed,
-                pairs=pairs,
-                max_injections=cfg.max_injections,
-            ),
-        )
-    raise ValueError(f"--sim must be one of {SIMULATIONS}")
+    return particle_hopping(
+        inst,
+        HoppingParams(
+            policy=cfg.policy,
+            duration=cfg.duration,
+            injection_rate=cfg.injection_rate,
+            seed=cfg.seed,
+            pairs=_resolve_pairs(cfg, g, inst),
+            max_injections=cfg.max_injections,
+        ),
+    )
 
 
 def _embedded(cfg: ExperimentConfig) -> dict:
@@ -254,21 +270,15 @@ def _embedded(cfg: ExperimentConfig) -> dict:
     return embedded
 
 
-def _write_scores(sv: ScoreVector, cfg: ExperimentConfig, out: Path, stem: str) -> Path:
+def _write_scores(sv: ScoreVector, cfg: ExperimentConfig, out: Path, stem: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
     sv.meta["config"] = _embedded(cfg)
     sv.meta["version"] = __version__
-    csv = out / f"{stem}.csv"
-    sv.write_csv(csv)
-    Path(out / f"{stem}.meta.json").write_text(
-        json.dumps(sv.meta, sort_keys=True, indent=2) + "\n"
-    )
-    return csv
+    sv.write_csv(out / f"{stem}.csv")
+    (out / f"{stem}.meta.json").write_text(json.dumps(sv.meta, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_centrality(cfg: ExperimentConfig) -> int:
-    if cfg.state_dump and cfg.measure != "soc-bc":
-        raise ValueError("--state-dump applies to soc-bc only")
     g, inst = _load_instance(cfg)
     if cfg.state_dump:
         bc = soc_betweenness_scores(inst, cfg.endpoints)
@@ -276,7 +286,7 @@ def cmd_centrality(cfg: ExperimentConfig) -> int:
     else:
         sv = compute_measure(cfg, g, inst)
     if cfg.verify:
-        code = _verify(cfg, g, inst, sv)
+        code = _verify(cfg, inst, sv)
         if code:
             return code
     out = Path(cfg.out)
@@ -298,15 +308,11 @@ def _write_state_dump(inst, bc: BcScores, out: Path) -> None:
                 fh.write(f"{g.labels[node]},{kappa - b},{float(score)!r}\n")
 
 
-def _verify(cfg: ExperimentConfig, g: Graph, inst, sv: ScoreVector) -> int:
-    budget = OracleBudget()
+def _verify(cfg: ExperimentConfig, inst, sv: ScoreVector) -> int:
     if cfg.measure == "soc-bc":
-        ref = brute_soc_bc(inst, cfg.endpoints, budget)
-    elif cfg.measure == "soc-katz":
-        alpha = sv.meta["alpha"]
-        ref = dense_soc_katz(inst, alpha)
-    else:
-        raise ValueError("--verify supports soc-bc and soc-katz")
+        ref = brute_soc_bc(inst, cfg.endpoints, OracleBudget())
+    else:  # soc-katz, the one other measure _resolve lets --verify check
+        ref = dense_soc_katz(inst, sv.meta["alpha"])
     worst = float(np.max(np.abs(ref.values - sv.values)))
     ok = worst <= 1e-8
     print(f"verify {cfg.measure}: max |kernel - oracle| = {worst:.3e} -> {'OK' if ok else 'MISMATCH'}")
@@ -413,10 +419,6 @@ def _run_rep(task: tuple) -> tuple[float, int, float]:
 
 
 def cmd_experiment(cfg: ExperimentConfig) -> int:
-    if not cfg.measure or not cfg.sim:
-        raise ValueError("experiment needs --measure and --sim")
-    if cfg.sim == "sir" and cfg.alpha is None:
-        raise ValueError("sir needs --alpha")
     ratios = [float(r) for r in (cfg.ratios or "0.1").split(",")]
     keys = [_ratio_key(r) for r in ratios]
     if len(set(keys)) != len(keys):
@@ -446,10 +448,10 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+                            format="%(levelname)s %(name)s: %(message)s")
         if args.command == "correlate":
             return cmd_correlate(args)
         cfg = _resolve(args)

@@ -140,8 +140,8 @@ class HoppingParams:
             raise ValueError(f"policy must be one of {POLICIES}")
         if self.duration < 1:
             raise ValueError("duration must be positive")
-        if self.injection_rate < 0:
-            raise ValueError("injection rate must be nonnegative")
+        if not 0 <= self.injection_rate < np.inf:  # also false for nan
+            raise ValueError(f"injection rate must be finite and nonnegative, not {self.injection_rate}")
         for s, t in self.pairs or ():
             if s == t:
                 raise ValueError(f"hopping pair has the same source and target (node id {s})")

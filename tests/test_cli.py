@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -479,4 +480,96 @@ def test_simulate_rejects_counts_below_their_least_by_config(graph_file, tmp_pat
     assert run("simulate", "--config", cfg, "--kappa", "2", "--sim", "hopping",
                "--duration", "10", "--out", out) == 1
     assert f"must be at least {least}, not {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (("--bogus",), "unrecognized arguments: --bogus"),
+    (("--measure", "bogus"),
+     "--measure must be one of soc-katz, katz, soc-bc, bc, soc-rwbc, rwbc, not 'bogus'"),
+    (("--measure", "bc", "--kappa", "x"), "argument --kappa: invalid int value: 'x'"),
+])
+def test_usage_errors_exit_1(graph_file, tmp_path, capsys, argv, problem):
+    # Exit 2 means a numerical failure; argparse used to exit 2 on any usage error.
+    out = tmp_path / "out"
+    assert run("centrality", "--input", graph_file, *argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and problem in err
+    assert not out.exists()
+
+
+def test_every_config_field_is_a_flag_of_a_run(capsys):
+    helps = ""
+    for command in ("centrality", "simulate", "experiment"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        helps += capsys.readouterr().out
+    flags = set(re.findall(r"--[a-z-]+", helps))
+    for name in chargecent.cli.ExperimentConfig.__dataclass_fields__:
+        assert "--" + name.replace("_", "-") in flags, name
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command, missing", [("centrality", "--measure"), ("simulate", "--sim"),
+                                              ("experiment", "--sim")])
+def test_a_run_without_its_required_field_names_it(graph_file, tmp_path, capsys, command, missing):
+    argv = ["--measure", "bc"] if command == "experiment" else []
+    out = tmp_path / "out"
+    assert run(command, "--input", graph_file, *argv, "--out", out) == 1
+    assert f"{missing} is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_measure_outside_its_choices_is_rejected_before_any_work(graph_file, tmp_path, capsys,
+                                                                          monkeypatch):
+    # Before, the pairs were sampled first and the run then failed on the unknown measure.
+    calls = []
+    monkeypatch.setattr(chargecent.cli, "sample_feasible_pairs", lambda *a: calls.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(graph_file), "measure": "bogus"}))
+    out = tmp_path / "out"
+    assert run("centrality", "--config", cfg, "--pairs", "2", "--out", out) == 1
+    assert "--measure must be one of soc-katz, katz" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_verify_of_an_unsupported_measure_fails_before_it_runs(graph_file, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(chargecent.cli, "standard_katz", lambda *a: calls.append(a))
+    out = tmp_path / "out"
+    assert run("centrality", "--input", graph_file, "--measure", "katz", "--verify", "--out", out) == 1
+    assert "--verify supports soc-bc and soc-katz" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("key", ["endpoints", "pairs_file"])
+def test_experiment_takes_every_field_by_flag_as_by_config(graph_file, tmp_path, key):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 2\n3 1\n")
+    value = {"endpoints": "none", "pairs_file": str(pairs)}[key]
+    argv = ["experiment", "--input", graph_file, "--kappa", "2", "--measure", "bc", "--sim", "hopping",
+            "--duration", "30", "--ratios", "0.5", "--seed", "5"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    assert run(*argv, "--" + key.replace("_", "-"), value, "--out", by_flag) == 0
+    assert run(*argv, "--config", cfg, "--out", by_config) == 0
+    files = sorted(p.relative_to(by_flag) for p in by_flag.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(by_config) for p in by_config.rglob("*") if p.is_file())
+    for f in files:
+        assert (by_flag / f).read_bytes() == (by_config / f).read_bytes(), f
+    assert json.loads((by_flag / "experiment.meta.json").read_text())["config"][key] == value
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_non_finite_injection_rate_is_input_error(graph_file, tmp_path, capsys, rate):
+    # Before, inf ended in an OverflowError traceback and nan in numpy's conversion error.
+    out = tmp_path / "sim"
+    assert run("simulate", "--input", graph_file, "--kappa", "2", "--sim", "hopping",
+               "--duration", "10", "--injection-rate", rate, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "injection rate must be finite and nonnegative" in err
     assert not out.exists()
