@@ -3,9 +3,11 @@
 Subcommands: ``centrality`` (expected scores), ``simulate`` (realized
 scores), ``correlate`` (rank correlation of two score files, single or
 batch), and ``experiment`` (ratio sweep with repetitions tying the other
-three together). Every output embeds the fully resolved configuration, and
-identical configurations with identical seeds reproduce byte-identical
-files.
+three together). ``experiment`` takes the flags of ``simulate`` but the omega
+ones, plus ``--measure``, ``--endpoints``, ``--ratios``, ``--reps`` and
+``--workers``. A run checks all of its inputs before it writes anything. Every
+output embeds the fully resolved configuration, and identical configurations
+with identical seeds reproduce byte-identical files.
 
 Exit codes: 0 success, 1 input error (a usage error too), 2 numerical failure.
 """
@@ -18,7 +20,8 @@ import logging
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ from .betweenness import (
 )
 from .errors import NumericalError
 from .generators import sample_omega
-from .graph import FORMATS, Graph, load_edge_list, make_instance
+from .graph import FORMATS, Graph, SocInstance, load_edge_list, make_instance
 from .katz import KatzParams, soc_katz, standard_katz
 from .oracles import OracleBudget, brute_soc_bc, dense_soc_katz
 from .rwbc import rwbc_all_pairs, sample_feasible_pairs, soc_rwbc
@@ -40,7 +43,9 @@ from .stats import kendall_tau
 logger = logging.getLogger(__name__)
 
 MEASURES = ("soc-katz", "katz", "soc-bc", "bc", "soc-rwbc", "rwbc")
+PAIR_MEASURES = ("soc-rwbc", "rwbc")  # the measures that take source-target pairs
 SIMULATIONS = ("sir", "hopping")
+Pairs = tuple[tuple[int, int], ...] | None  # source-target node ids; None where a run takes none
 
 
 @dataclass
@@ -84,9 +89,9 @@ _FIELDS: dict[str, tuple[str, tuple[str, ...] | None, int | None, str | None]] =
     "input": ("CSE", None, None, "edge-list file"),
     "format": ("cse", FORMATS, None, None),
     "directed": ("cse", None, None, None),
-    "kappa": ("cse", None, None, None),
-    "omega_file": ("cse", None, None, "file with one refill node label per line"),
-    "omega_ratio": ("cse", None, None, None),
+    "kappa": ("cse", None, 1, None),
+    "omega_file": ("cs", None, None, "file with one refill node label per line"),
+    "omega_ratio": ("cs", None, None, None),
     "seed": ("cse", None, None, None),
     "measure": ("CE", MEASURES, None, None),
     "alpha": ("cse", None, None, "Katz damping factor (default 0.9 of the certified bound) "
@@ -94,9 +99,9 @@ _FIELDS: dict[str, tuple[str, tuple[str, ...] | None, int | None, str | None]] =
     "pairs": ("cse", None, 1, "number of sampled source-target pairs"),
     "pairs_file": ("cse", None, None, "file of 'source target' label pairs"),
     "sim": ("SE", SIMULATIONS, None, None),
-    "runs": ("se", None, None, None),
+    "runs": ("se", None, 1, None),
     "policy": ("se", POLICIES, None, None),
-    "duration": ("se", None, None, None),
+    "duration": ("se", None, 1, None),
     "injection_rate": ("se", None, None, None),
     "max_injections": ("se", None, 0, None),
     "ratios": ("e", None, None, "comma-separated refill ratios, e.g. 0.1,0.2"),
@@ -126,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)  # the flags every run takes, declared once
-    common.add_argument("--config", help="JSON file of option values, keyed omega_ratio for --omega-ratio")
+    common.add_argument("--config", help="JSON file of option values, keyed pairs_file for --pairs-file")
     rest = []
     for name, (commands, choices, _, text) in _FIELDS.items():
         kind = _TYPES[name][0]
@@ -153,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the config file and the flags (a flag wins) and check every rule, before any work."""
+def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, list[float]]:
+    """Merge config file and flags (a flag wins), check every rule, and parse experiment's ratios."""
     file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
     unknown = set(file_cfg) - set(_FIELDS)
     if unknown:
@@ -181,37 +186,51 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(f"{_flag(name)} is required (flag or config file)")
     for name, broken, message in (  # rules across fields, checked where the run takes the field
         ("sim", cfg.sim == "sir" and cfg.alpha is None, "sir needs --alpha (transmission probability)"),
-        ("measure", cfg.measure in ("soc-rwbc", "rwbc") and not (cfg.pairs or cfg.pairs_file),
+        ("measure", cfg.measure in PAIR_MEASURES and not (cfg.pairs or cfg.pairs_file),
          "random-walk betweenness needs --pairs N or --pairs-file"),
+        ("ratios", cfg.omega_file is not None or cfg.omega_ratio is not None,
+         "experiment sweeps --ratios; it takes no omega_file or omega_ratio"),
         ("state_dump", cfg.state_dump and cfg.measure != "soc-bc", "--state-dump applies to soc-bc only"),
         ("verify", cfg.verify and cfg.measure not in ("soc-bc", "soc-katz"),
          "--verify supports soc-bc and soc-katz"),
     ):
         if broken and run in _FIELDS[name][0].lower():
             raise ValueError(message)
-    return cfg
+    return cfg, _sweep_ratios("0.1" if cfg.ratios is None else cfg.ratios) if run == "e" else []
 
 
-def _load_instance(cfg: ExperimentConfig):
-    g = load_edge_list(cfg.input, cfg.format, cfg.directed)
-    return g, make_instance(g, _resolve_omega(cfg, g), cfg.kappa)
+def _sweep_ratios(text: str) -> list[float]:
+    """The refill ratios of a sweep, each in (0, 1] and with a seed key of its own."""
+    try:
+        ratios = [float(r) for r in text.split(",")]
+    except ValueError:
+        ratios = []
+    if not (ratios and all(0 < r <= 1 for r in ratios)):  # the comparison is also false for nan
+        raise ValueError(f"--ratios must be comma-separated numbers in (0, 1], not {text!r}")
+    keys = [_ratio_key(r) for r in ratios]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"--ratios {ratios} share a seed key int(ratio * 1000); space them 0.001 apart")
+    return ratios
 
 
-def _resolve_omega(cfg: ExperimentConfig, g: Graph) -> list[int]:
+def _ratio_key(ratio: float) -> int:
+    """The ratio's part of a repetition's seed; a sweep's ratios must not share one."""
+    return int(ratio * 1000)
+
+
+def _inputs(cfg: ExperimentConfig, g: Graph, takes_pairs: bool) -> tuple[SocInstance, Pairs]:
+    """The run's instance and, where a consumer ``takes_pairs``, its source-target pairs."""
+    ids = g.label_to_id
     if cfg.omega_file:
         labels = [ln.strip() for ln in Path(cfg.omega_file).read_text().splitlines() if ln.strip()]
-        missing = [lab for lab in labels if lab not in g.label_to_id]
+        missing = [lab for lab in labels if lab not in ids]
         if missing:
             raise ValueError(f"omega labels not in graph: {missing[:5]}")
-        return [g.label_to_id[lab] for lab in labels]
-    if cfg.omega_ratio is not None:
-        return sample_omega(g.n, cfg.omega_ratio, cfg.seed)
-    return []
-
-
-def _resolve_pairs(cfg: ExperimentConfig, g: Graph, inst) -> tuple[tuple[int, int], ...] | None:
-    """The run's source-target pairs: read from --pairs-file, else sampled by --pairs, else None."""
-    if cfg.pairs_file:
+        omega = [ids[lab] for lab in labels]
+    else:
+        omega = [] if cfg.omega_ratio is None else sample_omega(g.n, cfg.omega_ratio, cfg.seed)
+    inst = make_instance(g, omega, cfg.kappa)
+    if takes_pairs and cfg.pairs_file:
         pairs = []
         for ln in Path(cfg.pairs_file).read_text().splitlines():
             toks = ln.split()
@@ -219,45 +238,48 @@ def _resolve_pairs(cfg: ExperimentConfig, g: Graph, inst) -> tuple[tuple[int, in
                 continue
             if len(toks) != 2:
                 raise ValueError(f"pair line needs two labels: {ln!r}")
-            missing = [lab for lab in toks if lab not in g.label_to_id]
+            missing = [lab for lab in toks if lab not in ids]
             if missing:
                 raise ValueError(f"pair label {missing[0]!r} not in graph")
-            pairs.append((g.label_to_id[toks[0]], g.label_to_id[toks[1]]))
+            if toks[0] == toks[1]:
+                raise ValueError(f"pair line has the same source and target: {ln!r}")
+            pairs.append((ids[toks[0]], ids[toks[1]]))
         if not pairs:
             raise ValueError("empty pairs file")
-        return tuple(pairs)
-    if cfg.pairs:
-        return tuple(sample_feasible_pairs(inst, cfg.pairs, cfg.seed)[0])
-    return None
+        return inst, tuple(pairs)
+    if takes_pairs and cfg.pairs:
+        return inst, tuple(sample_feasible_pairs(inst, cfg.pairs, cfg.seed)[0])
+    return inst, None
 
 
-def compute_measure(cfg: ExperimentConfig, g: Graph, inst) -> ScoreVector:
+def compute_measure(cfg: ExperimentConfig, inst: SocInstance, pairs: Pairs) -> ScoreVector:
     measure = cfg.measure
     if measure == "soc-katz":
         return soc_katz(inst, KatzParams(cfg.alpha))
     if measure == "katz":
-        return standard_katz(g, KatzParams(cfg.alpha))
+        return standard_katz(inst.graph, KatzParams(cfg.alpha))
     if measure == "soc-bc":
         return soc_betweenness(inst, cfg.endpoints)
     if measure == "bc":
-        return standard_betweenness(g, cfg.endpoints)
-    pairs = _resolve_pairs(cfg, g, inst)
+        return standard_betweenness(inst.graph, cfg.endpoints)
     if measure == "soc-rwbc":
         return soc_rwbc(inst, pairs)
-    return rwbc_all_pairs(g, pairs)
+    return rwbc_all_pairs(inst.graph, pairs)
 
 
-def run_simulation(cfg: ExperimentConfig, g: Graph, inst) -> ScoreVector:
+def simulation(cfg: ExperimentConfig, inst: SocInstance, pairs: Pairs) -> partial[ScoreVector]:
+    """The run's simulation as a call; building its parameters checks them, before it runs."""
     if cfg.sim == "sir":
-        return sir_influence(inst, SirParams(alpha=cfg.alpha, runs=cfg.runs, seed=cfg.seed))
-    return particle_hopping(
+        return partial(sir_influence, inst, SirParams(alpha=cfg.alpha, runs=cfg.runs, seed=cfg.seed))
+    return partial(
+        particle_hopping,
         inst,
         HoppingParams(
             policy=cfg.policy,
             duration=cfg.duration,
             injection_rate=cfg.injection_rate,
             seed=cfg.seed,
-            pairs=_resolve_pairs(cfg, g, inst),
+            pairs=pairs,
             max_injections=cfg.max_injections,
         ),
     )
@@ -278,13 +300,13 @@ def _write_scores(sv: ScoreVector, cfg: ExperimentConfig, out: Path, stem: str) 
     (out / f"{stem}.meta.json").write_text(json.dumps(sv.meta, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_centrality(cfg: ExperimentConfig) -> int:
-    g, inst = _load_instance(cfg)
+def cmd_centrality(cfg: ExperimentConfig, g: Graph) -> int:
+    inst, pairs = _inputs(cfg, g, cfg.measure in PAIR_MEASURES)
     if cfg.state_dump:
         bc = soc_betweenness_scores(inst, cfg.endpoints)
         sv = bc.node_vector(inst)
     else:
-        sv = compute_measure(cfg, g, inst)
+        sv = compute_measure(cfg, inst, pairs)
     if cfg.verify:
         code = _verify(cfg, inst, sv)
         if code:
@@ -319,10 +341,10 @@ def _verify(cfg: ExperimentConfig, inst, sv: ScoreVector) -> int:
     return 0 if ok else 2
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
-    g, inst = _load_instance(cfg)
+def cmd_simulate(cfg: ExperimentConfig, g: Graph) -> int:
+    inst, pairs = _inputs(cfg, g, cfg.sim == "hopping")
     out = Path(cfg.out)
-    _write_scores(run_simulation(cfg, g, inst), cfg, out, "realized")
+    _write_scores(simulation(cfg, inst, pairs)(), cfg, out, "realized")
     print(f"wrote {out / 'realized.csv'} ({g.n} nodes)")
     return 0
 
@@ -396,36 +418,23 @@ def _write_summary(out: Path, rows: list[tuple[float, list[float]]]) -> None:
     print(f"wrote {path} ({len(rows)} ratios)")
 
 
-def _ratio_key(ratio: float) -> int:
-    """The ratio's part of a repetition's seed; a sweep's ratios must not share one."""
-    return int(ratio * 1000)
-
-
-def _run_rep(task: tuple) -> tuple[float, int, float]:
-    cfg_dict, ratio, rep = task
-    cfg = ExperimentConfig(**cfg_dict)
-    g = load_edge_list(cfg.input, cfg.format, cfg.directed)
-    rep_seed = int(np.random.SeedSequence([cfg.seed, _ratio_key(ratio), rep]).generate_state(1)[0])
-    omega = sample_omega(g.n, ratio, rep_seed)
-    inst = make_instance(g, omega, cfg.kappa)
-    rep_cfg = ExperimentConfig(**dict(cfg_dict, seed=rep_seed, omega_ratio=ratio))
+def _run_rep(task: tuple[Graph, ExperimentConfig, float, int]) -> tuple[float, int, float]:
+    g, cfg, ratio, rep = task
+    seed = int(np.random.SeedSequence([cfg.seed, _ratio_key(ratio), rep]).generate_state(1)[0])
+    cfg = replace(cfg, seed=seed, omega_ratio=ratio)
+    inst, pairs = _inputs(cfg, g, cfg.measure in PAIR_MEASURES or cfg.sim == "hopping")
+    simulate = simulation(cfg, inst, pairs)  # before the measure, so a bad parameter stops the run first
+    expected = compute_measure(cfg, inst, pairs)
     out = Path(cfg.out) / f"ratio_{ratio}" / f"rep_{rep:02d}"
-    expected = compute_measure(rep_cfg, g, inst)
-    _write_scores(expected, rep_cfg, out, "expected")
-    realized = run_simulation(rep_cfg, g, inst)
-    _write_scores(realized, rep_cfg, out, "realized")
+    _write_scores(expected, cfg, out, "expected")
+    realized = simulate()
+    _write_scores(realized, cfg, out, "realized")
     y, z = align_scores(expected, realized)
     return ratio, rep, kendall_tau(y, z)
 
 
-def cmd_experiment(cfg: ExperimentConfig) -> int:
-    ratios = [float(r) for r in (cfg.ratios or "0.1").split(",")]
-    keys = [_ratio_key(r) for r in ratios]
-    if len(set(keys)) != len(keys):
-        raise ValueError(
-            f"ratios {ratios} repeat a seed key int(ratio * 1000); space them at least 0.001 apart"
-        )
-    tasks = [(asdict(cfg), r, k) for r in ratios for k in range(cfg.reps)]
+def cmd_experiment(cfg: ExperimentConfig, g: Graph, ratios: list[float]) -> int:
+    tasks = [(g, cfg, r, k) for r in ratios for k in range(cfg.reps)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_rep, tasks))
@@ -454,12 +463,13 @@ def main(argv: list[str] | None = None) -> int:
                             format="%(levelname)s %(name)s: %(message)s")
         if args.command == "correlate":
             return cmd_correlate(args)
-        cfg = _resolve(args)
+        cfg, ratios = _resolve(args)
+        g = load_edge_list(cfg.input, cfg.format, cfg.directed)
         if args.command == "centrality":
-            return cmd_centrality(cfg)
+            return cmd_centrality(cfg, g)
         if args.command == "simulate":
-            return cmd_simulate(cfg)
-        return cmd_experiment(cfg)
+            return cmd_simulate(cfg, g)
+        return cmd_experiment(cfg, g, ratios)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -573,3 +573,88 @@ def test_non_finite_injection_rate_is_input_error(graph_file, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "input error" in err and "injection rate must be finite and nonnegative" in err
     assert not out.exists()
+
+
+def test_a_sweep_loads_its_graph_once_and_samples_pairs_once_per_repetition(graph_file, tmp_path,
+                                                                             monkeypatch):
+    # Before, each repetition loaded the graph, and the measure and the simulation each
+    # sampled the pairs: 4 loads and 8 samplings for this sweep.
+    calls = {"load_edge_list": 0, "sample_feasible_pairs": 0}
+
+    def counting(name):
+        real = getattr(chargecent.cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(chargecent.cli, name, counting(name))
+    assert run("experiment", "--input", graph_file, "--kappa", "2", "--measure", "soc-rwbc",
+               "--sim", "hopping", "--duration", "20", "--pairs", "3", "--ratios", "0.25,0.5",
+               "--reps", "2", "--seed", "4", "--out", tmp_path / "exp") == 0
+    assert calls == {"load_edge_list": 1, "sample_feasible_pairs": 4}
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (("--sim", "sir", "--alpha", "1.5"), "transmission probability must lie in [0,1]"),
+    (("--sim", "sir", "--alpha", "0.5", "--runs", "0"), "--runs must be at least 1, not 0"),
+    (("--sim", "hopping", "--injection-rate", "nan"), "injection rate must be finite"),
+    (("--sim", "hopping", "--pairs-file", "self_pair.txt"), "same source and target"),
+], ids=["alpha", "runs", "injection-rate", "self-pair"])
+def test_experiment_checks_its_simulation_before_the_measure_runs(graph_file, tmp_path, capsys,
+                                                                   monkeypatch, argv, problem):
+    # Before, each of these computed soc-bc and wrote ratio_0.5/rep_00/expected.* first.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "self_pair.txt").write_text("1 1\n")
+    out = tmp_path / "exp"
+    assert run("experiment", "--input", graph_file, "--kappa", "2", "--measure", "soc-bc",
+               *argv, "--ratios", "0.5", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and problem in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratios", ["1.5", "nan", "0.5,abc", ""])
+def test_experiment_rejects_bad_ratios_before_any_load(graph_file, tmp_path, capsys, monkeypatch,
+                                                        ratios):
+    # Before, 1.5 and nan failed after the load (nan naming no option), and "" ran ratio 0.1.
+    loads = []
+    monkeypatch.setattr(chargecent.cli, "load_edge_list", lambda *a: loads.append(a))
+    out = tmp_path / "exp"
+    assert run("experiment", "--input", graph_file, "--kappa", "2", "--measure", "bc",
+               "--sim", "sir", "--alpha", "0.5", "--ratios", ratios, "--out", out) == 1
+    assert f"--ratios must be comma-separated numbers in (0, 1], not {ratios!r}" in capsys.readouterr().err
+    assert loads == [] and not out.exists()
+
+
+def test_experiment_takes_no_omega_file_or_omega_ratio(graph_file, tmp_path, capsys):
+    # Before, both were accepted, recorded in the metas and ignored by the sweep.
+    argv = ["experiment", "--input", graph_file, "--kappa", "2", "--measure", "bc",
+            "--sim", "sir", "--alpha", "0.5", "--runs", "2", "--ratios", "0.5"]
+    omega = tmp_path / "omega.txt"
+    omega.write_text("0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"omega_ratio": 0.9}))
+    out = tmp_path / "exp"
+    assert run(*argv, "--omega-file", omega, "--out", out) == 1
+    assert "unrecognized arguments: --omega-file" in capsys.readouterr().err
+    assert run(*argv, "--config", cfg, "--out", out) == 1
+    assert "takes no omega_file or omega_ratio" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["kappa", "runs", "duration"])
+def test_counts_below_one_are_rejected_before_any_load(graph_file, tmp_path, capsys, monkeypatch, key):
+    # Before, --kappa 0 loaded the graph first, and runs or duration 0 failed inside the run.
+    loads = []
+    monkeypatch.setattr(chargecent.cli, "load_edge_list", lambda *a: loads.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 0}))
+    out = tmp_path / "exp"
+    for way in ([f"--{key}", 0], ["--config", cfg]):
+        assert run("experiment", "--input", graph_file, "--measure", "bc", "--sim", "hopping",
+                   *way, "--out", out) == 1
+        assert f"--{key} must be at least 1, not 0" in capsys.readouterr().err
+    assert loads == [] and not out.exists()
