@@ -19,7 +19,6 @@ from .errors import NumericalError
 from .graph import (
     Graph,
     GraphParseError,
-    RefillSet,
     SocInstance,
     load_edge_list,
     make_instance,
@@ -49,7 +48,6 @@ __all__ = [
     "HoppingParams",
     "KatzParams",
     "NumericalError",
-    "RefillSet",
     "ScoreVector",
     "SirParams",
     "SocInstance",

@@ -109,7 +109,7 @@ class BcScores:
         meta = {
             "measure": "soc-bc",
             "kappa": inst.kappa,
-            "omega": inst.omega.sorted_members(),
+            "omega": np.flatnonzero(inst.refill).tolist(),
             "endpoints": self.endpoints,
             "states": int(self.state_scores.shape[0]),
             "settled_states": self.settled_states,

@@ -190,6 +190,10 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, list[float]]:
          "random-walk betweenness needs --pairs N or --pairs-file"),
         ("ratios", cfg.omega_file is not None or cfg.omega_ratio is not None,
          "experiment sweeps --ratios; it takes no omega_file or omega_ratio"),
+        ("omega_file", cfg.omega_file is not None and cfg.omega_ratio is not None,
+         "--omega-file and --omega-ratio both choose omega; give one of them"),
+        ("omega_ratio", cfg.omega_ratio is not None and not _is_ratio(cfg.omega_ratio),
+         f"--omega-ratio must be a number in (0, 1], not {cfg.omega_ratio}"),
         ("state_dump", cfg.state_dump and cfg.measure != "soc-bc", "--state-dump applies to soc-bc only"),
         ("verify", cfg.verify and cfg.measure not in ("soc-bc", "soc-katz"),
          "--verify supports soc-bc and soc-katz"),
@@ -205,12 +209,17 @@ def _sweep_ratios(text: str) -> list[float]:
         ratios = [float(r) for r in text.split(",")]
     except ValueError:
         ratios = []
-    if not (ratios and all(0 < r <= 1 for r in ratios)):  # the comparison is also false for nan
+    if not (ratios and all(map(_is_ratio, ratios))):
         raise ValueError(f"--ratios must be comma-separated numbers in (0, 1], not {text!r}")
     keys = [_ratio_key(r) for r in ratios]
     if len(set(keys)) != len(keys):
         raise ValueError(f"--ratios {ratios} share a seed key int(ratio * 1000); space them 0.001 apart")
     return ratios
+
+
+def _is_ratio(r: float) -> bool:
+    """Whether r is a refill ratio, a number in (0, 1]; false for nan."""
+    return 0 < r <= 1
 
 
 def _ratio_key(ratio: float) -> int:

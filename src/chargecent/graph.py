@@ -196,49 +196,33 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
-class RefillSet:
-    """Set of refill node ids with O(1) membership via a boolean mask."""
-
-    def __init__(self, members: Iterable[int], n: int):
-        self.n = int(n)
-        mem = sorted({int(v) for v in members})
-        if mem and not (0 <= mem[0] and mem[-1] < n):
-            raise ValueError("refill node id out of range")
-        self.members: frozenset[int] = frozenset(mem)
-        self.mask = np.zeros(n, dtype=bool)
-        if mem:
-            self.mask[mem] = True
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.mask[v])
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
-    def __repr__(self) -> str:
-        return f"RefillSet({len(self.members)} of {self.n})"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SocInstance:
-    """A graph plus refill set and hop budget; the unit all measures consume."""
+    """A graph, its refill set and hop budget; the unit all measures consume.
+
+    ``refill`` is the refill set as a boolean mask over the node ids. Instances
+    compare by identity, as the mask has no single truth value.
+    """
 
     graph: Graph
-    omega: RefillSet
+    refill: np.ndarray
     kappa: int
 
     def __post_init__(self):
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
-        if self.omega.n != self.graph.n:
-            raise ValueError("refill set sized for a different graph")
+        if self.refill.shape != (self.graph.n,) or self.refill.dtype != bool:
+            raise ValueError("refill set must be a boolean mask with one entry per node")
 
 
 def make_instance(graph: Graph, omega: Iterable[int], kappa: int) -> SocInstance:
-    return SocInstance(graph, RefillSet(omega, graph.n), int(kappa))
+    """The instance whose refill set is the node ids in omega, in any order, repeats allowed."""
+    ids = [int(v) for v in omega]
+    if ids and not (0 <= min(ids) and max(ids) < graph.n):
+        raise ValueError("refill node id out of range")
+    refill = np.zeros(graph.n, dtype=bool)
+    refill[ids] = True
+    return SocInstance(graph, refill, int(kappa))
 
 
 def _finish(tokens: list[str], directed: bool, labels: Sequence[str] = ()) -> Graph:

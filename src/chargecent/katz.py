@@ -39,6 +39,10 @@ class KatzParams:
     alpha: float | None  # None: 0.9 of the bound 1/upper, or 0.03 when the bound is infinite
     tol: float = 1e-10  # bound on max|r| of the solve; the score error is then about tol * max score
 
+    def __post_init__(self):
+        if self.alpha is not None and not 0 <= self.alpha < math.inf:  # also false for nan
+            raise ValueError(f"Katz alpha must be a finite number >= 0, not {self.alpha}")
+
 
 @dataclass(frozen=True)
 class AlphaBound:
@@ -63,7 +67,7 @@ def _katz(adj: scipy.sparse.csr_array, p: KatzParams, meta: dict) -> np.ndarray:
     alpha = p.alpha
     if alpha is None:
         alpha = 0.03 if math.isinf(bound.max_alpha) else 0.9 * bound.max_alpha
-    if not (0.0 <= alpha < bound.max_alpha):
+    if alpha >= bound.max_alpha:
         raise ValueError(f"alpha={alpha} is not below the certified bound 1/rho_upper={bound.max_alpha:.6g}")
     meta.update(alpha=alpha, tol=p.tol, radius_lower=bound.lower, radius_upper=bound.upper)
     n, tol = adj.shape[0], p.tol
@@ -90,7 +94,7 @@ def _katz(adj: scipy.sparse.csr_array, p: KatzParams, meta: dict) -> np.ndarray:
 def soc_katz(inst: SocInstance, p: KatzParams) -> ScoreVector:
     """Charge-aware Katz scores, read off the full-charge block of the state-graph solve."""
     g = inst.graph
-    meta = {"measure": "soc-katz", "kappa": inst.kappa, "omega": inst.omega.sorted_members()}
+    meta = {"measure": "soc-katz", "kappa": inst.kappa, "omega": np.flatnonzero(inst.refill).tolist()}
     x = _katz(build_state_graph(inst).adjacency, p, meta)
     return ScoreVector.for_graph(g, x[: g.n], meta)
 

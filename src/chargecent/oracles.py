@@ -46,7 +46,7 @@ def _moves(inst: SocInstance, node: int, soc: int) -> list[tuple[int, int]]:
     out = []
     for v in inst.graph.out_neighbors(node):
         v = int(v)
-        if v in inst.omega:
+        if inst.refill[v]:
             out.append((v, inst.kappa))
         elif soc >= 1:
             out.append((v, soc - 1))
@@ -291,7 +291,7 @@ def dense_bkappa(inst: SocInstance) -> np.ndarray:
     g, kappa = inst.graph, inst.kappa
     n = g.n
     a = dense_adjacency(g)
-    j = np.diag(inst.omega.mask.astype(float))
+    j = np.diag(inst.refill.astype(float))
     eye = np.eye(n)
     big = np.zeros((n * (kappa + 1), n * (kappa + 1)))
     for b in range(kappa + 1):
@@ -498,7 +498,7 @@ def run_sir_episode(
     """
     g = inst.graph
     kappa = inst.kappa
-    refill = inst.omega.mask
+    refill = inst.refill
     status = bytearray(g.n)  # 0 susceptible, 1 infected, 2 recovered
     status[seed_node] = 1
     soc = {seed_node: kappa}

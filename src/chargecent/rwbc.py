@@ -184,7 +184,7 @@ def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector
     if diagnostics["skipped_pairs"]:
         logger.info("%d of %d pairs had no feasible walk", diagnostics["skipped_pairs"], len(pairs))
     node_scores = y_states.reshape(inst.kappa + 1, inst.graph.n).sum(axis=0)
-    meta = {"measure": "soc-rwbc", "kappa": inst.kappa, "omega": inst.omega.sorted_members(),
+    meta = {"measure": "soc-rwbc", "kappa": inst.kappa, "omega": np.flatnonzero(inst.refill).tolist(),
             "pairs": len(pairs), **diagnostics}
     return ScoreVector.for_graph(inst.graph, node_scores, meta)
 

@@ -65,7 +65,7 @@ def _sir_outbreaks(
     A head reached by several arcs keeps the largest handed charge.
     """
     g = inst.graph
-    n, kappa, refill = g.n, inst.kappa, inst.omega.mask
+    n, kappa, refill = g.n, inst.kappa, inst.refill
     infected = np.zeros(runs * n, dtype=np.int8)  # ever infected, per (run, node)
     run = np.arange(runs, dtype=np.int64)
     node = np.full(runs, seed_node, dtype=np.int64)
@@ -115,7 +115,7 @@ def sir_influence(inst: SocInstance, p: SirParams) -> ScoreVector:
         "alpha": p.alpha,
         "runs": p.runs,
         "kappa": inst.kappa,
-        "omega": inst.omega.sorted_members(),
+        "omega": np.flatnonzero(inst.refill).tolist(),
         "seed": p.seed,
     }
     return ScoreVector.for_graph(g, scores, meta)
@@ -332,7 +332,7 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
         "injection_rate": p.injection_rate,
         "seed": p.seed,
         "kappa": inst.kappa,
-        "omega": inst.omega.sorted_members(),
+        "omega": np.flatnonzero(inst.refill).tolist(),
         "requested": requested,
         "placed": placed,
         "completed": completed,

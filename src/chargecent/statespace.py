@@ -42,30 +42,22 @@ class StateGraph:
     """Immutable CSR adjacency over flat state indices, with a cache of ``toward`` tables."""
 
     def __init__(self, instance: SocInstance):
-        self.instance = instance
-        g = instance.graph
-        self.n = g.n
-        self.kappa = instance.kappa
-        self.n_states = g.n * (instance.kappa + 1)
-        self.indptr, self.indices, self.arc_src = self._build()
-        self._tables: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-
-    def _build(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        g = self.instance.graph
-        n, kappa = self.n, self.kappa
-        refill = self.instance.omega.mask[g.indices]
+        g, n, kappa = instance.graph, instance.graph.n, instance.kappa
+        self.n, self.kappa, self.n_states = n, kappa, n * (kappa + 1)
+        refill = instance.refill[g.indices]
         src_parts: list[np.ndarray] = []
         dst_parts: list[np.ndarray] = []
         for block in range(kappa + 1):
-            soc = kappa - block
             src = block * n + g.arc_src
             # Refill arcs land in block 0 (full charge).
             src_parts.append(src[refill])
             dst_parts.append(g.indices[refill])
-            if soc >= 1:
+            if block < kappa:  # other arcs spend a unit of the charge kappa - block
                 src_parts.append(src[~refill])
                 dst_parts.append((block + 1) * n + g.indices[~refill])
-        return csr(self.n_states, np.concatenate(src_parts), np.concatenate(dst_parts))
+        self.indptr, self.indices, self.arc_src = csr(self.n_states, np.concatenate(src_parts),
+                                                      np.concatenate(dst_parts))
+        self._tables: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
     @property
     def n_arcs(self) -> int:

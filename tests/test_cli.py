@@ -283,14 +283,22 @@ def test_correlate_report_carries_run_context(graph_file, tmp_path):
 
 
 def test_experiment_workers_match_serial(graph_file, tmp_path):
-    argv = ["experiment", "--input", str(graph_file), "--kappa", "2",
-            "--measure", "soc-katz", "--alpha", "0.05", "--sim", "sir",
-            "--runs", "10", "--ratios", "0.5", "--reps", "2", "--seed", "21"]
-    serial = tmp_path / "serial"
-    pooled = tmp_path / "pooled"
-    assert main(argv + ["--out", str(serial)]) == 0
-    assert main(argv + ["--workers", "2", "--out", str(pooled)]) == 0
-    assert (serial / "taus.csv").read_bytes() == (pooled / "taus.csv").read_bytes()
+    argv = ["experiment", "--input", graph_file, "--kappa", "2", "--measure", "soc-katz",
+            "--alpha", "0.05", "--sim", "sir", "--runs", "10", "--ratios", "0.25,0.5", "--reps", "2",
+            "--seed", "21"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert run(*argv, "--workers", "1", "--out", serial) == 0
+    assert run(*argv, "--workers", "2", "--out", pooled) == 0
+    files = sorted(f.relative_to(serial) for f in serial.rglob("*") if f.is_file())
+    assert files == sorted(f.relative_to(pooled) for f in pooled.rglob("*") if f.is_file())
+    assert len(files) == 19
+    for f in files:
+        if f.suffix == ".json":  # the metas differ in the workers they record, and only there
+            metas = [json.loads((root / f).read_text()) for root in (serial, pooled)]
+            assert [m["config"].pop("workers") for m in metas] == [1, 2]
+            assert metas[0] == metas[1]
+        else:
+            assert (serial / f).read_bytes() == (pooled / f).read_bytes()
 
 
 def test_experiment_and_batch_summary(graph_file, tmp_path):
@@ -643,6 +651,34 @@ def test_experiment_takes_no_omega_file_or_omega_ratio(graph_file, tmp_path, cap
     assert run(*argv, "--config", cfg, "--out", out) == 1
     assert "takes no omega_file or omega_ratio" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, argv", [("centrality", ["--measure", "bc"]),
+                                           ("simulate", ["--sim", "sir", "--alpha", "0.5"])])
+def test_omega_file_and_omega_ratio_together_are_rejected(graph_file, tmp_path, capsys, command, argv):
+    # Before, the file chose omega and the metas recorded the ratio it ignored.
+    omega = tmp_path / "omega.txt"
+    omega.write_text("0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"omega_file": str(omega), "omega_ratio": 0.5}))
+    out = tmp_path / "out"
+    for way in (["--omega-file", omega, "--omega-ratio", "0.5"], ["--config", cfg]):
+        assert run(command, "--input", graph_file, "--kappa", "2", *argv, *way, "--out", out) == 1
+        assert "--omega-file and --omega-ratio both choose omega" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio", ["1.5", "nan", "0", "-0.2"])
+def test_bad_omega_ratio_is_rejected_before_any_load(graph_file, tmp_path, capsys, monkeypatch, ratio):
+    # Before, the graph was loaded first, and sample_omega then failed naming no option.
+    loads = []
+    monkeypatch.setattr(chargecent.cli, "load_edge_list", lambda *a: loads.append(a))
+    out = tmp_path / "out"
+    for command, argv in (("centrality", ["--measure", "bc"]), ("simulate", ["--sim", "hopping"])):
+        assert run(command, "--input", graph_file, "--kappa", "2", *argv, "--omega-ratio", ratio,
+                   "--out", out) == 1
+        assert f"--omega-ratio must be a number in (0, 1], not {float(ratio)}" in capsys.readouterr().err
+    assert loads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("key", ["kappa", "runs", "duration"])

@@ -4,7 +4,6 @@ import pytest
 from chargecent import (
     Graph,
     GraphParseError,
-    RefillSet,
     SocInstance,
     build_state_graph,
     load_edge_list,
@@ -350,12 +349,15 @@ def test_instance_validation():
     g = path_graph(3)
     with pytest.raises(ValueError):
         make_instance(g, [], 0)
-    with pytest.raises(ValueError):
-        RefillSet([5], 3)
-    with pytest.raises(ValueError):
-        SocInstance(g, RefillSet([0], 4), 1)
-    inst = make_instance(g, [1], 2)
-    assert 1 in inst.omega and 0 not in inst.omega
+    with pytest.raises(ValueError, match="out of range"):
+        make_instance(g, [5], 1)
+    with pytest.raises(ValueError, match="out of range"):
+        make_instance(g, [-1], 1)
+    for refill in (np.zeros(4, dtype=bool), np.zeros(3, dtype=int)):
+        with pytest.raises(ValueError, match="boolean mask with one entry per node"):
+            SocInstance(g, refill, 1)
+    inst = make_instance(g, [2, 1, 2], 2)
+    assert inst.refill.tolist() == [False, True, True]
 
 
 def test_edge_out_of_range_rejected():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import chargecent.katz
 from chargecent import (
     Graph,
     KatzParams,
@@ -111,8 +112,8 @@ def test_omega_monotonicity():
     rng = np.random.default_rng(8)
     for inst in instance_corpus(15, seed=55, n_max=6, kappa_max=2):
         g = inst.graph
-        base = sorted(inst.omega.members)
-        extra = [v for v in range(g.n) if v not in inst.omega]
+        base = np.flatnonzero(inst.refill).tolist()
+        extra = np.flatnonzero(~inst.refill).tolist()
         if not extra:
             continue
         bigger = sorted(base + [extra[int(rng.integers(len(extra)))]])
@@ -154,6 +155,22 @@ def test_alpha_at_bound_rejected():
         soc_katz(inst, KatzParams(1.0))
     with pytest.raises(ValueError, match="bound"):
         standard_katz(g, KatzParams(1.0))
+
+
+@pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+def test_negative_or_nonfinite_alpha_rejected_before_the_state_graph(tmp_path, capsys, monkeypatch, alpha):
+    # Before, these built the state graph and its radius bracket, then failed naming the bound.
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        KatzParams(alpha)
+    builds = []
+    monkeypatch.setattr(chargecent.katz, "build_state_graph", builds.append)
+    graph_file = tmp_path / "g.tsv"
+    graph_file.write_text("0 1\n1 2\n2 3\n3 0\n")
+    out = tmp_path / "out"
+    assert main(["centrality", "--input", str(graph_file), "--kappa", "2", "--omega-ratio", "0.5",
+                 "--measure", "soc-katz", "--alpha", str(alpha), "--out", str(out)]) == 1
+    assert f"Katz alpha must be a finite number >= 0, not {alpha}" in capsys.readouterr().err
+    assert builds == [] and not out.exists()
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-4])

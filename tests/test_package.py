@@ -61,12 +61,13 @@ def test_removed_names_stay_out_of_the_package():
     # graph is test reference code), and "which states reach t" is
     # ``StateGraph.toward(t)``. The B_kappa action is
     # ``sg.adjacency @ x``, and the quadratic Kendall tau is reference code in
-    # ``oracles``.
+    # ``oracles``. An instance holds its refill set as the boolean mask
+    # ``refill``, and a state graph keeps no reference to its instance.
     for name in ("directed_rwbc_pair", "FlowSolution", "StPair", "SimOutcome",
                  "walk_subgraph", "WalkSubgraph", "run_sir_episode",
                  "spectral_radius", "state_graph_radius",
                  "STAR", "apply_bkappa", "shortest_feasible_walk_length", "kendall_tau_naive",
-                 "PowerIterationResult", "count_feasible_walks", "WalkCounts"):
+                 "PowerIterationResult", "count_feasible_walks", "WalkCounts", "RefillSet"):
         assert not hasattr(chargecent, name), name
         assert name not in chargecent.__all__, name
     # Names that lived in a module or class rather than at the package root.
@@ -77,6 +78,7 @@ def test_removed_names_stay_out_of_the_package():
                         (chargecent.statespace, "reachable_nodes"),
                         (chargecent.betweenness, "_with_sinks"), (chargecent.betweenness, "_arrival_debit"),
                         (chargecent.betweenness, "_target_credit"),
+                        (chargecent.graph, "RefillSet"), (sg, "instance"), (sg, "_build"),
                         (sg, "starred"), (sg, "n_numeric"), (sg, "state_of"), (sg, "out_states")):
         assert not hasattr(owner, name), name
 

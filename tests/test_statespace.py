@@ -61,7 +61,7 @@ def test_arc_legality_invariant(small_instances):
         for s, d in zip(sg.arc_src, sg.indices):
             (u, i), (v, j) = state_of(sg, s), state_of(sg, d)
             assert (u, v) in edges
-            if v in inst.omega:
+            if inst.refill[v]:
                 assert j == inst.kappa
             else:
                 assert j == i - 1
