@@ -37,7 +37,7 @@ from .simulate import (
     particle_hopping,
     sir_influence,
 )
-from .statespace import StateGraph, build_state_graph
+from .statespace import StateGraph
 from .stats import kendall_tau
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "SocInstance",
     "StateGraph",
     "align_scores",
-    "build_state_graph",
     "kendall_tau",
     "load_edge_list",
     "make_instance",

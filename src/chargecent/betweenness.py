@@ -43,7 +43,7 @@ import numpy as np
 
 from .graph import Graph, SocInstance, bfs
 from .scores import ScoreVector
-from .statespace import StateGraph, build_state_graph
+from .statespace import StateGraph
 
 ENDPOINT_CONVENTIONS = ("target", "none")
 # Bound on C * (N + A) per chunk, for C sources and N nodes and A arcs searched.
@@ -148,7 +148,7 @@ def _source_sums(indptr, indices, blocks, dominance, own, endpoint):
 def soc_betweenness_scores(inst: SocInstance, endpoints: str = "target") -> BcScores:
     if endpoints not in ENDPOINT_CONVENTIONS:
         raise ValueError(f"endpoints must be one of {ENDPOINT_CONVENTIONS}")
-    sg = build_state_graph(inst)
+    sg = inst.state_graph
     bc_state, settled = _source_sums(sg.indptr, sg.indices, inst.kappa + 1, _charge_dominance(sg),
                                      True, -1.0 if endpoints == "none" else 0.0)
     node_scores = bc_state.reshape(inst.kappa + 1, sg.n).sum(axis=0)

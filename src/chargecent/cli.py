@@ -200,6 +200,11 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, list[float]]:
     ):
         if broken and run in _FIELDS[name][0].lower():
             raise ValueError(message)
+    # The parameters check the Katz and SIR alpha themselves; built here, before any load.
+    if cfg.measure in ("soc-katz", "katz") and run in _FIELDS["measure"][0].lower():
+        KatzParams(cfg.alpha)
+    if cfg.sim == "sir" and run in _FIELDS["sim"][0].lower():
+        SirParams(cfg.alpha, cfg.runs)
     return cfg, _sweep_ratios("0.1" if cfg.ratios is None else cfg.ratios) if run == "e" else []
 
 

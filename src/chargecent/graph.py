@@ -11,12 +11,15 @@ import functools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
 
 from .errors import NumericalError
+
+if TYPE_CHECKING:
+    from .statespace import StateGraph
 
 logger = logging.getLogger(__name__)
 
@@ -174,7 +177,7 @@ class Graph:
         if not directed:
             mask = src != dst
             src, dst = np.concatenate([src, dst[mask]]), np.concatenate([dst, src[mask]])
-        # arc_src[a] is the tail of arc a; handy for vectorized matvecs.
+        # arc_src[a] is the tail of arc a; the state graph and plain rwbc's reverse CSR are built from it.
         self.indptr, self.indices, self.arc_src = csr(n, src, dst)
 
     @property
@@ -200,8 +203,9 @@ class Graph:
 class SocInstance:
     """A graph, its refill set and hop budget; the unit all measures consume.
 
-    ``refill`` is the refill set as a boolean mask over the node ids. Instances
-    compare by identity, as the mask has no single truth value.
+    ``refill`` is the refill set as a boolean mask over the node ids, made
+    read-only here, so that the state graph built from it cannot go stale.
+    Instances compare by identity, as the mask has no single truth value.
     """
 
     graph: Graph
@@ -213,6 +217,14 @@ class SocInstance:
             raise ValueError("kappa must be >= 1")
         if self.refill.shape != (self.graph.n,) or self.refill.dtype != bool:
             raise ValueError("refill set must be a boolean mask with one entry per node")
+        self.refill.flags.writeable = False
+
+    @functools.cached_property
+    def state_graph(self) -> StateGraph:
+        """The (node, charge) state graph, built on first use and kept with its ``toward`` tables."""
+        from .statespace import build_state_graph  # statespace imports this module
+
+        return build_state_graph(self)
 
 
 def make_instance(graph: Graph, omega: Iterable[int], kappa: int) -> SocInstance:

@@ -29,7 +29,6 @@ import scipy.sparse
 from .errors import NumericalError
 from .graph import Graph, SocInstance, radius_bracket
 from .scores import ScoreVector
-from .statespace import build_state_graph
 
 SOLVE_MAX_ITER = 10_000  # BiCGSTAB iterations before the solve counts as failed
 
@@ -95,7 +94,7 @@ def soc_katz(inst: SocInstance, p: KatzParams) -> ScoreVector:
     """Charge-aware Katz scores, read off the full-charge block of the state-graph solve."""
     g = inst.graph
     meta = {"measure": "soc-katz", "kappa": inst.kappa, "omega": np.flatnonzero(inst.refill).tolist()}
-    x = _katz(build_state_graph(inst).adjacency, p, meta)
+    x = _katz(inst.state_graph.adjacency, p, meta)
     return ScoreVector.for_graph(g, x[: g.n], meta)
 
 

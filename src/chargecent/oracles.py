@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NumericalError
 from .graph import Graph, SocInstance, bfs, csr
 from .scores import ScoreVector
-from .statespace import build_state_graph
 
 DEFAULT_MAX_WALKS = 2_000_000
 _U64_MAX = 2**64 - 1
@@ -105,7 +104,7 @@ def count_feasible_walks(inst: SocInstance, k: int) -> WalkCounts:
     """
     if k < 0:
         raise ValueError("walk length must be nonnegative")
-    sg = build_state_graph(inst)
+    sg = inst.state_graph
     n = inst.graph.n
     indptr, indices = sg.indptr, sg.indices
     counts: list[list[int]] = []

@@ -32,7 +32,7 @@ import scipy.sparse
 from .errors import NumericalError
 from .graph import Graph, SocInstance, adjacency_matrix, bfs, csr
 from .scores import ScoreVector
-from .statespace import build_state_graph, draw_feasible_pair
+from .statespace import draw_feasible_pair
 
 logger = logging.getLogger(__name__)
 
@@ -167,7 +167,7 @@ def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector
     metadata as skipped.
     """
     groups = _sources_by_target(pairs, inst.graph.n)
-    sg = build_state_graph(inst)
+    sg = inst.state_graph
     into = adjacency_matrix(sg.n_states, *sg.reverse)
     levels = np.arange(inst.kappa + 1)
     # State (u, level b) sits at b * n + u; node-major, it takes position rank[u] * (kappa + 1) + b.
@@ -210,11 +210,10 @@ def sample_feasible_pairs(inst: SocInstance, count: int, seed: int) -> tuple[lis
     Returns the sampled pairs and the number of infeasible draws discarded.
     """
     rng = np.random.default_rng(seed)
-    sg = build_state_graph(inst)
     pairs: list[tuple[int, int]] = []
     resampled = 0
     for _ in range(count):
-        s, t, redraws = draw_feasible_pair(rng, sg)
+        s, t, redraws = draw_feasible_pair(rng, inst.state_graph)
         pairs.append((s, t))
         resampled += redraws
     return pairs, resampled

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericalError
 from .graph import SocInstance
 from .scores import ScoreVector
-from .statespace import build_state_graph, draw_feasible_pair
+from .statespace import draw_feasible_pair
 
 logger = logging.getLogger(__name__)
 
@@ -227,11 +227,12 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
     for s, t in p.pairs or ():
         if not (0 <= s < n and 0 <= t < n):
             raise ValueError(f"hopping pair ({s}, {t}) has a node id outside [0,{n})")
-    sg = build_state_graph(inst)
+    sg = inst.state_graph
     rng = np.random.default_rng(p.seed)
     # ``sg.toward(t)`` is target t's table: the hops from each state to t and the
     # shortest continuations that routing samples among, one hop at a time. The
-    # state graph keeps about 300 MB of tables and builds several per search.
+    # instance keeps them on its state graph, up to ``TABLE_BYTES``, several built
+    # per search; tables that pair sampling or an earlier run built are reused.
 
     # Injection schedule: whole part of the rate is deterministic, the
     # fractional part is a Bernoulli coin per step.

@@ -55,13 +55,16 @@ class StateGraph:
             if block < kappa:  # other arcs spend a unit of the charge kappa - block
                 src_parts.append(src[~refill])
                 dst_parts.append((block + 1) * n + g.indices[~refill])
-        self.indptr, self.indices, self.arc_src = csr(self.n_states, np.concatenate(src_parts),
-                                                      np.concatenate(dst_parts))
+        self.indptr, self.indices, _ = csr(self.n_states, np.concatenate(src_parts), np.concatenate(dst_parts))
         self._tables: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
     @property
     def n_arcs(self) -> int:
         return int(self.indices.shape[0])
+
+    @property
+    def arc_src(self) -> np.ndarray:  # the tail of each arc, derived rather than kept: 8 bytes an arc
+        return np.repeat(np.arange(self.n_states), np.diff(self.indptr))
 
     @functools.cached_property
     def adjacency(self) -> scipy.sparse.csr_array:

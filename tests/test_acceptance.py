@@ -108,7 +108,7 @@ def test_criterion_3_reductions():
 def test_criterion_4_damping_bound_ordering():
     worst = -np.inf
     for inst in instance_corpus(100, seed=444, n_max=8, p=0.3, kappa_max=3):
-        upper_b = radius_bracket(cc.build_state_graph(inst).adjacency)[1]
+        upper_b = radius_bracket(inst.state_graph.adjacency)[1]
         lower_a = radius_bracket(inst.graph.adjacency)[0]
         worst = max(worst, upper_b - lower_a)
         assert upper_b <= lower_a + 1e-8

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from chargecent import (
-    build_state_graph,
     make_instance,
     soc_betweenness,
     soc_betweenness_scores,
@@ -79,7 +78,7 @@ def test_reduction_to_standard_bc():
 def test_state_scores_aggregate_and_stars_zero():
     inst = make_instance(path_graph(4), [1], 2)
     scores = soc_betweenness_scores(inst)
-    assert scores.state_scores.shape == (build_state_graph(inst).n_states,)  # one score per state
+    assert scores.state_scores.shape == (inst.state_graph.n_states,)  # one score per state
     assert np.allclose(
         scores.state_scores.reshape(inst.kappa + 1, 4).sum(axis=0),
         scores.node_scores,
@@ -88,7 +87,7 @@ def test_state_scores_aggregate_and_stars_zero():
 
 def test_sigma_consistency_invariant(small_instances):
     for inst in small_instances[:10]:
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         indptr, indices = with_sinks(sg)
         n_all = sg.n_states + sg.n
         state = bfs_shortest_paths(indptr, indices, n_all, sg.source_state(0))
@@ -142,7 +141,7 @@ def test_dependency_matches_pair_enumeration():
 
 def test_dependency_bounds(small_instances):
     for inst in small_instances[:8]:
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         indptr, indices = with_sinks(sg)
         stars = list(range(sg.n_states, sg.n_states + sg.n))
         for s in range(inst.graph.n):
@@ -156,7 +155,7 @@ def test_dependency_bounds(small_instances):
 def test_engine_matches_reference_recursion(small_instances):
     # The vectorized kernel and the scalar recursion agree state by state.
     for inst in small_instances[:10]:
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         indptr, indices = with_sinks(sg)
         n_all = sg.n_states + sg.n
         stars = np.zeros(n_all, dtype=bool)
@@ -266,7 +265,7 @@ def _accumulate_by_levels(d, sigma, tree_arcs, target_mask, bc_state):
 
 def _one_source_at_a_time_soc_bc(inst, endpoints):
     """soc-bc state scores by one plain ``bfs`` over the sink graph and one accumulation per source."""
-    sg = build_state_graph(inst)
+    sg = inst.state_graph
     n, n_states = sg.n, sg.n_states
     indptr, indices = with_sinks(sg)
     sinks = np.zeros(n_states + n, dtype=bool)
@@ -318,7 +317,7 @@ def test_chunked_scores_are_bit_identical_to_one_source_at_a_time(one_source_at_
     for inst, endpoints, want_states, want_bc in one_source_at_a_time:
         g, kappa = inst.graph, inst.kappa
         if copies is not None:
-            sg = build_state_graph(inst)
+            sg = inst.state_graph
             monkeypatch.setattr(betweenness, "CELLS", copies * (sg.n_states + sg.n_arcs))
         got = soc_betweenness_scores(inst, endpoints)
         assert np.array_equal(got.state_scores, want_states)
@@ -358,7 +357,7 @@ def test_a_chunk_holds_no_more_copies_than_sources(monkeypatch):
 
 def test_soc_bc_meta_counts_the_states_the_search_settled():
     inst = make_instance(grid_graph(6, 6), sample_omega(36, 0.2, seed=2), 6)
-    sg = build_state_graph(inst)
+    sg = inst.state_graph
     indptr, indices = with_sinks(sg)
     settled = plain = 0
     for s in range(sg.n):

@@ -13,7 +13,7 @@ from chargecent import load_edge_list, make_instance, max_alpha
 from chargecent.cli import main
 from chargecent.generators import sample_omega
 from chargecent.scores import ScoreVector
-from chargecent.statespace import StateGraph, build_state_graph
+from chargecent.statespace import StateGraph
 
 
 @pytest.fixture
@@ -351,7 +351,7 @@ def test_correlate_batch_summarizes_every_ratio_directory(graph_file, tmp_path):
 
 def test_default_alpha_measures_the_bound_once(graph_file, tmp_path, monkeypatch):
     g = load_edge_list(graph_file)
-    bound = max_alpha(build_state_graph(make_instance(g, sample_omega(g.n, 0.5, 3), 2)).adjacency).max_alpha
+    bound = max_alpha(make_instance(g, sample_omega(g.n, 0.5, 3), 2).state_graph.adjacency).max_alpha
     calls = {"radius": 0, "state_graph": 0}
     radius, init = chargecent.graph.radius_bracket, StateGraph.__init__
 
@@ -586,8 +586,14 @@ def test_non_finite_injection_rate_is_input_error(graph_file, tmp_path, capsys, 
 def test_a_sweep_loads_its_graph_once_and_samples_pairs_once_per_repetition(graph_file, tmp_path,
                                                                              monkeypatch):
     # Before, each repetition loaded the graph, and the measure and the simulation each
-    # sampled the pairs: 4 loads and 8 samplings for this sweep.
-    calls = {"load_edge_list": 0, "sample_feasible_pairs": 0}
+    # sampled the pairs: 4 loads and 8 samplings for this sweep. Pair sampling, soc-rwbc
+    # and hopping each built a state graph too: 12, where each instance now builds one.
+    calls = {"load_edge_list": 0, "sample_feasible_pairs": 0, "state_graph": 0}
+    init = StateGraph.__init__
+
+    def counting_init(self, *args):
+        calls["state_graph"] += 1
+        init(self, *args)
 
     def counting(name):
         real = getattr(chargecent.cli, name)
@@ -597,12 +603,13 @@ def test_a_sweep_loads_its_graph_once_and_samples_pairs_once_per_repetition(grap
             return real(*args, **kwargs)
         return counted
 
-    for name in calls:
+    for name in ("load_edge_list", "sample_feasible_pairs"):
         monkeypatch.setattr(chargecent.cli, name, counting(name))
+    monkeypatch.setattr(StateGraph, "__init__", counting_init)
     assert run("experiment", "--input", graph_file, "--kappa", "2", "--measure", "soc-rwbc",
                "--sim", "hopping", "--duration", "20", "--pairs", "3", "--ratios", "0.25,0.5",
                "--reps", "2", "--seed", "4", "--out", tmp_path / "exp") == 0
-    assert calls == {"load_edge_list": 1, "sample_feasible_pairs": 4}
+    assert calls == {"load_edge_list": 1, "sample_feasible_pairs": 4, "state_graph": 4}
 
 
 @pytest.mark.parametrize("argv, problem", [

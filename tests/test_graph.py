@@ -5,7 +5,6 @@ from chargecent import (
     Graph,
     GraphParseError,
     SocInstance,
-    build_state_graph,
     load_edge_list,
     make_instance,
     write_snap_tsv,
@@ -211,7 +210,7 @@ def test_spectral_radius_dag_is_zero():
 def test_radius_bracket_contains_the_dense_radius(seed):
     # Both the state graph and the base graph of every corpus instance.
     for inst in instance_corpus(40, seed):
-        for adj, dense in ((build_state_graph(inst).adjacency, dense_bkappa(inst)),
+        for adj, dense in ((inst.state_graph.adjacency, dense_bkappa(inst)),
                            (inst.graph.adjacency, dense_adjacency(inst.graph))):
             lower, upper = radius_bracket(adj)
             rho = float(max(abs(np.linalg.eigvals(dense))))
@@ -259,7 +258,7 @@ def test_multi_source_bfs_is_the_minimum_over_single_sources(small_instances):
     # source's, and its path count sums over the sources at that distance.
     rng = np.random.default_rng(61)
     for inst in small_instances:
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         for indptr, indices, n in ((inst.graph.indptr, inst.graph.indices, inst.graph.n),
                                    (sg.indptr, sg.indices, sg.n_states)):
             sources = rng.integers(n, size=int(rng.integers(1, 5)))  # repeats allowed
@@ -291,7 +290,7 @@ def test_each_row_of_starts_searches_as_its_own_bfs(small_instances, dominated):
     # Rows hold several starts (repeats allowed), and dominance is per state.
     rng = np.random.default_rng(83)
     for inst in small_instances:
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         n = sg.n_states
         dominance = _charge_dominance(sg) if dominated else None
         rows = rng.integers(n, size=(int(rng.integers(1, 6)), int(rng.integers(1, 4))))
@@ -316,7 +315,7 @@ def test_dominance_keeps_every_shortest_walk_to_a_sink(seed):
     # no kept state comes a level after a same-node state with at least its charge.
     dropped = 0
     for inst in instance_corpus(40, seed=seed):
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         n, n_states, kappa = sg.n, sg.n_states, sg.kappa
         indptr, indices = with_sinks(sg)
         to_t = [_distances_to_target(inst, t) for t in range(n)]
@@ -358,6 +357,9 @@ def test_instance_validation():
             SocInstance(g, refill, 1)
     inst = make_instance(g, [2, 1, 2], 2)
     assert inst.refill.tolist() == [False, True, True]
+    # The mask is read-only: a write would leave the cached state graph on the old one.
+    with pytest.raises(ValueError, match="read-only"):
+        inst.refill[0] = True
 
 
 def test_edge_out_of_range_rejected():

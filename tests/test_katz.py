@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-import chargecent.katz
+import chargecent.cli
 from chargecent import (
     Graph,
     KatzParams,
     NumericalError,
-    build_state_graph,
     make_instance,
     max_alpha,
     soc_katz,
@@ -25,6 +24,7 @@ from chargecent.oracles import (
     dense_katz,
     dense_soc_katz,
 )
+from chargecent.statespace import StateGraph
 
 from conftest import instance_corpus
 
@@ -65,7 +65,7 @@ def test_soc_katz_matches_dense_oracle(small_instances):
     for inst in small_instances:
         if inst.graph.n * (inst.kappa + 1) > 50:
             continue
-        bound = max_alpha(build_state_graph(inst).adjacency)
+        bound = max_alpha(inst.state_graph.adjacency)
         alpha = 0.3 if math.isinf(bound.max_alpha) else 0.5 * bound.max_alpha
         got = soc_katz(inst, KatzParams(alpha, tol=1e-13))
         ref = dense_soc_katz(inst, alpha)
@@ -125,14 +125,14 @@ def test_omega_monotonicity():
 
 def test_max_alpha_nilpotent_is_infinite():
     inst = make_instance(Graph(2, [(0, 1)], directed=True), [], 1)
-    bound = max_alpha(build_state_graph(inst).adjacency)
+    bound = max_alpha(inst.state_graph.adjacency)
     assert math.isinf(bound.max_alpha)
 
 
 def test_max_alpha_full_refill_matches_adjacency():
     g = path_graph(4)
     inst = make_instance(g, range(4), 2)
-    bound = max_alpha(build_state_graph(inst).adjacency)
+    bound = max_alpha(inst.state_graph.adjacency)
     rho = radius_bracket(g.adjacency)[1]
     assert bound.max_alpha == pytest.approx(1.0 / rho, rel=1e-6)
 
@@ -143,7 +143,7 @@ def test_lemma_ordering_on_random_instances(small_instances):
         rho_b = max(abs(np.linalg.eigvals(big)))
         rho_a = max(abs(np.linalg.eigvals(dense_adjacency(inst.graph))))
         assert rho_b <= rho_a + 1e-9
-        est = max_alpha(build_state_graph(inst).adjacency)
+        est = max_alpha(inst.state_graph.adjacency)
         if math.isfinite(est.max_alpha):
             assert (est.lower, est.upper) == pytest.approx((float(rho_b), float(rho_b)), abs=1e-6)
 
@@ -159,18 +159,25 @@ def test_alpha_at_bound_rejected():
 
 @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
 def test_negative_or_nonfinite_alpha_rejected_before_the_state_graph(tmp_path, capsys, monkeypatch, alpha):
-    # Before, these built the state graph and its radius bracket, then failed naming the bound.
+    # Before, soc-katz built the state graph and its radius bracket, then failed naming
+    # the bound; later each run still loaded the graph and built the instance first.
     with pytest.raises(ValueError, match="finite number >= 0"):
         KatzParams(alpha)
-    builds = []
-    monkeypatch.setattr(chargecent.katz, "build_state_graph", builds.append)
+    calls = []
+    monkeypatch.setattr(chargecent.cli, "load_edge_list", lambda *args: calls.append("load"))
+    monkeypatch.setattr(StateGraph, "__init__", lambda *args: calls.append("state graph"))
     graph_file = tmp_path / "g.tsv"
     graph_file.write_text("0 1\n1 2\n2 3\n3 0\n")
     out = tmp_path / "out"
-    assert main(["centrality", "--input", str(graph_file), "--kappa", "2", "--omega-ratio", "0.5",
-                 "--measure", "soc-katz", "--alpha", str(alpha), "--out", str(out)]) == 1
-    assert f"Katz alpha must be a finite number >= 0, not {alpha}" in capsys.readouterr().err
-    assert builds == [] and not out.exists()
+    for command, run, problem in (
+        ("centrality", ("--measure", "soc-katz"), f"Katz alpha must be a finite number >= 0, not {alpha}"),
+        ("centrality", ("--measure", "katz"), f"Katz alpha must be a finite number >= 0, not {alpha}"),
+        ("simulate", ("--sim", "sir"), "transmission probability must lie in [0,1]"),
+    ):
+        assert main([command, "--input", str(graph_file), "--kappa", "2", "--omega-ratio", "0.5",
+                     *run, "--alpha", str(alpha), "--out", str(out)]) == 1
+        assert problem in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-4])
@@ -180,7 +187,7 @@ def test_error_bound_covers_dense_oracle(small_instances, tol):
     for inst in small_instances:
         if inst.graph.n * (inst.kappa + 1) > 200:
             continue
-        bound = max_alpha(build_state_graph(inst).adjacency)
+        bound = max_alpha(inst.state_graph.adjacency)
         rho = max(abs(np.linalg.eigvals(dense_bkappa(inst))))
         for frac in (0.5, 0.99):
             alpha = 0.3 if math.isinf(bound.max_alpha) else frac * bound.max_alpha

@@ -26,6 +26,26 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_only_the_instance_builds_its_state_graph():
+    # One state graph per instance: outside statespace, only ``SocInstance.state_graph``
+    # builds one, and every measure, sampler and simulator reads that property.
+    def calls(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) in (
+                    "build_state_graph", "StateGraph"):
+                yield ".".join(scope)
+            yield from calls(child, inner)
+
+    found = [
+        f"{path.name}:{where}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "statespace.py"
+        for where in calls(ast.parse(path.read_text(), str(path)), ())
+    ]
+    assert found == ["graph.py:SocInstance.state_graph"]
+
+
 def test_failures_raise_exceptions_the_cli_maps():
     # The CLI maps ValueError to exit 1 and NumericalError to exit 2; a bare
     # RuntimeError or Exception would end the run with a traceback.
@@ -62,16 +82,18 @@ def test_removed_names_stay_out_of_the_package():
     # ``StateGraph.toward(t)``. The B_kappa action is
     # ``sg.adjacency @ x``, and the quadratic Kendall tau is reference code in
     # ``oracles``. An instance holds its refill set as the boolean mask
-    # ``refill``, and a state graph keeps no reference to its instance.
+    # ``refill``, and a state graph keeps no reference to its instance. An
+    # instance's state graph is ``inst.state_graph``.
     for name in ("directed_rwbc_pair", "FlowSolution", "StPair", "SimOutcome",
                  "walk_subgraph", "WalkSubgraph", "run_sir_episode",
                  "spectral_radius", "state_graph_radius",
                  "STAR", "apply_bkappa", "shortest_feasible_walk_length", "kendall_tau_naive",
-                 "PowerIterationResult", "count_feasible_walks", "WalkCounts", "RefillSet"):
+                 "PowerIterationResult", "count_feasible_walks", "WalkCounts", "RefillSet",
+                 "build_state_graph"):
         assert not hasattr(chargecent, name), name
         assert name not in chargecent.__all__, name
     # Names that lived in a module or class rather than at the package root.
-    sg = chargecent.build_state_graph(chargecent.make_instance(chargecent.Graph(2, [(0, 1)], False), [], 1))
+    sg = chargecent.make_instance(chargecent.Graph(2, [(0, 1)], False), [], 1).state_graph
     for owner, name in ((chargecent.graph, "spectral_radius"), (chargecent.katz, "state_graph_radius"),
                         (chargecent.graph, "power_iteration_radius"), (chargecent.graph, "_is_acyclic"),
                         (chargecent.rwbc, "_contract_target"), (chargecent.Graph, "out_degree"),

@@ -14,7 +14,6 @@ from chargecent.generators import barabasi_albert_graph, cycle_graph, gnp_random
 from chargecent.graph import adjacency_matrix, csr
 from chargecent.oracles import current_flow_throughflow, monte_carlo_rwbc, walk_subgraph
 from chargecent.rwbc import _absorbing_flows, _base_rank
-from chargecent.statespace import build_state_graph
 
 from conftest import random_graph
 
@@ -381,7 +380,7 @@ def test_scores_match_dense_solves_in_natural_order():
         assert sv.meta["factorizations"] > 0 and sv.meta["skipped_pairs"] < len(pairs)
         assert np.max(np.abs(sv.values - plain)) <= 1e-10 * np.max(np.abs(plain))
 
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         states = np.zeros(sg.n_states)
         for t, sources in by_target.items():
             absorbing = np.arange(kappa + 1) * g.n + t

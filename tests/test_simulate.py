@@ -13,7 +13,9 @@ from chargecent import (
     SirParams,
     make_instance,
     particle_hopping,
+    sample_feasible_pairs,
     sir_influence,
+    soc_betweenness,
     statespace,
 )
 from chargecent.generators import (
@@ -27,7 +29,7 @@ from chargecent.generators import (
 )
 from chargecent.oracles import plain_sir_outbreaks, run_sir_episode
 from chargecent.simulate import STALL_ESCAPE_AFTER, STALL_REROUTE_AFTER, _router, _sir_outbreaks
-from chargecent.statespace import StateGraph, build_state_graph
+from chargecent.statespace import StateGraph
 
 from conftest import instance_corpus
 
@@ -282,7 +284,7 @@ def _reverse_tables(sg):
 def test_router_matches_reference_expression(policy, g, omega, kappa):
     hubs = np.flatnonzero(np.diff(g.indptr) >= 8)
     assert hubs.shape[0] >= 2
-    sg = build_state_graph(make_instance(g, omega, kappa))
+    sg = make_instance(g, omega, kappa).state_graph
     exact = _reverse_tables(sg)
     rng = np.random.default_rng(22)
     # Path counts scaled by random factors, so that sums are inexact and the
@@ -321,7 +323,7 @@ def test_router_total_on_wide_states_is_the_pairwise_sum():
     # Weights of mixed magnitude make the sequential and pairwise totals differ;
     # draws on and beside the boundaries of the cumulative weights show which
     # total the router takes.
-    sg = build_state_graph(make_instance(K29, [], 2))
+    sg = make_instance(K29, [], 2).state_graph
     dist = _reverse_tables(sg)(1)[0]
     state = sg.state_index(0, 2)
     rng = np.random.default_rng(23)
@@ -349,7 +351,7 @@ def test_router_total_on_wide_states_is_the_pairwise_sum():
 def test_router_raises_for_stranded_particle(policy):
     # Path 0-1-2 at kappa 1 without refills: from (0, charge 1) the walk reaches
     # (1, charge 0) and cannot go on to 2.
-    sg = build_state_graph(make_instance(path_graph(3), [], 1))
+    sg = make_instance(path_graph(3), [], 1).state_graph
     route = _router(sg, _reverse_tables(sg), np.zeros(3, dtype=bool), policy)
     state = sg.state_index(0, 1)
     with pytest.raises(NumericalError, match="stranded"):
@@ -368,6 +370,28 @@ def test_hopping_builds_its_tables_in_chunks(monkeypatch):
     c = max(searches)  # targets per search, one row each
     assert len(targets) == inst.graph.n and c > 1
     assert len(searches) == math.ceil(inst.graph.n / c)
+
+
+def test_a_shared_state_graph_changes_no_result(monkeypatch):
+    # Pair sampling, soc-bc and hopping on one instance share its one state graph,
+    # so hopping starts with the tables that sampling built, searched in other
+    # chunks than from empty; table order never enters a draw.
+    def hop(inst):
+        return particle_hopping(inst, HoppingParams(duration=500, injection_rate=0.5, seed=1))
+
+    def instance():
+        return make_instance(grid_graph(16, 16), sample_omega(256, 0.2, seed=1), 16)
+
+    builds, init = [], StateGraph.__init__
+    monkeypatch.setattr(StateGraph, "__init__", lambda sg, inst: builds.append(inst) or init(sg, inst))
+    inst = instance()
+    sample_feasible_pairs(inst, 10, seed=2)
+    tables = set(inst.state_graph._tables)
+    soc_betweenness(inst)
+    shared = hop(inst)
+    assert builds == [inst] and 0 < len(tables) < inst.graph.n
+    fresh = hop(instance())
+    assert shared.values.tobytes() == fresh.values.tobytes() and shared.meta == fresh.meta
 
 
 def test_hopping_blocked_injection_delays():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chargecent import Graph, build_state_graph, make_instance, statespace
+from chargecent import Graph, make_instance, statespace
 from chargecent.generators import complete_graph, path_graph
 from chargecent.graph import bfs, csr
 from chargecent.oracles import (
@@ -29,24 +29,24 @@ def arcs_of(sg):
 
 def walk_length(inst, s, t):
     """Hops of a shortest feasible s-to-t walk by ``toward``, or None when t is unreachable."""
-    sg = build_state_graph(inst)
+    sg = inst.state_graph
     dist = int(sg.toward(t)[0][sg.source_state(s)])
     return None if dist < 0 else dist
 
 
 def test_single_arc_no_refill():
     inst = make_instance(Graph(2, [(0, 1)], directed=True), [], 1)
-    assert arcs_of(build_state_graph(inst)) == [((0, 1), (1, 0))]
+    assert arcs_of(inst.state_graph) == [((0, 1), (1, 0))]
 
 
 def test_single_arc_refill_target():
     inst = make_instance(Graph(2, [(0, 1)], directed=True), [1], 1)
-    assert arcs_of(build_state_graph(inst)) == [((0, 0), (1, 1)), ((0, 1), (1, 1))]
+    assert arcs_of(inst.state_graph) == [((0, 0), (1, 1)), ((0, 1), (1, 1))]
 
 
 def test_starred_path_counts_and_dead_state():
     inst = make_instance(path_graph(3), [], 2)
-    sg = build_state_graph(inst)
+    sg = inst.state_graph
     indptr, indices = with_sinks(sg)
     assert indptr.shape[0] - 1 == 3 * 3 + 3
     state = sg.state_index(1, 0)
@@ -56,7 +56,7 @@ def test_starred_path_counts_and_dead_state():
 def test_arc_legality_invariant(small_instances):
     # Every arc refills into the refill set or decrements elsewhere.
     for inst in small_instances:
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         edges = {(u, v) for u, v in zip(inst.graph.arc_src, inst.graph.indices)}
         for s, d in zip(sg.arc_src, sg.indices):
             (u, i), (v, j) = state_of(sg, s), state_of(sg, d)
@@ -69,7 +69,7 @@ def test_arc_legality_invariant(small_instances):
 
 def test_state_count_and_flat_index_bijection(small_instances):
     for inst in small_instances:
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         n, kappa = inst.graph.n, inst.kappa
         assert sg.n_states == n * (kappa + 1)
         seen = set()
@@ -90,7 +90,7 @@ def test_state_count_and_flat_index_bijection(small_instances):
 
 def test_arcs_match_dense_block_matrix(small_instances):
     for inst in small_instances[:20]:
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         dense = dense_bkappa(inst)
         got = np.zeros_like(dense)
         for s, d in zip(sg.arc_src, sg.indices):
@@ -101,7 +101,7 @@ def test_arcs_match_dense_block_matrix(small_instances):
 def test_adjacency_agrees_with_dense(small_instances):
     rng = np.random.default_rng(3)
     for inst in small_instances[:20]:
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         dense = dense_bkappa(inst)
         x = rng.normal(size=sg.n_states)
         assert np.allclose(sg.adjacency @ x, dense @ x, atol=1e-12)
@@ -109,7 +109,7 @@ def test_adjacency_agrees_with_dense(small_instances):
 
 def test_adjacency_zero_and_basis():
     inst = make_instance(Graph(2, [(0, 1)], directed=True), [], 1)
-    sg = build_state_graph(inst)
+    sg = inst.state_graph
     assert np.array_equal(sg.adjacency @ np.zeros(4), np.zeros(4))
     e = np.zeros(4)
     e[sg.state_index(1, 0)] = 1.0
@@ -224,7 +224,7 @@ def test_toward_matches_the_oracles(seed):
     # number of shortest feasible walks; a BFS of the reference sink graph
     # (``conftest.with_sinks``) reaches t's sink one hop later.
     for inst in instance_corpus(40, seed=seed):
-        sg = build_state_graph(inst)
+        sg = inst.state_graph
         n = sg.n
         indptr, indices = with_sinks(sg)
         from_source = [bfs(indptr, indices, sg.source_state(s))[0] for s in range(n)]
@@ -240,7 +240,7 @@ def test_toward_matches_the_oracles(seed):
 
 
 def test_toward_rejects_node_ids_out_of_range():
-    sg = build_state_graph(make_instance(path_graph(3), [], 1))
+    sg = make_instance(path_graph(3), [], 1).state_graph
     for t in (-1, 3):
         with pytest.raises(ValueError, match="out of range"):
             sg.toward(t)
@@ -249,7 +249,7 @@ def test_toward_rejects_node_ids_out_of_range():
 def test_toward_searches_no_more_rows_than_nodes(monkeypatch):
     # A 3-node path, kappa 2, fits TABLE_CELLS thousands of times over, but
     # has 3 targets: all tables come from one search of 3 rows of 9 states.
-    sg = build_state_graph(make_instance(path_graph(3), [], 2))
+    sg = statespace.StateGraph(make_instance(path_graph(3), [], 2))
     real_bfs, labels = statespace.bfs, []
 
     def recording_bfs(*args):
@@ -273,7 +273,7 @@ def test_toward_is_bit_identical_to_one_search_per_target(monkeypatch, seed, cop
     monkeypatch.setattr(statespace, "bfs", lambda *args: searches.append(len(args[2])) or real_bfs(*args))
     unreachable = 0
     for inst in instance_corpus(40, seed=seed):
-        sg = build_state_graph(inst)
+        sg = statespace.StateGraph(inst)
         if copies is not None:
             monkeypatch.setattr(statespace, "TABLE_CELLS", copies * (sg.n_states + sg.n_arcs))
         if keep is not None:
