@@ -48,14 +48,13 @@ from .statespace import StateGraph
 ENDPOINT_CONVENTIONS = ("target", "none")
 # Bound on C * (N + A) per chunk, for C sources and N nodes and A arcs searched.
 # It bounds one ``bfs`` call's arrays: C * N labels, and at most C * A arcs
-# expanded at one level. soc-bc on 2 vCPUs by sources per chunk, timed when
-# each chunk searched a CSR of C graph copies with a sink state per node (min
-# of 7 runs on the 16x16 grid, single runs elsewhere): 16x16 grid, kappa 16
-# (N + A = 19,901): 1 source 0.44 s, 4 0.20 s, 8 0.16 s, 12 to 24 0.15-0.16 s,
-# 32 0.16 s, 64 0.18 s; BA n=2000, kappa 5 (74,767): 1 source 5.0 s, 4 to 8
-# 3.9-4.6 s, 16 4.4-4.6 s; 30x30 grid, kappa 20 (89,192): 3 sources 3.0-3.2 s,
-# 6 2.6-3.0 s, 12 3.5-3.6 s. Counting nodes alone put 327 sources of a
-# complete graph on 200 nodes in one chunk (358 MB peak RSS).
+# expanded at one level. soc-bc on the traffic benchmark's instance (16x16
+# grid, kappa 16, ratio 0.2, N + A = 19,909; C = 26 here), 2 vCPUs, by sources
+# per chunk, the median of 7 runs in each of 3 processes (their range): 1
+# source 0.29-0.31 s, 4 0.15-0.21 s, 8 0.14-0.16 s, 12 0.13-0.14 s, 16
+# 0.11-0.14 s, 24 0.08-0.13 s, 32 0.13 s, 64 0.13 s; peak RSS 63, 64, 66, 67,
+# 69, 71, 74, 86 MB. Counting nodes alone put 327 sources of a complete graph
+# on 200 nodes in one chunk (358 MB peak RSS).
 CELLS = 2**19
 
 
@@ -108,8 +107,7 @@ class BcScores:
         """The per-node scores with their metadata, as ``soc_betweenness`` returns them."""
         meta = {
             "measure": "soc-bc",
-            "kappa": inst.kappa,
-            "omega": np.flatnonzero(inst.refill).tolist(),
+            **inst.meta,
             "endpoints": self.endpoints,
             "states": int(self.state_scores.shape[0]),
             "settled_states": self.settled_states,

@@ -21,7 +21,6 @@ import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +91,7 @@ _FIELDS: dict[str, tuple[str, tuple[str, ...] | None, int | None, str | None]] =
     "kappa": ("cse", None, 1, None),
     "omega_file": ("cs", None, None, "file with one refill node label per line"),
     "omega_ratio": ("cs", None, None, None),
-    "seed": ("cse", None, None, None),
+    "seed": ("cse", None, 0, None),
     "measure": ("CE", MEASURES, None, None),
     "alpha": ("cse", None, None, "Katz damping factor (default 0.9 of the certified bound) "
                                  "or SIR transmission probability; experiment uses it as both"),
@@ -200,11 +199,11 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, list[float]]:
     ):
         if broken and run in _FIELDS[name][0].lower():
             raise ValueError(message)
-    # The parameters check the Katz and SIR alpha themselves; built here, before any load.
+    # Building the parameters checks the Katz alpha and the simulation's values, before any load.
     if cfg.measure in ("soc-katz", "katz") and run in _FIELDS["measure"][0].lower():
         KatzParams(cfg.alpha)
-    if cfg.sim == "sir" and run in _FIELDS["sim"][0].lower():
-        SirParams(cfg.alpha, cfg.runs)
+    if run in _FIELDS["sim"][0].lower():
+        _sim_params(cfg, None)
     return cfg, _sweep_ratios("0.1" if cfg.ratios is None else cfg.ratios) if run == "e" else []
 
 
@@ -281,22 +280,18 @@ def compute_measure(cfg: ExperimentConfig, inst: SocInstance, pairs: Pairs) -> S
     return rwbc_all_pairs(inst.graph, pairs)
 
 
-def simulation(cfg: ExperimentConfig, inst: SocInstance, pairs: Pairs) -> partial[ScoreVector]:
-    """The run's simulation as a call; building its parameters checks them, before it runs."""
+def _sim_params(cfg: ExperimentConfig, pairs: Pairs) -> SirParams | HoppingParams:
+    """The parameters of the run's simulation; building them checks them."""
     if cfg.sim == "sir":
-        return partial(sir_influence, inst, SirParams(alpha=cfg.alpha, runs=cfg.runs, seed=cfg.seed))
-    return partial(
-        particle_hopping,
-        inst,
-        HoppingParams(
-            policy=cfg.policy,
-            duration=cfg.duration,
-            injection_rate=cfg.injection_rate,
-            seed=cfg.seed,
-            pairs=pairs,
-            max_injections=cfg.max_injections,
-        ),
-    )
+        return SirParams(alpha=cfg.alpha, runs=cfg.runs, seed=cfg.seed)
+    return HoppingParams(policy=cfg.policy, duration=cfg.duration, injection_rate=cfg.injection_rate,
+                         seed=cfg.seed, pairs=pairs, max_injections=cfg.max_injections)
+
+
+def simulation(cfg: ExperimentConfig, inst: SocInstance, pairs: Pairs) -> ScoreVector:
+    """The realized scores of the run's simulation."""
+    params = _sim_params(cfg, pairs)
+    return sir_influence(inst, params) if cfg.sim == "sir" else particle_hopping(inst, params)
 
 
 def _embedded(cfg: ExperimentConfig) -> dict:
@@ -358,7 +353,7 @@ def _verify(cfg: ExperimentConfig, inst, sv: ScoreVector) -> int:
 def cmd_simulate(cfg: ExperimentConfig, g: Graph) -> int:
     inst, pairs = _inputs(cfg, g, cfg.sim == "hopping")
     out = Path(cfg.out)
-    _write_scores(simulation(cfg, inst, pairs)(), cfg, out, "realized")
+    _write_scores(simulation(cfg, inst, pairs), cfg, out, "realized")
     print(f"wrote {out / 'realized.csv'} ({g.n} nodes)")
     return 0
 
@@ -437,11 +432,10 @@ def _run_rep(task: tuple[Graph, ExperimentConfig, float, int]) -> tuple[float, i
     seed = int(np.random.SeedSequence([cfg.seed, _ratio_key(ratio), rep]).generate_state(1)[0])
     cfg = replace(cfg, seed=seed, omega_ratio=ratio)
     inst, pairs = _inputs(cfg, g, cfg.measure in PAIR_MEASURES or cfg.sim == "hopping")
-    simulate = simulation(cfg, inst, pairs)  # before the measure, so a bad parameter stops the run first
     expected = compute_measure(cfg, inst, pairs)
     out = Path(cfg.out) / f"ratio_{ratio}" / f"rep_{rep:02d}"
     _write_scores(expected, cfg, out, "expected")
-    realized = simulate()
+    realized = simulation(cfg, inst, pairs)
     _write_scores(realized, cfg, out, "realized")
     y, z = align_scores(expected, realized)
     return ratio, rep, kendall_tau(y, z)

@@ -1,8 +1,10 @@
-"""Base graph representation, edge-list ingestion, and a certified spectral-radius bracket.
+"""CSR digraphs, the base graph, edge-list ingestion, and a certified spectral-radius bracket.
 
-Node ids are dense integers in [0, n); external labels are kept as strings
-and mapped bijectively. Undirected edges are stored once but expanded to two
-arcs in the adjacency view, since every downstream kernel works on arcs.
+``Digraph`` is the one CSR arc set: the base graph and the state graph are
+both digraphs, and each digraph's reverse is one too. Node ids are dense
+integers in [0, n); external labels are kept as strings and mapped
+bijectively. Undirected edges are stored once but expanded to two arcs in the
+adjacency view, since every downstream kernel works on arcs.
 """
 
 from __future__ import annotations
@@ -36,24 +38,51 @@ class GraphParseError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR adjacency of the arcs ``src -> dst`` over nodes [0, n).
+def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency ``indptr``, ``indices`` (the heads) of the arcs ``src -> dst`` over nodes [0, n).
 
     Arcs are sorted by (tail, head), so every node's out-neighbors ascend.
-    Returns ``indptr``, ``indices`` (the heads) and ``arc_src`` (the tails),
-    the latter two aligned arc by arc.
     """
     if n * n >= 2**63:
         raise NumericalError(f"sort keys tail * n + head overflow int64 at n={n}")
     order = np.argsort(np.asarray(src, dtype=np.int64) * n + dst, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order], src[order]
+    return indptr, dst[order]
 
 
-def adjacency_matrix(n: int, indptr: np.ndarray, indices: np.ndarray) -> scipy.sparse.csr_array:
-    """The 0/1 matrix of a CSR arc set: row u holds a 1 at each head of u's out-arcs."""
-    return scipy.sparse.csr_array((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
+class Digraph:
+    """Arcs over the ids [0, size) in CSR form: the base graph, the state graph and their reverses.
+
+    Immutable after construction. The 0/1 matrix and the reverse are built on
+    first use and kept; the arc tails are derived, not kept (8 bytes an arc).
+    """
+
+    def __init__(self, size: int, src: np.ndarray, dst: np.ndarray):
+        self.indptr, self.indices = csr(size, src, dst)
+
+    @property
+    def size(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    @property
+    def n_arcs(self) -> int:
+        return int(self.indices.shape[0])
+
+    @property
+    def arc_src(self) -> np.ndarray:
+        """The tail of each arc, aligned with ``indices``."""
+        return np.repeat(np.arange(self.size), np.diff(self.indptr))
+
+    @functools.cached_property
+    def adjacency(self) -> scipy.sparse.csr_array:
+        """The 0/1 matrix: row u holds a 1 at each head of u's out-arcs."""
+        return scipy.sparse.csr_array((np.ones(self.n_arcs), self.indices, self.indptr), shape=(self.size,) * 2)
+
+    @functools.cached_property
+    def reverse(self) -> Digraph:
+        """Every arc turned around: searches toward a node run on it, and its adjacency is A^T."""
+        return Digraph(self.size, self.indices, self.arc_src)
 
 
 def bfs(
@@ -126,7 +155,7 @@ def bfs(
     return d, sigma, tree_arcs
 
 
-class Graph:
+class Graph(Digraph):
     """Unweighted graph over dense node ids with a CSR arc view.
 
     ``edges`` is an int ``(m, 2)`` array of (u, v) ids or a sequence of pairs.
@@ -177,16 +206,7 @@ class Graph:
         if not directed:
             mask = src != dst
             src, dst = np.concatenate([src, dst[mask]]), np.concatenate([dst, src[mask]])
-        # arc_src[a] is the tail of arc a; the state graph and plain rwbc's reverse CSR are built from it.
-        self.indptr, self.indices, self.arc_src = csr(n, src, dst)
-
-    @property
-    def n_arcs(self) -> int:
-        return int(self.indices.shape[0])
-
-    @functools.cached_property
-    def adjacency(self) -> scipy.sparse.csr_array:
-        return adjacency_matrix(self.n, self.indptr, self.indices)
+        super().__init__(n, src, dst)
 
     def out_neighbors(self, v: int) -> np.ndarray:
         """Out-neighbors of ``v`` in ascending order (all neighbors if undirected)."""
@@ -218,6 +238,16 @@ class SocInstance:
         if self.refill.shape != (self.graph.n,) or self.refill.dtype != bool:
             raise ValueError("refill set must be a boolean mask with one entry per node")
         self.refill.flags.writeable = False
+
+    def __reduce__(self):
+        # Unpickling rebuilds the instance, so the mask is checked and frozen
+        # again and the state graph is rebuilt on first use, not shipped.
+        return SocInstance, (self.graph, self.refill, self.kappa)
+
+    @property
+    def meta(self) -> dict:
+        """The instance's part of a score vector's meta: its hop budget and refill node ids."""
+        return {"kappa": self.kappa, "omega": np.flatnonzero(self.refill).tolist()}
 
     @functools.cached_property
     def state_graph(self) -> StateGraph:

@@ -93,7 +93,7 @@ def _katz(adj: scipy.sparse.csr_array, p: KatzParams, meta: dict) -> np.ndarray:
 def soc_katz(inst: SocInstance, p: KatzParams) -> ScoreVector:
     """Charge-aware Katz scores, read off the full-charge block of the state-graph solve."""
     g = inst.graph
-    meta = {"measure": "soc-katz", "kappa": inst.kappa, "omega": np.flatnonzero(inst.refill).tolist()}
+    meta = {"measure": "soc-katz", **inst.meta}
     x = _katz(inst.state_graph.adjacency, p, meta)
     return ScoreVector.for_graph(g, x[: g.n], meta)
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .graph import Graph, SocInstance, bfs, csr
+from .graph import Digraph, Graph, SocInstance, bfs
 from .scores import ScoreVector
 
 DEFAULT_MAX_WALKS = 2_000_000
@@ -346,17 +346,17 @@ def walk_subgraph(g: Graph, s: int, t: int) -> WalkSubgraph:
     if s == t:
         raise ValueError("source and target must differ")
     fwd = bfs(g.indptr, g.indices, s)[0]
-    rptr, ridx, _ = csr(g.n, g.indices, g.arc_src)
-    bwd = bfs(rptr, ridx, t)[0]
+    bwd = bfs(g.reverse.indptr, g.reverse.indices, t)[0]
     keep = (fwd >= 0) & (bwd >= 0)
     if not (keep[s] and keep[t]):
         return WalkSubgraph(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), -1, -1)
     nodes = np.flatnonzero(keep)
     local = np.cumsum(keep) - 1  # node id -> position among the kept nodes
-    amask = keep[g.arc_src] & keep[g.indices]
+    tails = g.arc_src
+    amask = keep[tails] & keep[g.indices]
     return WalkSubgraph(
         nodes,
-        local[g.arc_src[amask]],
+        local[tails[amask]],
         local[g.indices[amask]],
         int(local[s]),
         int(local[t]),
@@ -386,8 +386,8 @@ def monte_carlo_rwbc(
     if sub.empty:
         raise ValueError(f"no walk from {s} to {t}")
     m = sub.n
-    indptr, adst, asrc = csr(m, sub.arc_src, sub.arc_dst)
-    n_arcs = asrc.shape[0]
+    arcs = Digraph(m, sub.arc_src, sub.arc_dst)
+    indptr, adst, asrc, n_arcs = arcs.indptr, arcs.indices, arcs.arc_src, arcs.n_arcs
     s_loc, t_loc = sub.source, sub.target
 
     def chunks(rng: np.random.Generator):

@@ -12,8 +12,9 @@ The charge-aware variant runs the same computation on the state graph, with
 the target's states at every charge level as the absorbing set, and sums the
 net flows of the other states over charge levels per node.
 
-Every target system is a principal submatrix of one matrix. Each measure call
-slices them all from one reverse adjacency A^T, and orders the base graph once
+Every target system is a principal submatrix of one matrix, A^T: the
+adjacency of the reverse digraph (of the state graph for the charge-aware
+variant), built once and kept. Each measure call orders the base graph once
 by minimum degree; that order (lifted to the states node-major for the
 charge-aware variant: node u's charge levels take consecutive positions at
 u's place) is the fill-reducing column order of every target's factorization,
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import NumericalError
-from .graph import Graph, SocInstance, adjacency_matrix, bfs, csr
+from .graph import Digraph, Graph, SocInstance, bfs
 from .scores import ScoreVector
 from .statespace import draw_feasible_pair
 
@@ -73,21 +74,21 @@ def _base_rank(g: Graph) -> np.ndarray:
         raise NumericalError(f"minimum-degree ordering of the base graph failed: {exc}") from exc
 
 
-def _absorbing_flows(into: scipy.sparse.csr_array, absorbing: np.ndarray, starts,
-                     rank: np.ndarray) -> AbsorbingFlows:
-    """Random walks absorbed at any ``absorbing`` node, on the digraph whose A^T is ``into``.
+def _absorbing_flows(reverse: Digraph, absorbing: np.ndarray, starts, rank: np.ndarray) -> AbsorbingFlows:
+    """Random walks absorbed at any ``absorbing`` node, on the digraph whose reverse is ``reverse``.
 
     The walk is restricted to the nodes that can reach the absorbing set, so
     absorption is certain and the restricted system K = (D - A)^T, sliced
-    from ``into``, is nonsingular. It depends only on that set, so one LU
-    factorization serves every start. The unknowns are ordered by ``rank`` (a
-    position per node from a fill-reducing ordering) and factored in that
-    order; K is a column-diagonally dominant M-matrix, so its pivots stand.
+    from the reverse's adjacency A^T, is nonsingular. It depends only on that
+    set, so one LU factorization serves every start. The unknowns are ordered
+    by ``rank`` (a position per node from a fill-reducing ordering) and
+    factored in that order; K is a column-diagonally dominant M-matrix, so its
+    pivots stand.
     """
     import scipy.sparse.linalg  # here, so that importing the package does not load it
 
-    n, starts = into.shape[0], np.asarray(starts, dtype=np.int64)
-    reach = bfs(into.indptr, into.indices, absorbing)[0] >= 0
+    n, starts = reverse.size, np.asarray(starts, dtype=np.int64)
+    reach = bfs(reverse.indptr, reverse.indices, absorbing)[0] >= 0
     feasible = reach[starts]
     usage, net = np.zeros(n), np.zeros(n)
     if not feasible.any():
@@ -98,7 +99,7 @@ def _absorbing_flows(into: scipy.sparse.csr_array, absorbing: np.ndarray, starts
     keep = keep[np.argsort(rank[keep])]
     local = np.append(keep, absorbing)  # local ids: the k unknowns, then the absorbing nodes
     k, m = keep.shape[0], local.shape[0]
-    into = into[local][:, keep].tocsc()  # the keep columns: out-arcs of absorbing nodes carry nothing
+    into = reverse.adjacency[local][:, keep].tocsc()  # keep columns: absorbing nodes' out-arcs carry nothing
     mat = (scipy.sparse.diags(np.asarray(into.sum(axis=0)).ravel()) - into[:k]).tocsc()
     try:
         lu = scipy.sparse.linalg.splu(mat, permc_spec="NATURAL")
@@ -168,7 +169,6 @@ def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector
     """
     groups = _sources_by_target(pairs, inst.graph.n)
     sg = inst.state_graph
-    into = adjacency_matrix(sg.n_states, *sg.reverse)
     levels = np.arange(inst.kappa + 1)
     # State (u, level b) sits at b * n + u; node-major, it takes position rank[u] * (kappa + 1) + b.
     rank = (_base_rank(inst.graph) * (inst.kappa + 1) + levels[:, None]).ravel()
@@ -176,7 +176,7 @@ def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector
     solved: list[AbsorbingFlows] = []
     for t, sources in groups.items():
         absorbing = levels * sg.n + t  # t at every charge level
-        flows = _absorbing_flows(into, absorbing, [sg.source_state(s) for s in sources], rank)
+        flows = _absorbing_flows(sg.reverse, absorbing, [sg.source_state(s) for s in sources], rank)
         flows.net[absorbing] = 0.0  # arrivals at t carry no score
         y_states += flows.net
         solved.append(flows)
@@ -184,8 +184,7 @@ def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector
     if diagnostics["skipped_pairs"]:
         logger.info("%d of %d pairs had no feasible walk", diagnostics["skipped_pairs"], len(pairs))
     node_scores = y_states.reshape(inst.kappa + 1, inst.graph.n).sum(axis=0)
-    meta = {"measure": "soc-rwbc", "kappa": inst.kappa, "omega": np.flatnonzero(inst.refill).tolist(),
-            "pairs": len(pairs), **diagnostics}
+    meta = {"measure": "soc-rwbc", **inst.meta, "pairs": len(pairs), **diagnostics}
     return ScoreVector.for_graph(inst.graph, node_scores, meta)
 
 
@@ -193,11 +192,10 @@ def rwbc_all_pairs(g: Graph, pairs: Sequence[tuple[int, int]]) -> ScoreVector:
     """Plain directed random-walk betweenness summed over the given pairs."""
     groups = _sources_by_target(pairs, g.n)
     rank = _base_rank(g)
-    into = adjacency_matrix(g.n, *csr(g.n, g.indices, g.arc_src)[:2])
     total = np.zeros(g.n)
     solved: list[AbsorbingFlows] = []
     for t, sources in groups.items():
-        flows = _absorbing_flows(into, np.array([t]), sources, rank)
+        flows = _absorbing_flows(g.reverse, np.array([t]), sources, rank)
         total += flows.net
         solved.append(flows)
     meta = {"measure": "rwbc", "pairs": len(pairs), **_solver_meta(solved, f"{ORDERING} of the base graph")}

@@ -114,8 +114,7 @@ def sir_influence(inst: SocInstance, p: SirParams) -> ScoreVector:
         "simulation": "sir",
         "alpha": p.alpha,
         "runs": p.runs,
-        "kappa": inst.kappa,
-        "omega": np.flatnonzero(inst.refill).tolist(),
+        **inst.meta,
         "seed": p.seed,
     }
     return ScoreVector.for_graph(g, scores, meta)
@@ -332,8 +331,7 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
         "duration": p.duration,
         "injection_rate": p.injection_rate,
         "seed": p.seed,
-        "kappa": inst.kappa,
-        "omega": np.flatnonzero(inst.refill).tolist(),
+        **inst.meta,
         "requested": requested,
         "placed": placed,
         "completed": completed,

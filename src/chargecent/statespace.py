@@ -12,15 +12,13 @@ them at once, for several targets per search, and keeps the tables.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import OrderedDict
 
 import numpy as np
-import scipy.sparse
 
 from .errors import NumericalError
-from .graph import SocInstance, adjacency_matrix, bfs, csr
+from .graph import Digraph, SocInstance, bfs
 
 # Random source-target draws before an input counts as having no feasible pair.
 MAX_PAIR_DRAWS = 1000
@@ -29,51 +27,34 @@ MAX_PAIR_DRAWS = 1000
 # recently used evicted past that.
 TABLE_BYTES = 3 * 10**8
 # Bound on C * (N + A) per search, for C targets and N states and A arcs: one
-# ``bfs`` call's C * N labels and at most C * A arcs at one level. On the 16x16
-# grid, kappa 16, ratio 0.2 (N + A = 19,901), 2 vCPUs, by targets per search,
-# timed when each search ran over a CSR of C reverse-graph copies: all 256
-# tables (min of 7 runs) 1 target 0.22 s, 3 0.15 s, 6 0.13 s, 13 0.14 s, 26
-# 0.12 s; peak RSS of four soc-bc + hopping experiment runs in one process
-# 94.8, 95.2, 98.5, 100.8, 103.4 MB (99.6 MB with a search per target).
+# ``bfs`` call's C * N labels and at most C * A arcs at one level. All 256
+# tables of the traffic benchmark's instance (16x16 grid, kappa 16, ratio 0.2,
+# N + A = 19,909; C = 6 here), 2 vCPUs, by targets per search, the median of 7
+# runs in each of 3 processes (their range): 1 target 0.31-0.44 s, 3
+# 0.16-0.25 s, 6 0.13-0.20 s, 13 0.12-0.17 s, 26 0.13-0.16 s, 52 0.12-0.15 s;
+# peak RSS 76.5, 76.5, 76.5, 77.4, 80.0, 84.4 MB.
 TABLE_CELLS = 2**17
 
 
-class StateGraph:
-    """Immutable CSR adjacency over flat state indices, with a cache of ``toward`` tables."""
+class StateGraph(Digraph):
+    """Immutable CSR digraph over flat state indices, with a cache of ``toward`` tables."""
 
     def __init__(self, instance: SocInstance):
         g, n, kappa = instance.graph, instance.graph.n, instance.kappa
         self.n, self.kappa, self.n_states = n, kappa, n * (kappa + 1)
-        refill = instance.refill[g.indices]
+        refill, tails = instance.refill[g.indices], g.arc_src
         src_parts: list[np.ndarray] = []
         dst_parts: list[np.ndarray] = []
         for block in range(kappa + 1):
-            src = block * n + g.arc_src
+            src = block * n + tails
             # Refill arcs land in block 0 (full charge).
             src_parts.append(src[refill])
             dst_parts.append(g.indices[refill])
             if block < kappa:  # other arcs spend a unit of the charge kappa - block
                 src_parts.append(src[~refill])
                 dst_parts.append((block + 1) * n + g.indices[~refill])
-        self.indptr, self.indices, _ = csr(self.n_states, np.concatenate(src_parts), np.concatenate(dst_parts))
+        super().__init__(self.n_states, np.concatenate(src_parts), np.concatenate(dst_parts))
         self._tables: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-
-    @property
-    def n_arcs(self) -> int:
-        return int(self.indices.shape[0])
-
-    @property
-    def arc_src(self) -> np.ndarray:  # the tail of each arc, derived rather than kept: 8 bytes an arc
-        return np.repeat(np.arange(self.n_states), np.diff(self.indptr))
-
-    @functools.cached_property
-    def adjacency(self) -> scipy.sparse.csr_array:
-        return adjacency_matrix(self.n_states, self.indptr, self.indices)
-
-    @functools.cached_property
-    def reverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reverse state-graph CSR (indptr, indices): ``toward`` searches it, soc-rwbc slices A^T from it."""
-        return csr(self.n_states, self.indices, self.arc_src)[:2]
 
     def state_index(self, node: int, soc: int) -> int:
         if not (0 <= soc <= self.kappa):
@@ -110,7 +91,8 @@ class StateGraph:
         todo = list(itertools.islice((u for u in after if u not in tables), c))
         # The tree-arc lists are freed before the rows are copied out, and the
         # rows are copies, so no chunk array outlives the call.
-        dist, paths = bfs(*self.reverse, np.array(todo)[:, None] + np.arange(self.kappa + 1) * n)[:2]
+        rev = self.reverse
+        dist, paths = bfs(rev.indptr, rev.indices, np.array(todo)[:, None] + np.arange(self.kappa + 1) * n)[:2]
         if dist.max() > np.iinfo(np.int32).max:
             raise NumericalError(f"a shortest feasible walk of {dist.max()} hops overflows int32")
         for u, row_dist, row_paths in zip(todo, dist.reshape(-1, size), paths.reshape(-1, size)):

@@ -49,8 +49,7 @@ def with_sinks(sg):
     states = np.arange(sg.n_states, dtype=np.int64)
     src = np.concatenate((sg.arc_src, states))
     dst = np.concatenate((sg.indices, sg.n_states + states % sg.n))
-    indptr, indices, _ = csr(sg.n_states + sg.n, src, dst)
-    return indptr, indices
+    return csr(sg.n_states + sg.n, src, dst)
 
 
 def sink_dominance(sg):

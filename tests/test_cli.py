@@ -572,15 +572,18 @@ def test_experiment_takes_every_field_by_flag_as_by_config(graph_file, tmp_path,
     assert json.loads((by_flag / "experiment.meta.json").read_text())["config"][key] == value
 
 
-@pytest.mark.parametrize("rate", ["inf", "nan"])
-def test_non_finite_injection_rate_is_input_error(graph_file, tmp_path, capsys, rate):
-    # Before, inf ended in an OverflowError traceback and nan in numpy's conversion error.
+@pytest.mark.parametrize("rate", ["inf", "nan", "-1"])
+def test_non_finite_injection_rate_is_input_error(graph_file, tmp_path, capsys, monkeypatch, rate):
+    # Before, inf ended in an OverflowError traceback and nan in numpy's conversion error;
+    # then each was caught only after the graph was loaded and the pairs sampled.
+    loads = []
+    monkeypatch.setattr(chargecent.cli, "load_edge_list", lambda *a: loads.append(a))
     out = tmp_path / "sim"
     assert run("simulate", "--input", graph_file, "--kappa", "2", "--sim", "hopping",
-               "--duration", "10", "--injection-rate", rate, "--out", out) == 1
+               "--duration", "10", "--injection-rate", rate, "--pairs", "2", "--out", out) == 1
     err = capsys.readouterr().err
     assert "input error" in err and "injection rate must be finite and nonnegative" in err
-    assert not out.exists()
+    assert loads == [] and not out.exists()
 
 
 def test_a_sweep_loads_its_graph_once_and_samples_pairs_once_per_repetition(graph_file, tmp_path,
@@ -700,4 +703,20 @@ def test_counts_below_one_are_rejected_before_any_load(graph_file, tmp_path, cap
         assert run("experiment", "--input", graph_file, "--measure", "bc", "--sim", "hopping",
                    *way, "--out", out) == 1
         assert f"--{key} must be at least 1, not 0" in capsys.readouterr().err
+    assert loads == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command, argv", [("centrality", ["--measure", "bc"]),
+                                           ("simulate", ["--sim", "hopping"]),
+                                           ("experiment", ["--measure", "bc", "--sim", "hopping"])])
+def test_negative_seed_is_rejected_before_any_load(graph_file, tmp_path, capsys, monkeypatch, command, argv):
+    # Before, the graph was loaded first, and numpy then failed naming no option.
+    loads = []
+    monkeypatch.setattr(chargecent.cli, "load_edge_list", lambda *a: loads.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "out"
+    for way in (["--seed", -1], ["--config", cfg]):
+        assert run(command, "--input", graph_file, *argv, *way, "--out", out) == 1
+        assert "--seed must be at least 0, not -1" in capsys.readouterr().err
     assert loads == [] and not out.exists()

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,12 @@ from chargecent import (
     SocInstance,
     load_edge_list,
     make_instance,
+    soc_betweenness,
     write_snap_tsv,
 )
 from chargecent.betweenness import _charge_dominance
 from chargecent.errors import NumericalError
-from chargecent.graph import RADIUS_RTOL, bfs, csr, radius_bracket
+from chargecent.graph import RADIUS_RTOL, Digraph, bfs, csr, radius_bracket
 from chargecent.generators import grid_graph, path_graph, star_graph
 from chargecent.oracles import _distances_to_target, dense_adjacency, dense_bkappa
 
@@ -275,12 +278,28 @@ def test_multi_source_bfs_is_the_minimum_over_single_sources(small_instances):
 def test_csr_sorts_by_tail_then_head_and_rejects_keys_past_int64():
     rng = np.random.default_rng(5)
     src, dst = rng.integers(50, size=(2, 400))  # repeated arcs among them
-    indptr, indices, arc_src = csr(50, src, dst)
+    indptr, indices = csr(50, src, dst)
     order = np.lexsort((dst, src))
-    assert np.array_equal(indices, dst[order]) and np.array_equal(arc_src, src[order])
+    assert np.array_equal(indices, dst[order])
     assert np.array_equal(indptr, np.r_[0, np.cumsum(np.bincount(src, minlength=50))])
     with pytest.raises(NumericalError, match="overflow int64"):
         csr(2**32, np.array([0]), np.array([1]))
+
+
+def test_digraph_derives_tails_and_caches_its_reverse_and_matrix():
+    rng = np.random.default_rng(6)
+    src, dst = rng.integers(30, size=(2, 200))  # repeated arcs and self-loops among them
+    g = Digraph(30, src, dst)
+    order, back = np.lexsort((dst, src)), np.lexsort((src, dst))
+    assert g.size == 30 and g.n_arcs == 200 and np.array_equal(g.arc_src, src[order])
+    rev = g.reverse
+    assert type(rev) is Digraph and rev is g.reverse and g.adjacency is g.adjacency
+    assert np.array_equal(rev.indices, src[back]) and np.array_equal(rev.arc_src, dst[back])
+    dense = np.zeros((30, 30))
+    np.add.at(dense, (src, dst), 1.0)
+    assert np.array_equal(g.adjacency.toarray(), dense) and np.array_equal(rev.adjacency.toarray(), dense.T)
+    empty = Digraph(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    assert empty.n_arcs == 0 and empty.reverse.n_arcs == 0 and empty.adjacency.shape == (3, 3)
 
 
 @pytest.mark.parametrize("dominated", [False, True], ids=["plain", "dominance"])
@@ -360,6 +379,17 @@ def test_instance_validation():
     # The mask is read-only: a write would leave the cached state graph on the old one.
     with pytest.raises(ValueError, match="read-only"):
         inst.refill[0] = True
+
+
+def test_an_unpickled_instance_is_checked_again_and_builds_its_own_state_graph():
+    # Before, the copy's mask was writable (numpy does not pickle the flag) and the
+    # copy kept the pickled state graph, which a write to the mask left stale.
+    inst = make_instance(grid_graph(4, 4), [5, 10], 3)
+    want = soc_betweenness(inst, "target").values
+    copy = pickle.loads(pickle.dumps(inst))
+    assert not copy.refill.flags.writeable and "state_graph" not in vars(copy)
+    assert copy.kappa == 3 and copy.refill.tolist() == inst.refill.tolist()
+    assert np.array_equal(soc_betweenness(copy, "target").values, want)
 
 
 def test_edge_out_of_range_rejected():

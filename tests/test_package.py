@@ -15,6 +15,16 @@ import chargecent.statespace
 SRC = Path(chargecent.__file__).parent
 
 
+def _calls(node, names, scope=()):
+    """The dotted class and function scope of each call to one of ``names`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+        func = getattr(child, "func", None)
+        if isinstance(child, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) in names:
+            yield ".".join(scope)
+        yield from _calls(child, names, inner)
+
+
 def test_no_assert_statements_in_package():
     # ``python -O`` strips asserts; invariants must raise explicitly.
     found = [
@@ -29,21 +39,30 @@ def test_no_assert_statements_in_package():
 def test_only_the_instance_builds_its_state_graph():
     # One state graph per instance: outside statespace, only ``SocInstance.state_graph``
     # builds one, and every measure, sampler and simulator reads that property.
-    def calls(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
-            func = getattr(child, "func", None)
-            if isinstance(child, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) in (
-                    "build_state_graph", "StateGraph"):
-                yield ".".join(scope)
-            yield from calls(child, inner)
-
     found = [
         f"{path.name}:{where}"
         for path in sorted(SRC.glob("*.py")) if path.name != "statespace.py"
-        for where in calls(ast.parse(path.read_text(), str(path)), ())
+        for where in _calls(ast.parse(path.read_text(), str(path)), ("build_state_graph", "StateGraph"))
     ]
     assert found == ["graph.py:SocInstance.state_graph"]
+
+
+def test_only_the_digraph_builds_a_csr():
+    # One CSR builder: the base graph, the state graph and each one's reverse are
+    # ``Digraph``s, which alone call ``csr`` and own the arc tails, the 0/1 matrix
+    # and the reverse.
+    found = [
+        f"{path.name}:{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _calls(ast.parse(path.read_text(), str(path)), ("csr",))
+    ]
+    assert found == ["graph.py:Digraph.__init__"]
+    for cls in (chargecent.Graph, chargecent.StateGraph):
+        assert issubclass(cls, chargecent.graph.Digraph)
+        for name in ("n_arcs", "arc_src", "adjacency", "reverse"):
+            assert name not in vars(cls), (cls.__name__, name)
+    g = chargecent.Graph(3, [(0, 1), (1, 2)], False)
+    assert "arc_src" not in vars(g) and "arc_src" not in vars(g.reverse)
 
 
 def test_failures_raise_exceptions_the_cli_maps():
@@ -83,7 +102,8 @@ def test_removed_names_stay_out_of_the_package():
     # ``sg.adjacency @ x``, and the quadratic Kendall tau is reference code in
     # ``oracles``. An instance holds its refill set as the boolean mask
     # ``refill``, and a state graph keeps no reference to its instance. An
-    # instance's state graph is ``inst.state_graph``.
+    # instance's state graph is ``inst.state_graph``. A digraph's 0/1 matrix is
+    # its ``adjacency``.
     for name in ("directed_rwbc_pair", "FlowSolution", "StPair", "SimOutcome",
                  "walk_subgraph", "WalkSubgraph", "run_sir_episode",
                  "spectral_radius", "state_graph_radius",
@@ -100,7 +120,8 @@ def test_removed_names_stay_out_of_the_package():
                         (chargecent.statespace, "reachable_nodes"),
                         (chargecent.betweenness, "_with_sinks"), (chargecent.betweenness, "_arrival_debit"),
                         (chargecent.betweenness, "_target_credit"),
-                        (chargecent.graph, "RefillSet"), (sg, "instance"), (sg, "_build"),
+                        (chargecent.graph, "RefillSet"), (chargecent.graph, "adjacency_matrix"),
+                        (sg, "instance"), (sg, "_build"),
                         (sg, "starred"), (sg, "n_numeric"), (sg, "state_of"), (sg, "out_states")):
         assert not hasattr(owner, name), name
 
@@ -117,6 +138,9 @@ def test_importing_the_package_does_not_load_sparse_linalg():
 # Defaulted function parameters plus defaulted dataclass fields in the package.
 # A change that needs a new option raises this in the same diff and says why.
 MAX_OPTIONS = 60
+# Non-blank lines of the package's modules, as ``grep -c .`` counts them. A
+# change that needs more lines raises this in the same diff and says why.
+MAX_SRC_LINES = 2386
 
 
 def test_options_do_not_grow():
@@ -135,3 +159,8 @@ def test_options_do_not_grow():
             elif isinstance(node, ast.ClassDef) and is_dataclass(node):
                 count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
     assert count <= MAX_OPTIONS, count
+
+
+def test_source_lines_do_not_grow():
+    count = sum(1 for path in SRC.glob("*.py") for line in path.read_text().split("\n") if line)
+    assert count <= MAX_SRC_LINES, count

@@ -11,7 +11,6 @@ from chargecent import (
     soc_rwbc,
 )
 from chargecent.generators import barabasi_albert_graph, cycle_graph, gnp_random_graph, grid_graph, path_graph
-from chargecent.graph import adjacency_matrix, csr
 from chargecent.oracles import current_flow_throughflow, monte_carlo_rwbc, walk_subgraph
 from chargecent.rwbc import _absorbing_flows, _base_rank
 
@@ -55,11 +54,6 @@ def test_walk_subgraph_matches_reachability_oracle():
         assert sub.nodes.tolist() == expect
 
 
-def reverse_adjacency(g):
-    """A^T of a graph, as ``rwbc_all_pairs`` builds it for ``_absorbing_flows``."""
-    return adjacency_matrix(g.n, *csr(g.n, g.indices, g.arc_src)[:2])
-
-
 def pair_flow(g, s, t):
     """Net throughflow of the single pair (s, t)."""
     return rwbc_all_pairs(g, [(s, t)]).values
@@ -67,7 +61,7 @@ def pair_flow(g, s, t):
 
 def test_pair_flow_deterministic_path():
     g = Graph(3, [(0, 1), (1, 2)], directed=True)
-    flows = _absorbing_flows(reverse_adjacency(g), np.array([2]), [0], _base_rank(g))
+    flows = _absorbing_flows(g.reverse, np.array([2]), [0], _base_rank(g))
     assert np.allclose(flows.usage, [1.0, 1.0, 0.0], atol=1e-12)  # arc u -> v carries usage[u]
     assert np.allclose(flows.net, [0.5, 1.0, 0.5], atol=1e-12)
     assert np.allclose(pair_flow(g, 0, 2), [0.5, 1.0, 0.5], atol=1e-12)
@@ -99,7 +93,7 @@ def test_conservation_invariant():
         if sub.empty:
             continue
         checked += 1
-        usage = _absorbing_flows(reverse_adjacency(g), np.array([t]), [s], _base_rank(g)).usage
+        usage = _absorbing_flows(g.reverse, np.array([t]), [s], _base_rank(g)).usage
         outflow = np.zeros(g.n)
         inflow = np.zeros(g.n)
         for u, v in zip(sub.nodes[sub.arc_src], sub.nodes[sub.arc_dst]):

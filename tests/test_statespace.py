@@ -5,7 +5,7 @@ import pytest
 
 from chargecent import Graph, make_instance, statespace
 from chargecent.generators import complete_graph, path_graph
-from chargecent.graph import bfs, csr
+from chargecent.graph import Digraph, bfs
 from chargecent.oracles import (
     _distances_to_target,
     count_feasible_walks,
@@ -278,11 +278,11 @@ def test_toward_is_bit_identical_to_one_search_per_target(monkeypatch, seed, cop
             monkeypatch.setattr(statespace, "TABLE_CELLS", copies * (sg.n_states + sg.n_arcs))
         if keep is not None:
             monkeypatch.setattr(statespace, "TABLE_BYTES", keep * 12 * sg.n_states)
-        rptr, ridx, _ = csr(sg.n_states, sg.indices, sg.arc_src)
+        rev = Digraph(sg.n_states, sg.indices, sg.arc_src)  # built apart from the cached one toward searches
         searches.clear()
         for t in [*range(sg.n), *reversed(range(sg.n))]:
             dist, paths = sg.toward(t)
-            want_dist, want_paths, _ = real_bfs(rptr, ridx, np.arange(sg.kappa + 1) * sg.n + t)
+            want_dist, want_paths, _ = real_bfs(rev.indptr, rev.indices, np.arange(sg.kappa + 1) * sg.n + t)
             assert dist.dtype == np.int32 and np.array_equal(dist, want_dist)
             assert [x.hex() for x in paths.tolist()] == [x.hex() for x in want_paths.tolist()]
             unreachable += int((dist == -1).sum())
