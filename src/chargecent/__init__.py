@@ -9,40 +9,18 @@ traffic simulators for realized scores, and Kendall-tau comparison.
 
 __version__ = "0.1.0"
 
-from .betweenness import (
-    BcScores,
-    soc_betweenness,
-    soc_betweenness_scores,
-    standard_betweenness,
-)
+from .betweenness import soc_betweenness, soc_betweenness_scores, standard_betweenness
 from .errors import NumericalError
-from .graph import (
-    Graph,
-    GraphParseError,
-    SocInstance,
-    load_edge_list,
-    make_instance,
-    write_snap_tsv,
-)
+from .graph import Graph, GraphParseError, load_edge_list, write_snap_tsv
 from .katz import AlphaBound, KatzParams, max_alpha, soc_katz, standard_katz
-from .rwbc import (
-    rwbc_all_pairs,
-    sample_feasible_pairs,
-    soc_rwbc,
-)
+from .rwbc import rwbc_all_pairs, soc_rwbc
 from .scores import ScoreVector, align_scores
-from .simulate import (
-    HoppingParams,
-    SirParams,
-    particle_hopping,
-    sir_influence,
-)
-from .statespace import StateGraph
+from .simulate import HoppingParams, SirParams, particle_hopping, sir_influence
+from .statespace import SocInstance, StateGraph, make_instance, sample_feasible_pairs
 from .stats import kendall_tau
 
 __all__ = [
     "AlphaBound",
-    "BcScores",
     "Graph",
     "GraphParseError",
     "HoppingParams",

@@ -37,13 +37,11 @@ rest plus an init row. ``endpoints="none"`` credits interior nodes only
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graph import Graph, SocInstance, bfs
+from .graph import Graph, bfs
 from .scores import ScoreVector
-from .statespace import StateGraph
+from .statespace import SocInstance, StateGraph
 
 ENDPOINT_CONVENTIONS = ("target", "none")
 # Bound on C * (N + A) per chunk, for C sources and N nodes and A arcs searched.
@@ -94,27 +92,6 @@ def _backward_accumulate(sigma: np.ndarray, tree_arcs, init: np.ndarray) -> np.n
     return rest
 
 
-@dataclass
-class BcScores:
-    """Betweenness per state of the state graph, and per node summed over charge levels."""
-
-    state_scores: np.ndarray
-    node_scores: np.ndarray
-    endpoints: str
-    settled_states: int
-
-    def node_vector(self, inst: SocInstance) -> ScoreVector:
-        """The per-node scores with their metadata, as ``soc_betweenness`` returns them."""
-        meta = {
-            "measure": "soc-bc",
-            **inst.meta,
-            "endpoints": self.endpoints,
-            "states": int(self.state_scores.shape[0]),
-            "settled_states": self.settled_states,
-        }
-        return ScoreVector.for_graph(inst.graph, self.node_scores, meta)
-
-
 def _source_sums(indptr, indices, blocks, dominance, own, endpoint):
     """Every source's rows added up in source order, and the number of labels the searches set.
 
@@ -143,19 +120,22 @@ def _source_sums(indptr, indices, blocks, dominance, own, endpoint):
     return total, labelled
 
 
-def soc_betweenness_scores(inst: SocInstance, endpoints: str = "target") -> BcScores:
+def soc_betweenness_scores(inst: SocInstance, endpoints: str = "target") -> tuple[np.ndarray, ScoreVector]:
+    """Charge-aware betweenness per state (block b holds charge kappa - b), and per node with its meta."""
     if endpoints not in ENDPOINT_CONVENTIONS:
         raise ValueError(f"endpoints must be one of {ENDPOINT_CONVENTIONS}")
     sg = inst.state_graph
     bc_state, settled = _source_sums(sg.indptr, sg.indices, inst.kappa + 1, _charge_dominance(sg),
                                      True, -1.0 if endpoints == "none" else 0.0)
     node_scores = bc_state.reshape(inst.kappa + 1, sg.n).sum(axis=0)
-    return BcScores(bc_state, node_scores, endpoints, settled)
+    meta = {"measure": "soc-bc", **inst.meta, "endpoints": endpoints, "states": sg.n_states,
+            "settled_states": settled}
+    return bc_state, ScoreVector.for_graph(inst.graph, node_scores, meta)
 
 
 def soc_betweenness(inst: SocInstance, endpoints: str = "target") -> ScoreVector:
     """Charge-aware betweenness aggregated per node (unnormalized)."""
-    return soc_betweenness_scores(inst, endpoints).node_vector(inst)
+    return soc_betweenness_scores(inst, endpoints)[1]
 
 
 def standard_betweenness(g: Graph, endpoints: str = "target") -> ScoreVector:

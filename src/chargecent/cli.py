@@ -26,17 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .betweenness import (
-    ENDPOINT_CONVENTIONS, BcScores, soc_betweenness, soc_betweenness_scores, standard_betweenness,
-)
+from .betweenness import ENDPOINT_CONVENTIONS, soc_betweenness, soc_betweenness_scores, standard_betweenness
 from .errors import NumericalError
 from .generators import sample_omega
-from .graph import FORMATS, Graph, SocInstance, load_edge_list, make_instance
+from .graph import FORMATS, Graph, load_edge_list
 from .katz import KatzParams, soc_katz, standard_katz
 from .oracles import OracleBudget, brute_soc_bc, dense_soc_katz
-from .rwbc import rwbc_all_pairs, sample_feasible_pairs, soc_rwbc
+from .rwbc import rwbc_all_pairs, soc_rwbc
 from .scores import ScoreVector, align_scores
 from .simulate import POLICIES, HoppingParams, SirParams, particle_hopping, sir_influence
+from .statespace import SocInstance, make_instance, sample_feasible_pairs
 from .stats import kendall_tau
 
 logger = logging.getLogger(__name__)
@@ -312,8 +311,7 @@ def _write_scores(sv: ScoreVector, cfg: ExperimentConfig, out: Path, stem: str) 
 def cmd_centrality(cfg: ExperimentConfig, g: Graph) -> int:
     inst, pairs = _inputs(cfg, g, cfg.measure in PAIR_MEASURES)
     if cfg.state_dump:
-        bc = soc_betweenness_scores(inst, cfg.endpoints)
-        sv = bc.node_vector(inst)
+        state_scores, sv = soc_betweenness_scores(inst, cfg.endpoints)
     else:
         sv = compute_measure(cfg, inst, pairs)
     if cfg.verify:
@@ -323,15 +321,15 @@ def cmd_centrality(cfg: ExperimentConfig, g: Graph) -> int:
     out = Path(cfg.out)
     _write_scores(sv, cfg, out, "scores")
     if cfg.state_dump:
-        _write_state_dump(inst, bc, out)
+        _write_state_dump(inst, state_scores, out)
     print(f"wrote {out / 'scores.csv'} ({len(sv)} nodes)")
     return 0
 
 
-def _write_state_dump(inst, bc: BcScores, out: Path) -> None:
+def _write_state_dump(inst, state_scores: np.ndarray, out: Path) -> None:
     g, kappa = inst.graph, inst.kappa
     # Block b of the states holds charge kappa - b.
-    levels = bc.state_scores.reshape(kappa + 1, g.n)
+    levels = state_scores.reshape(kappa + 1, g.n)
     with open(out / "scores.states.csv", "w") as fh:
         fh.write("node_label,charge,score\n")
         for b, row in enumerate(levels):

@@ -4,24 +4,21 @@
 both digraphs, and each digraph's reverse is one too. Node ids are dense
 integers in [0, n); external labels are kept as strings and mapped
 bijectively. Undirected edges are stored once but expanded to two arcs in the
-adjacency view, since every downstream kernel works on arcs.
+adjacency view, since every downstream kernel works on arcs. Nothing here
+knows of charge: the instance and its state graph are in ``statespace``.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
 
 from .errors import NumericalError
-
-if TYPE_CHECKING:
-    from .statespace import StateGraph
 
 logger = logging.getLogger(__name__)
 
@@ -217,54 +214,6 @@ class Graph(Digraph):
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"Graph(n={self.n}, m={self.m}, {kind})"
-
-
-@dataclass(frozen=True, eq=False)
-class SocInstance:
-    """A graph, its refill set and hop budget; the unit all measures consume.
-
-    ``refill`` is the refill set as a boolean mask over the node ids, made
-    read-only here, so that the state graph built from it cannot go stale.
-    Instances compare by identity, as the mask has no single truth value.
-    """
-
-    graph: Graph
-    refill: np.ndarray
-    kappa: int
-
-    def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
-        if self.refill.shape != (self.graph.n,) or self.refill.dtype != bool:
-            raise ValueError("refill set must be a boolean mask with one entry per node")
-        self.refill.flags.writeable = False
-
-    def __reduce__(self):
-        # Unpickling rebuilds the instance, so the mask is checked and frozen
-        # again and the state graph is rebuilt on first use, not shipped.
-        return SocInstance, (self.graph, self.refill, self.kappa)
-
-    @property
-    def meta(self) -> dict:
-        """The instance's part of a score vector's meta: its hop budget and refill node ids."""
-        return {"kappa": self.kappa, "omega": np.flatnonzero(self.refill).tolist()}
-
-    @functools.cached_property
-    def state_graph(self) -> StateGraph:
-        """The (node, charge) state graph, built on first use and kept with its ``toward`` tables."""
-        from .statespace import build_state_graph  # statespace imports this module
-
-        return build_state_graph(self)
-
-
-def make_instance(graph: Graph, omega: Iterable[int], kappa: int) -> SocInstance:
-    """The instance whose refill set is the node ids in omega, in any order, repeats allowed."""
-    ids = [int(v) for v in omega]
-    if ids and not (0 <= min(ids) and max(ids) < graph.n):
-        raise ValueError("refill node id out of range")
-    refill = np.zeros(graph.n, dtype=bool)
-    refill[ids] = True
-    return SocInstance(graph, refill, int(kappa))
 
 
 def _finish(tokens: list[str], directed: bool, labels: Sequence[str] = ()) -> Graph:

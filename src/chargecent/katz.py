@@ -27,8 +27,9 @@ import numpy as np
 import scipy.sparse
 
 from .errors import NumericalError
-from .graph import Graph, SocInstance, radius_bracket
+from .graph import Graph, radius_bracket
 from .scores import ScoreVector
+from .statespace import SocInstance
 
 SOLVE_MAX_ITER = 10_000  # BiCGSTAB iterations before the solve counts as failed
 

@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .graph import Digraph, Graph, SocInstance, bfs
+from .graph import Digraph, Graph, bfs
 from .scores import ScoreVector
+from .statespace import SocInstance
 
 DEFAULT_MAX_WALKS = 2_000_000
 _U64_MAX = 2**64 - 1

@@ -31,9 +31,9 @@ import numpy as np
 import scipy.sparse
 
 from .errors import NumericalError
-from .graph import Digraph, Graph, SocInstance, bfs
+from .graph import Digraph, Graph, bfs
 from .scores import ScoreVector
-from .statespace import draw_feasible_pair
+from .statespace import SocInstance, check_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -148,16 +148,10 @@ def _solver_meta(solved: list[AbsorbingFlows], ordering: str) -> dict:
 
 
 def _sources_by_target(pairs: Sequence[tuple[int, int]], n: int) -> dict[int, list[int]]:
-    """Sources of each distinct target, targets in order of first appearance."""
-    if not pairs:
-        raise ValueError("at least one source-target pair required")
+    """Sources of each distinct target of the checked pairs, targets in order of first appearance."""
     groups: dict[int, list[int]] = {}
-    for s, t in pairs:
-        if not (0 <= s < n and 0 <= t < n):
-            raise ValueError(f"pair ({s}, {t}) has a node id outside [0,{n})")
-        if s == t:
-            raise ValueError("source and target must differ")
-        groups.setdefault(int(t), []).append(int(s))
+    for s, t in check_pairs(pairs, n):
+        groups.setdefault(t, []).append(s)
     return groups
 
 
@@ -201,17 +195,3 @@ def rwbc_all_pairs(g: Graph, pairs: Sequence[tuple[int, int]]) -> ScoreVector:
     meta = {"measure": "rwbc", "pairs": len(pairs), **_solver_meta(solved, f"{ORDERING} of the base graph")}
     return ScoreVector.for_graph(g, total, meta)
 
-
-def sample_feasible_pairs(inst: SocInstance, count: int, seed: int) -> tuple[list[tuple[int, int]], int]:
-    """Uniform ordered pairs restricted to those admitting a feasible walk.
-
-    Returns the sampled pairs and the number of infeasible draws discarded.
-    """
-    rng = np.random.default_rng(seed)
-    pairs: list[tuple[int, int]] = []
-    resampled = 0
-    for _ in range(count):
-        s, t, redraws = draw_feasible_pair(rng, inst.state_graph)
-        pairs.append((s, t))
-        resampled += redraws
-    return pairs, resampled

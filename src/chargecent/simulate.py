@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .graph import SocInstance
 from .scores import ScoreVector
-from .statespace import draw_feasible_pair
+from .statespace import SocInstance, check_pairs, draw_feasible_pair
 
 logger = logging.getLogger(__name__)
 
@@ -141,9 +140,6 @@ class HoppingParams:
             raise ValueError("duration must be positive")
         if not 0 <= self.injection_rate < np.inf:  # also false for nan
             raise ValueError(f"injection rate must be finite and nonnegative, not {self.injection_rate}")
-        for s, t in self.pairs or ():
-            if s == t:
-                raise ValueError(f"hopping pair has the same source and target (node id {s})")
 
 
 class _Particle:
@@ -212,8 +208,9 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
 
     Requests arrive at the configured expected rate; each is a feasible
     (s, t) pair (infeasible draws are resampled, or skipped when an explicit
-    pair list is given). A particle occupies one node per step, moves once
-    per step in a seeded random order, and leaves the network on arrival.
+    pair list is given; ``check_pairs`` checks that list). A particle
+    occupies one node per step, moves once per step in a seeded random
+    order, and leaves the network on arrival.
 
     When every node holds a particle after a step's arrivals have left, no move
     or injection can happen again: the remaining steps are finished in closed
@@ -223,9 +220,7 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
     """
     g = inst.graph
     n = g.n
-    for s, t in p.pairs or ():
-        if not (0 <= s < n and 0 <= t < n):
-            raise ValueError(f"hopping pair ({s}, {t}) has a node id outside [0,{n})")
+    pairs = None if p.pairs is None else check_pairs(p.pairs, n)
     sg = inst.state_graph
     rng = np.random.default_rng(p.seed)
     # ``sg.toward(t)`` is target t's table: the hops from each state to t and the
@@ -249,8 +244,8 @@ def particle_hopping(inst: SocInstance, p: HoppingParams) -> ScoreVector:
             if budget is not None and requested >= budget:
                 break
             requested += 1
-            if p.pairs is not None:
-                s, t = p.pairs[int(rng.integers(len(p.pairs)))]
+            if pairs is not None:
+                s, t = pairs[int(rng.integers(len(pairs)))]
                 if not sg.feasible(s, t):
                     infeasible_skipped += 1
                     continue

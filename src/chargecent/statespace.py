@@ -1,24 +1,32 @@
-"""Directed state graph over (node, charge) pairs and feasible-walk queries.
+"""The instance, its directed state graph over (node, charge) pairs, and source-target pairs.
 
-A commodity at node u with residual charge i occupies state (u, i). Moving
-along an edge (u, v) refills the charge to kappa when v is a refill node and
-otherwise decrements it by one; at charge 0 only refill nodes can be entered.
+An instance is a graph, its refill set and its hop budget kappa. A commodity
+at node u with residual charge i occupies state (u, i). Moving along an edge
+(u, v) refills the charge to kappa when v is a refill node and otherwise
+decrements it by one; at charge 0 only refill nodes can be entered.
 
 Flat state index layout: block b holds charge kappa - b, so
 ``idx = (kappa - soc) * n + node``. A walk reaches node t when it enters any
 of t's kappa + 1 states; ``StateGraph.toward`` searches backward from all of
 them at once, for several targets per search, and keeps the tables.
+
+Source-target pairs are drawn here among the feasible ones, and a given
+pair list is checked here, by ``check_pairs``, for every consumer.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import NumericalError
-from .graph import Digraph, SocInstance, bfs
+from .graph import Digraph, Graph, bfs
 
 # Random source-target draws before an input counts as having no feasible pair.
 MAX_PAIR_DRAWS = 1000
@@ -34,6 +42,52 @@ TABLE_BYTES = 3 * 10**8
 # 0.16-0.25 s, 6 0.13-0.20 s, 13 0.12-0.17 s, 26 0.13-0.16 s, 52 0.12-0.15 s;
 # peak RSS 76.5, 76.5, 76.5, 77.4, 80.0, 84.4 MB.
 TABLE_CELLS = 2**17
+
+
+@dataclass(frozen=True, eq=False)
+class SocInstance:
+    """A graph, its refill set and hop budget; the unit all measures consume.
+
+    ``refill`` is the refill set as a boolean mask over the node ids, made
+    read-only here, so that the state graph built from it cannot go stale.
+    Instances compare by identity, as the mask has no single truth value.
+    """
+
+    graph: Graph
+    refill: np.ndarray
+    kappa: int
+
+    def __post_init__(self):
+        if self.kappa < 1:
+            raise ValueError("kappa must be >= 1")
+        if self.refill.shape != (self.graph.n,) or self.refill.dtype != bool:
+            raise ValueError("refill set must be a boolean mask with one entry per node")
+        self.refill.flags.writeable = False
+
+    def __reduce__(self):
+        # Unpickling rebuilds the instance, so the mask is checked and frozen
+        # again and the state graph is rebuilt on first use, not shipped.
+        return SocInstance, (self.graph, self.refill, self.kappa)
+
+    @property
+    def meta(self) -> dict:
+        """The instance's part of a score vector's meta: its hop budget and refill node ids."""
+        return {"kappa": self.kappa, "omega": np.flatnonzero(self.refill).tolist()}
+
+    @functools.cached_property
+    def state_graph(self) -> StateGraph:
+        """The (node, charge) state graph, built on first use and kept with its ``toward`` tables."""
+        return build_state_graph(self)
+
+
+def make_instance(graph: Graph, omega: Iterable[int], kappa: int) -> SocInstance:
+    """The instance whose refill set is the node ids in omega, in any order, repeats allowed."""
+    ids = [int(v) for v in omega]
+    if ids and not (0 <= min(ids) and max(ids) < graph.n):
+        raise ValueError("refill node id out of range")
+    refill = np.zeros(graph.n, dtype=bool)
+    refill[ids] = True
+    return SocInstance(graph, refill, int(kappa))
 
 
 class StateGraph(Digraph):
@@ -133,3 +187,36 @@ def draw_feasible_pair(rng: np.random.Generator, sg: StateGraph) -> tuple[int, i
             return s, t, resampled
         resampled += 1
     raise ValueError(f"no feasible source-target pair in {MAX_PAIR_DRAWS} draws")
+
+
+def sample_feasible_pairs(inst: SocInstance, count: int, seed: int) -> tuple[list[tuple[int, int]], int]:
+    """``count`` draws of ``draw_feasible_pair`` from ``default_rng(seed)``, and the count of infeasible draws."""
+    rng = np.random.default_rng(seed)
+    pairs: list[tuple[int, int]] = []
+    resampled = 0
+    for _ in range(count):
+        s, t, redraws = draw_feasible_pair(rng, inst.state_graph)
+        pairs.append((s, t))
+        resampled += redraws
+    return pairs, resampled
+
+
+def check_pairs(pairs: Iterable[tuple[int, int]], n: int) -> list[tuple[int, int]]:
+    """The pairs as int pairs, checked: at least one, integer node ids in [0, n), source != target.
+
+    ``operator.index`` reads each id, so neither 2.5 nor 2.0 is an id. A failure is a ``ValueError``.
+    """
+    checked = []
+    for s, t in pairs:
+        try:
+            s, t = operator.index(s), operator.index(t)
+        except TypeError:
+            raise ValueError(f"pair ({s}, {t}) has a node id that is not an integer") from None
+        if not (0 <= s < n and 0 <= t < n):
+            raise ValueError(f"pair ({s}, {t}) has a node id outside [0,{n})")
+        if s == t:
+            raise ValueError(f"pair ({s}, {t}) has the same source and target; they must differ")
+        checked.append((s, t))
+    if not checked:
+        raise ValueError("at least one source-target pair required")
+    return checked

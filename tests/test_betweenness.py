@@ -77,11 +77,11 @@ def test_reduction_to_standard_bc():
 
 def test_state_scores_aggregate_and_stars_zero():
     inst = make_instance(path_graph(4), [1], 2)
-    scores = soc_betweenness_scores(inst)
-    assert scores.state_scores.shape == (inst.state_graph.n_states,)  # one score per state
+    state_scores, sv = soc_betweenness_scores(inst)
+    assert state_scores.shape == (inst.state_graph.n_states,)  # one score per state
     assert np.allclose(
-        scores.state_scores.reshape(inst.kappa + 1, 4).sum(axis=0),
-        scores.node_scores,
+        state_scores.reshape(inst.kappa + 1, 4).sum(axis=0),
+        sv.values,
     )
 
 
@@ -169,7 +169,7 @@ def test_engine_matches_reference_recursion(small_instances):
             mask[src] = False
             expect[mask] += delta[mask]
         assert np.all(expect[sg.n_states :] == 0.0)
-        got = soc_betweenness_scores(inst).state_scores
+        got = soc_betweenness_scores(inst)[0]
         assert np.allclose(got, expect[: sg.n_states], atol=1e-9)
 
 
@@ -237,9 +237,9 @@ def test_soc_bc_scores_are_pinned(endpoints):
     g = grid_graph(12, 12)
     inst = make_instance(g, sample_omega(144, 0.2, seed=5), 10)
     states, nodes, plain = _PINNED_BC[endpoints]
-    got = soc_betweenness_scores(inst, endpoints)
-    assert [float(got.state_scores[i]).hex() for i in (0, 77, 500, 1000, 1500)] == states
-    assert [float(got.node_scores[v]).hex() for v in (13, 66, 143)] == nodes
+    got_states, got = soc_betweenness_scores(inst, endpoints)
+    assert [float(got_states[i]).hex() for i in (0, 77, 500, 1000, 1500)] == states
+    assert [float(got.values[v]).hex() for v in (13, 66, 143)] == nodes
     assert float(standard_betweenness(g, endpoints).values[66]).hex() == plain
 
 
@@ -319,9 +319,9 @@ def test_chunked_scores_are_bit_identical_to_one_source_at_a_time(one_source_at_
         if copies is not None:
             sg = inst.state_graph
             monkeypatch.setattr(betweenness, "CELLS", copies * (sg.n_states + sg.n_arcs))
-        got = soc_betweenness_scores(inst, endpoints)
-        assert np.array_equal(got.state_scores, want_states)
-        assert np.array_equal(got.node_scores, want_states.reshape(kappa + 1, g.n).sum(axis=0))
+        got_states, got = soc_betweenness_scores(inst, endpoints)
+        assert np.array_equal(got_states, want_states)
+        assert np.array_equal(got.values, want_states.reshape(kappa + 1, g.n).sum(axis=0))
         if copies is not None:
             monkeypatch.setattr(betweenness, "CELLS", copies * (g.n + g.n_arcs))
         assert np.array_equal(standard_betweenness(g, endpoints).values, want_bc)

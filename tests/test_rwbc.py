@@ -214,6 +214,16 @@ def test_stpair_validation():
         rwbc_all_pairs(path_graph(3), [(1, 1)])
 
 
+@pytest.mark.parametrize("pair", [(0, 2.5), (0.0, 2)])
+def test_pair_node_ids_must_be_integers(pair):
+    # Before, both measures scored either pair silently as the pair (0, 2).
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="not an integer"):
+        rwbc_all_pairs(g, [pair])
+    with pytest.raises(ValueError, match="not an integer"):
+        soc_rwbc(make_instance(g, [1], 2), [pair])
+
+
 def test_both_measures_reject_an_empty_pair_list():
     g = path_graph(3)
     with pytest.raises(ValueError, match="at least one source-target pair"):

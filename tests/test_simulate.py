@@ -427,7 +427,7 @@ def test_hopping_param_validation():
     with pytest.raises(ValueError):
         HoppingParams(duration=0)
     with pytest.raises(ValueError, match="same source and target"):
-        HoppingParams(pairs=((0, 2), (1, 1)))
+        particle_hopping(make_instance(path_graph(3), [], 2), HoppingParams(pairs=((0, 2), (1, 1))))
     with pytest.raises(ValueError):
         SirParams(alpha=1.5)
 
@@ -437,6 +437,20 @@ def test_hopping_pair_node_ids_outside_the_graph_are_rejected(pair):
     inst = make_instance(grid_graph(3, 3), [4], 2)
     with pytest.raises(ValueError, match=r"outside \[0,9\)"):
         particle_hopping(inst, HoppingParams(duration=5, pairs=((1, 2), pair)))
+
+
+@pytest.mark.parametrize("pair", [(0, 2.5), (1.0, 2)])
+def test_hopping_pair_node_ids_must_be_integers(pair):
+    # Before, a fractional id ended in a TypeError or an IndexError from numpy.
+    inst = make_instance(grid_graph(3, 3), [4], 2)
+    with pytest.raises(ValueError, match="not an integer"):
+        particle_hopping(inst, HoppingParams(duration=5, injection_rate=1.0, pairs=(pair,)))
+
+
+def test_hopping_rejects_an_empty_pair_list():
+    # Before, numpy's sampler failed with "high <= 0".
+    with pytest.raises(ValueError, match="at least one source-target pair"):
+        particle_hopping(make_instance(grid_graph(3, 3), [4], 2), HoppingParams(duration=5, pairs=()))
 
 
 def test_sir_outbreak_size_check_raises(monkeypatch):
