@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import operator
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +34,17 @@ class GraphParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
+
+
+def node_id(v, n: int) -> int:
+    """``v`` as a node id in [0, n), read by ``operator.index`` (neither 2.5 nor 2.0 is one), else ``ValueError``."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValueError(f"node id {v!r} is not an integer") from None
+    if not 0 <= v < n:
+        raise ValueError(f"node id {v} out of range [0,{n})")
+    return v
 
 
 def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +219,7 @@ class Graph(Digraph):
 
     def out_neighbors(self, v: int) -> np.ndarray:
         """Out-neighbors of ``v`` in ascending order (all neighbors if undirected)."""
-        if not (0 <= v < self.n):
-            raise ValueError(f"node id {v} out of range [0,{self.n})")
+        v = node_id(v, self.n)
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def __repr__(self) -> str:

@@ -8,9 +8,10 @@ it, solved as a block of right-hand sides. A node's score is half the sum of
 absolute net usages over its incident unordered neighbor pairs, which on
 symmetrized graphs reduces to current-flow betweenness.
 
-The charge-aware variant runs the same computation on the state graph, with
-the target's states at every charge level as the absorbing set, and sums the
-net flows of the other states over charge levels per node.
+One driver serves both measures over ``blocks`` charge blocks of the nodes.
+The charge-aware variant runs it on the state graph's kappa + 1 blocks, with
+the target's states at every charge level absorbing, and sums the net flows
+of the other states over the blocks per node; plain rwbc is its one block.
 
 Every target system is a principal submatrix of one matrix, A^T: the
 adjacency of the reverse digraph (of the state graph for the charge-aware
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse
@@ -135,63 +136,57 @@ def _absorbing_flows(reverse: Digraph, absorbing: np.ndarray, starts, rank: np.n
     return AbsorbingFlows(usage, net, feasible, residual, lu.nnz)
 
 
-def _solver_meta(solved: list[AbsorbingFlows], ordering: str) -> dict:
-    """Deterministic diagnostics of the target solves, for a score vector's meta."""
-    return {
-        "skipped_pairs": sum(int((~fl.feasible).sum()) for fl in solved),
+def _pair_flows(reverse: Digraph, g: Graph, blocks: int, pairs: Iterable[tuple[int, int]],
+                score_arrivals: bool) -> tuple[np.ndarray, dict]:
+    """Per-node net flows of the pairs' walks, summed over ``blocks`` charge blocks, and the solver meta.
+
+    ``reverse`` is the reverse digraph over the states b * n + u of g's nodes u;
+    source s departs at full charge, block 0, so at state s. ``score_arrivals``
+    keeps the net flow at the target's states, as plain rwbc's current-flow
+    reduction needs, or zeroes it, as soc-rwbc does.
+    """
+    groups: dict[int, list[int]] = {}
+    checked = check_pairs(pairs, g.n)
+    for s, t in checked:
+        groups.setdefault(t, []).append(s)
+    levels = np.arange(blocks)
+    # State (u, block b) sits at b * n + u; node-major, it takes position rank[u] * blocks + b.
+    rank = (_base_rank(g) * blocks + levels[:, None]).ravel()
+    total = np.zeros(blocks * g.n)
+    solved: list[AbsorbingFlows] = []
+    for t, sources in groups.items():
+        absorbing = levels * g.n + t  # t in every block
+        flows = _absorbing_flows(reverse, absorbing, sources, rank)
+        if not score_arrivals:
+            flows.net[absorbing] = 0.0
+        total += flows.net
+        solved.append(flows)
+    skipped = sum(int((~fl.feasible).sum()) for fl in solved)
+    if skipped:
+        logger.info("%d of %d pairs had no feasible walk", skipped, len(checked))
+    meta = {
+        "pairs": len(checked),
+        "skipped_pairs": skipped,
         "solver": "splu",
-        "ordering": ordering,
+        "ordering": f"{ORDERING} of the base graph" + (", node-major" if blocks > 1 else ""),
         "factorizations": sum(1 for fl in solved if fl.feasible.any()),
         "factor_nnz": sum(fl.factor_nnz for fl in solved),
         "max_residual": max((fl.residual for fl in solved), default=0.0),
     }
+    return total.reshape(blocks, g.n).sum(axis=0), meta
 
 
-def _sources_by_target(pairs: Sequence[tuple[int, int]], n: int) -> dict[int, list[int]]:
-    """Sources of each distinct target of the checked pairs, targets in order of first appearance."""
-    groups: dict[int, list[int]] = {}
-    for s, t in check_pairs(pairs, n):
-        groups.setdefault(t, []).append(s)
-    return groups
-
-
-def soc_rwbc(inst: SocInstance, pairs: Sequence[tuple[int, int]]) -> ScoreVector:
+def soc_rwbc(inst: SocInstance, pairs: Iterable[tuple[int, int]]) -> ScoreVector:
     """Charge-aware random-walk betweenness accumulated over the given pairs.
 
     Pairs without a feasible walk contribute nothing and are counted in the
     metadata as skipped.
     """
-    groups = _sources_by_target(pairs, inst.graph.n)
-    sg = inst.state_graph
-    levels = np.arange(inst.kappa + 1)
-    # State (u, level b) sits at b * n + u; node-major, it takes position rank[u] * (kappa + 1) + b.
-    rank = (_base_rank(inst.graph) * (inst.kappa + 1) + levels[:, None]).ravel()
-    y_states = np.zeros(sg.n_states)
-    solved: list[AbsorbingFlows] = []
-    for t, sources in groups.items():
-        absorbing = levels * sg.n + t  # t at every charge level
-        flows = _absorbing_flows(sg.reverse, absorbing, [sg.source_state(s) for s in sources], rank)
-        flows.net[absorbing] = 0.0  # arrivals at t carry no score
-        y_states += flows.net
-        solved.append(flows)
-    diagnostics = _solver_meta(solved, f"{ORDERING} of the base graph, node-major")
-    if diagnostics["skipped_pairs"]:
-        logger.info("%d of %d pairs had no feasible walk", diagnostics["skipped_pairs"], len(pairs))
-    node_scores = y_states.reshape(inst.kappa + 1, inst.graph.n).sum(axis=0)
-    meta = {"measure": "soc-rwbc", **inst.meta, "pairs": len(pairs), **diagnostics}
-    return ScoreVector.for_graph(inst.graph, node_scores, meta)
+    scores, meta = _pair_flows(inst.state_graph.reverse, inst.graph, inst.kappa + 1, pairs, False)
+    return ScoreVector.for_graph(inst.graph, scores, {"measure": "soc-rwbc", **inst.meta, **meta})
 
 
-def rwbc_all_pairs(g: Graph, pairs: Sequence[tuple[int, int]]) -> ScoreVector:
-    """Plain directed random-walk betweenness summed over the given pairs."""
-    groups = _sources_by_target(pairs, g.n)
-    rank = _base_rank(g)
-    total = np.zeros(g.n)
-    solved: list[AbsorbingFlows] = []
-    for t, sources in groups.items():
-        flows = _absorbing_flows(g.reverse, np.array([t]), sources, rank)
-        total += flows.net
-        solved.append(flows)
-    meta = {"measure": "rwbc", "pairs": len(pairs), **_solver_meta(solved, f"{ORDERING} of the base graph")}
-    return ScoreVector.for_graph(g, total, meta)
-
+def rwbc_all_pairs(g: Graph, pairs: Iterable[tuple[int, int]]) -> ScoreVector:
+    """Plain directed random-walk betweenness summed over the given pairs: soc-rwbc's driver on one block."""
+    scores, meta = _pair_flows(g.reverse, g, 1, pairs, True)
+    return ScoreVector.for_graph(g, scores, {"measure": "rwbc", **meta})

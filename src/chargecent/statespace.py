@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalError
-from .graph import Digraph, Graph, bfs
+from .graph import Digraph, Graph, bfs, node_id
 
 # Random source-target draws before an input counts as having no feasible pair.
 MAX_PAIR_DRAWS = 1000
@@ -82,9 +82,7 @@ class SocInstance:
 
 def make_instance(graph: Graph, omega: Iterable[int], kappa: int) -> SocInstance:
     """The instance whose refill set is the node ids in omega, in any order, repeats allowed."""
-    ids = [int(v) for v in omega]
-    if ids and not (0 <= min(ids) and max(ids) < graph.n):
-        raise ValueError("refill node id out of range")
+    ids = [node_id(v, graph.n) for v in omega]
     refill = np.zeros(graph.n, dtype=bool)
     refill[ids] = True
     return SocInstance(graph, refill, int(kappa))
@@ -96,24 +94,18 @@ class StateGraph(Digraph):
     def __init__(self, instance: SocInstance):
         g, n, kappa = instance.graph, instance.graph.n, instance.kappa
         self.n, self.kappa, self.n_states = n, kappa, n * (kappa + 1)
-        refill, tails = instance.refill[g.indices], g.arc_src
-        src_parts: list[np.ndarray] = []
-        dst_parts: list[np.ndarray] = []
-        for block in range(kappa + 1):
-            src = block * n + tails
-            # Refill arcs land in block 0 (full charge).
-            src_parts.append(src[refill])
-            dst_parts.append(g.indices[refill])
-            if block < kappa:  # other arcs spend a unit of the charge kappa - block
-                src_parts.append(src[~refill])
-                dst_parts.append((block + 1) * n + g.indices[~refill])
-        super().__init__(self.n_states, np.concatenate(src_parts), np.concatenate(dst_parts))
+        refill, block = instance.refill[g.indices], np.arange(kappa + 1)[:, None]
+        # Each base arc once per block b: refill arcs land in block 0 (full charge), the
+        # others spend a unit of the charge kappa - b, into block b + 1, so block kappa has none.
+        keep = refill | (block < kappa)
+        dst = np.where(refill, g.indices, (block + 1) * n + g.indices)[keep]
+        super().__init__(self.n_states, (block * n + g.arc_src)[keep], dst)
         self._tables: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
     def state_index(self, node: int, soc: int) -> int:
         if not (0 <= soc <= self.kappa):
             raise ValueError(f"charge {soc} outside [0,{self.kappa}]")
-        return (self.kappa - soc) * self.n + node
+        return (self.kappa - soc) * self.n + node_id(node, self.n)
 
     def source_state(self, node: int) -> int:
         """Departure state: full charge regardless of refill membership."""
@@ -133,11 +125,12 @@ class StateGraph(Digraph):
         (N + A)) for N states and A arcs, at most the number of tables kept.
         """
         tables = self._tables
+        if type(t) is not int:  # one test on the hit path, which every routed move takes
+            t = node_id(t, self.n)
         if t in tables:
             tables.move_to_end(t)
             return tables[t]
-        if not (0 <= t < self.n):
-            raise ValueError(f"node id {t} out of range [0,{self.n})")
+        t = node_id(t, self.n)
         n, size = self.n, self.n_states
         keep = max(1, TABLE_BYTES // (12 * size))
         c = min(max(1, TABLE_CELLS // (size + self.n_arcs)), keep)

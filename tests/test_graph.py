@@ -172,6 +172,15 @@ def test_out_neighbors_path_and_direction():
         p3.out_neighbors(3)
 
 
+def test_out_neighbors_reads_the_node_as_an_integer():
+    # Before, both raised numpy's IndexError.
+    p3 = path_graph(3)
+    for v in (1.5, 1.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            p3.out_neighbors(v)
+    assert p3.out_neighbors(np.int64(1)).tolist() == [0, 2]
+
+
 def test_out_neighbors_sorted_and_degree_sum():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -224,6 +224,17 @@ def test_pair_node_ids_must_be_integers(pair):
         soc_rwbc(make_instance(g, [1], 2), [pair])
 
 
+def test_a_generator_of_pairs_scores_as_its_list():
+    # Before, both measures factored and solved a generator, then failed on len(pairs).
+    g = gnp_random_graph(10, 0.2, seed=3, directed=True)
+    pairs = [(0, 5), (3, 5), (9, 5), (6, 4), (1, 4), (4, 6), (8, 2)]
+    inst = make_instance(g, [2, 7], 2)
+    for measure in (lambda p: soc_rwbc(inst, p), lambda p: rwbc_all_pairs(g, p)):
+        listed, generated = measure(pairs), measure(p for p in pairs)
+        assert np.array_equal(generated.values, listed.values)
+        assert generated.meta == listed.meta and generated.meta["pairs"] == len(pairs)
+
+
 def test_both_measures_reject_an_empty_pair_list():
     g = path_graph(3)
     with pytest.raises(ValueError, match="at least one source-target pair"):

@@ -246,6 +246,45 @@ def test_toward_rejects_node_ids_out_of_range():
             sg.toward(t)
 
 
+@pytest.mark.parametrize("omega", [[1.5, 3.9], ["2"], [0, 2.0]])
+def test_make_instance_reads_refill_ids_as_integers(omega):
+    # Before, [1.5, 3.9] built the refill set {1, 3}, ["2"] built {2} and 2.0 counted as node 2.
+    with pytest.raises(ValueError, match="not an integer"):
+        make_instance(path_graph(5), omega, 2)
+
+
+def test_toward_reads_the_target_as_an_integer():
+    # Before, 2.5 raised a TypeError from range, and 2.0 returned node 2's table once it was cached.
+    sg = make_instance(path_graph(3), [], 1).state_graph
+    for _ in range(2):  # node 2's table uncached, then cached
+        for t in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="not an integer"):
+                sg.toward(t)
+        table = sg.toward(2)
+    assert sg.toward(np.int64(2)) is table
+
+
+def test_feasible_reads_node_ids_as_integers():
+    # Before, a float source raised numpy's IndexError.
+    sg = make_instance(path_graph(3), [], 2).state_graph
+    for s, t in ((1.0, 2), (0, 2.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            sg.feasible(s, t)
+    with pytest.raises(ValueError, match="out of range"):
+        sg.feasible(3, 0)
+    assert sg.feasible(np.int64(0), 2)
+
+
+def test_state_index_reads_the_node_as_an_integer():
+    # Before, state_index(1.0, 1) returned the float 6.0.
+    sg = make_instance(path_graph(3), [], 2).state_graph
+    with pytest.raises(ValueError, match="not an integer"):
+        sg.state_index(1.0, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        sg.state_index(3, 1)
+    assert sg.state_index(np.int64(1), 1) == 4 and type(sg.state_index(np.int64(1), 1)) is int
+
+
 def test_toward_searches_no_more_rows_than_nodes(monkeypatch):
     # A 3-node path, kappa 2, fits TABLE_CELLS thousands of times over, but
     # has 3 targets: all tables come from one search of 3 rows of 9 states.
