@@ -31,7 +31,7 @@ from .errors import NumericalError
 from .generators import sample_omega
 from .graph import FORMATS, Graph, load_edge_list
 from .katz import KatzParams, soc_katz, standard_katz
-from .oracles import OracleBudget, brute_soc_bc, dense_soc_katz
+from .oracles import brute_soc_bc, dense_soc_katz
 from .rwbc import rwbc_all_pairs, soc_rwbc
 from .scores import ScoreVector, align_scores
 from .simulate import POLICIES, HoppingParams, SirParams, particle_hopping, sir_influence
@@ -339,7 +339,7 @@ def _write_state_dump(inst, state_scores: np.ndarray, out: Path) -> None:
 
 def _verify(cfg: ExperimentConfig, inst, sv: ScoreVector) -> int:
     if cfg.measure == "soc-bc":
-        ref = brute_soc_bc(inst, cfg.endpoints, OracleBudget())
+        ref = brute_soc_bc(inst, cfg.endpoints)
     else:  # soc-katz, the one other measure _resolve lets --verify check
         ref = dense_soc_katz(inst, sv.meta["alpha"])
     worst = float(np.max(np.abs(ref.values - sv.values)))

@@ -47,6 +47,18 @@ def node_id(v, n: int) -> int:
     return v
 
 
+def node_pair(row, n: int, record: str) -> tuple[int, int]:
+    """``row`` as two node ids read by ``node_id``; a ``ValueError`` names the ``record`` (edge, pair) and the id."""
+    try:
+        u, v = row
+    except (TypeError, ValueError):
+        raise ValueError(f"{record} {row} must hold two node ids") from None
+    try:
+        return node_id(u, n), node_id(v, n)
+    except ValueError as exc:
+        raise ValueError(f"{record} ({u}, {v}): {exc}") from None
+
+
 def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR adjacency ``indptr``, ``indices`` (the heads) of the arcs ``src -> dst`` over nodes [0, n).
 
@@ -168,9 +180,11 @@ class Graph(Digraph):
     """Unweighted graph over dense node ids with a CSR arc view.
 
     ``edges`` is an int ``(m, 2)`` array of (u, v) ids or a sequence of pairs.
-    Duplicate edges are collapsed (counted in ``duplicates_collapsed``);
-    self-loops are kept but counted once in degrees. Instances are immutable
-    after construction and safe to share across workers.
+    Each id is read by ``node_id``, so 2.5, 2.0 and "2" are not ids; a row that
+    is not two ids, or holds a bad id, raises ``ValueError`` naming the row and
+    the id. Duplicate edges are collapsed (counted in
+    ``duplicates_collapsed``); self-loops are kept but counted once in degrees.
+    Instances are immutable after construction and safe to share across workers.
     """
 
     def __init__(
@@ -193,11 +207,15 @@ class Graph(Digraph):
         if len(self.label_to_id) != n:
             raise ValueError("labels must be unique")
 
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        bad = np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))
-        if bad.size:
-            u, v = arr[bad[0]]
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        try:  # the common path: integer pairs in range, tested in one pass
+            arr = np.asarray(edges)
+            fast = arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "iu" and 0 <= arr.min() and arr.max() < n
+        except ValueError:  # rows of unequal lengths, or no rows for min
+            fast = False
+        if not fast:  # the first bad row or id, named as the caller wrote it
+            rows = edges.tolist() if isinstance(edges, np.ndarray) else edges
+            arr = np.array([node_pair(row, n, "edge") for row in rows], dtype=np.int64).reshape(-1, 2)
+        arr = np.asarray(arr, dtype=np.int64)  # an int64 array is not copied
         lo, hi = (arr[:, 0], arr[:, 1]) if directed else (arr.min(axis=1), arr.max(axis=1))
         # np.unique sorts stably for return_index, so each key keeps its first occurrence.
         first = np.sort(np.unique(lo * n + hi, return_index=True)[1])

@@ -21,6 +21,8 @@ from .scores import ScoreVector
 from .statespace import SocInstance
 
 DEFAULT_MAX_WALKS = 2_000_000
+DENSE_MAX_STATES = 200  # states ``dense_soc_katz`` inverts densely at most
+MC_CHUNK = 10_000  # walks ``monte_carlo_rwbc`` simulates per batch
 _U64_MAX = 2**64 - 1
 
 
@@ -130,18 +132,6 @@ def count_feasible_walks(inst: SocInstance, k: int) -> WalkCounts:
     return WalkCounts(counts, saturated)
 
 
-def _state_distances(inst: SocInstance, start: tuple[int, int]) -> dict[tuple[int, int], int]:
-    dist = {start: 0}
-    q = deque([start])
-    while q:
-        node, soc = q.popleft()
-        for nxt in _moves(inst, node, soc):
-            if nxt not in dist:
-                dist[nxt] = dist[(node, soc)] + 1
-                q.append(nxt)
-    return dist
-
-
 def _distances_to_target(inst: SocInstance, t: int) -> dict[tuple[int, int], int]:
     """Hops needed from each state to first reach node t (multi-source reverse BFS)."""
     radj: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -161,23 +151,18 @@ def _distances_to_target(inst: SocInstance, t: int) -> dict[tuple[int, int], int
     return dist
 
 
-def shortest_feasible_walks(
-    inst: SocInstance, s: int, t: int, budget: OracleBudget | None = None
-) -> list[tuple[int, ...]]:
-    """All shortest feasible s-to-t walks via pruned exhaustive search."""
-    budget = budget or OracleBudget()
+def shortest_feasible_walks(inst: SocInstance, s: int, t: int) -> list[tuple[int, ...]]:
+    """All shortest feasible s-to-t walks via pruned exhaustive search, within ``OracleBudget()``."""
+    budget = OracleBudget()
     budget.check_instance(inst)
     if s == t:
         return [(s,)]
-    start = (s, inst.kappa)
-    fwd = _state_distances(inst, start)
-    arrivals = [d for (node, _), d in fwd.items() if node == t]
-    if not arrivals:
+    to_t = _distances_to_target(inst, t)
+    length = to_t.get((s, inst.kappa))
+    if length is None:
         return []
-    length = min(arrivals)
     if length > budget.max_walk_len:
         raise BudgetExceeded(f"shortest walk length {length} exceeds {budget.max_walk_len}")
-    to_t = _distances_to_target(inst, t)
     walks: list[tuple[int, ...]] = []
     walk = [s]
 
@@ -252,21 +237,18 @@ def target_restricted_dependency(state: DependencyState, targets) -> np.ndarray:
     return delta
 
 
-def brute_soc_bc(
-    inst: SocInstance, endpoints: str = "target", budget: OracleBudget | None = None
-) -> ScoreVector:
+def brute_soc_bc(inst: SocInstance, endpoints: str = "target") -> ScoreVector:
     """Definition-level betweenness: enumerate shortest feasible walks per pair
     and credit each visited position (arrival included under the target
-    convention, source never)."""
-    budget = budget or OracleBudget()
-    budget.check_instance(inst)
+    convention, source never), within ``OracleBudget()``."""
+    OracleBudget().check_instance(inst)
     n = inst.graph.n
     score = np.zeros(n)
     for s in range(n):
         for t in range(n):
             if s == t:
                 continue
-            walks = shortest_feasible_walks(inst, s, t, budget)
+            walks = shortest_feasible_walks(inst, s, t)
             sigma = len(walks)
             if sigma == 0:
                 continue
@@ -302,11 +284,11 @@ def dense_bkappa(inst: SocInstance) -> np.ndarray:
     return big
 
 
-def dense_soc_katz(inst: SocInstance, alpha: float, max_states: int = 200) -> ScoreVector:
-    """Direct resolvent inversion over the dense state adjacency."""
+def dense_soc_katz(inst: SocInstance, alpha: float) -> ScoreVector:
+    """Direct resolvent inversion over the dense state adjacency, of at most ``DENSE_MAX_STATES`` states."""
     n_states = inst.graph.n * (inst.kappa + 1)
-    if n_states > max_states:
-        raise BudgetExceeded(f"{n_states} states exceeds the dense-oracle cap {max_states}")
+    if n_states > DENSE_MAX_STATES:
+        raise BudgetExceeded(f"{n_states} states exceeds the dense-oracle cap {DENSE_MAX_STATES}")
     big = dense_bkappa(inst)
     radius = max(abs(np.linalg.eigvals(big)))
     if alpha * radius >= 1.0:
@@ -374,9 +356,7 @@ class MonteCarloRwbc:
     subgraph: WalkSubgraph
 
 
-def monte_carlo_rwbc(
-    g: Graph, s: int, t: int, walks: int = 100_000, seed: int = 0, chunk: int = 10_000
-) -> MonteCarloRwbc:
+def monte_carlo_rwbc(g: Graph, s: int, t: int, walks: int = 100_000, seed: int = 0) -> MonteCarloRwbc:
     """Sampled absorbing walks on the s-t subgraph, aggregated to net flows.
 
     Per-arc usage is counted per walk; the per-node statistic applies the
@@ -394,7 +374,7 @@ def monte_carlo_rwbc(
     def chunks(rng: np.random.Generator):
         remaining = walks
         while remaining:
-            b = min(chunk, remaining)
+            b = min(MC_CHUNK, remaining)
             remaining -= b
             states = np.full(b, s_loc, dtype=np.int64)
             active = np.arange(b)

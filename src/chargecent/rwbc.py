@@ -51,7 +51,6 @@ SOLVE_BLOCK = 64  # right-hand sides per block solve; bounds the dense (pairs x 
 class AbsorbingFlows:
     """Walks from a block of starts absorbed at one node set, summed over the feasible starts."""
 
-    usage: np.ndarray      # per node: expected use of each of its out-arcs
     net: np.ndarray        # per node: half the absolute net flow over its neighbor pairs
     feasible: np.ndarray   # per start: whether it can reach the absorbing set
     residual: float        # largest ||K x - b||_inf over the block solves; 0.0 if none ran
@@ -91,9 +90,9 @@ def _absorbing_flows(reverse: Digraph, absorbing: np.ndarray, starts, rank: np.n
     n, starts = reverse.size, np.asarray(starts, dtype=np.int64)
     reach = bfs(reverse.indptr, reverse.indices, absorbing)[0] >= 0
     feasible = reach[starts]
-    usage, net = np.zeros(n), np.zeros(n)
+    net = np.zeros(n)
     if not feasible.any():
-        return AbsorbingFlows(usage, net, feasible, 0.0, 0)
+        return AbsorbingFlows(net, feasible, 0.0, 0)
 
     reach[absorbing] = False  # the unknowns: the other nodes that reach the set
     keep = np.flatnonzero(reach)
@@ -129,11 +128,10 @@ def _absorbing_flows(reverse: Digraph, absorbing: np.ndarray, starts, rank: np.n
         if not r <= 1e-9 * max(1.0, float(np.abs(x).max())):
             raise NumericalError(f"absorbing solve for the set {absorbing.tolist()} has residual {r:.3e}")
         residual = max(residual, r)
-        usage[keep] += x.sum(axis=1)
         pair_total += np.abs(incidence @ x).sum(axis=1)
     ends = np.bincount(keys // m, pair_total, m) + np.bincount(keys % m, pair_total, m)
     net[local] = 0.5 * ends
-    return AbsorbingFlows(usage, net, feasible, residual, lu.nnz)
+    return AbsorbingFlows(net, feasible, residual, lu.nnz)
 
 
 def _pair_flows(reverse: Digraph, g: Graph, blocks: int, pairs: Iterable[tuple[int, int]],

@@ -29,13 +29,13 @@ class ScoreVector:
             raise ValueError("scores must be finite")
 
     @classmethod
-    def for_graph(cls, g: Graph, values: np.ndarray, meta: dict | None = None) -> "ScoreVector":
+    def for_graph(cls, g: Graph, values: np.ndarray, meta: dict) -> "ScoreVector":
         """Scores a computation produced over ``g``'s nodes; a NaN or inf among them is its failure."""
         values = np.asarray(values, dtype=float)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise NumericalError(f"{bad.size} non-finite score(s), the first {values[bad[0]]} at node id {bad[0]}")
-        return cls(values, list(g.labels), meta or {})
+        return cls(values, list(g.labels), meta)
 
     def __len__(self) -> int:
         return int(self.values.shape[0])

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable
@@ -26,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalError
-from .graph import Digraph, Graph, bfs, node_id
+from .graph import Digraph, Graph, bfs, node_id, node_pair
 
 # Random source-target draws before an input counts as having no feasible pair.
 MAX_PAIR_DRAWS = 1000
@@ -195,18 +194,14 @@ def sample_feasible_pairs(inst: SocInstance, count: int, seed: int) -> tuple[lis
 
 
 def check_pairs(pairs: Iterable[tuple[int, int]], n: int) -> list[tuple[int, int]]:
-    """The pairs as int pairs, checked: at least one, integer node ids in [0, n), source != target.
+    """The pairs as int pairs, checked: at least one, each read by ``node_pair``, source != target.
 
-    ``operator.index`` reads each id, so neither 2.5 nor 2.0 is an id. A failure is a ``ValueError``.
+    ``Graph``'s edges are read by the same rule. A failure is a ``ValueError``
+    naming the pair and, for a bad id, the id.
     """
     checked = []
-    for s, t in pairs:
-        try:
-            s, t = operator.index(s), operator.index(t)
-        except TypeError:
-            raise ValueError(f"pair ({s}, {t}) has a node id that is not an integer") from None
-        if not (0 <= s < n and 0 <= t < n):
-            raise ValueError(f"pair ({s}, {t}) has a node id outside [0,{n})")
+    for pair in pairs:
+        s, t = node_pair(pair, n, "pair")
         if s == t:
             raise ValueError(f"pair ({s}, {t}) has the same source and target; they must differ")
         checked.append((s, t))

@@ -404,3 +404,37 @@ def test_an_unpickled_instance_is_checked_again_and_builds_its_own_state_graph()
 def test_edge_out_of_range_rejected():
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)], directed=False)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # Before, the first two built the edges (0, 1) and (1, 2), the third (0, 2), the fourth two edges.
+        ([(0.5, 1.7), (1.2, 2.9)], "edge (0.5, 1.7): node id 0.5 is not an integer"),
+        ([(0, 1), (1, 2.0)], "edge (1, 2.0): node id 2.0 is not an integer"),
+        ([("0", "2")], "edge (0, 2): node id '0' is not an integer"),
+        ([(0, 1, 2, 3)], "edge (0, 1, 2, 3) must hold two node ids"),
+        ([(0, 1), (0, 1, 2)], "edge (0, 1, 2) must hold two node ids"),
+        (np.array([[0.0, 2.5]]), "edge (0.0, 2.5): node id 0.0 is not an integer"),
+        (np.array([[0, 1], [1, 4]]), r"edge (1, 4): node id 4 out of range [0,4)"),
+        ([(0, 1), (-1, 2)], r"edge (-1, 2): node id -1 out of range [0,4)"),
+    ],
+)
+def test_edge_rows_are_pairs_of_node_ids(edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(4, edges, directed=False)
+    assert str(err.value) == message
+
+
+def test_edge_ids_of_any_integer_type_build_the_same_graph():
+    rows = [(2, 0), (1, 3), (0, 2)]
+    want = Graph(4, rows, directed=False)
+    for edges in (np.array(rows, dtype=object), np.array(rows, dtype=np.uint8),
+                  [(np.int32(2), 0), (1, np.int64(3)), (0, 2)]):
+        g = Graph(4, edges, directed=False)
+        assert (g.edges, g.labels, g.duplicates_collapsed) == (want.edges, want.labels, 1)
+        assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
+    for edges in ([], np.empty((0, 2), dtype=np.int64)):
+        assert Graph(3, edges, directed=False).m == 0
+    with pytest.raises(ValueError, match="node id 2.0 is not an integer"):  # before, the object array built (0, 2)
+        Graph(4, np.array([(0, 2.0)], dtype=object), directed=True)

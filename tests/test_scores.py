@@ -38,4 +38,4 @@ def test_non_finite_scores_of_a_computation_are_a_numerical_failure():
             ScoreVector.for_graph(g, np.array([1.0, bad, 2.0]), {"measure": "x"})
         with pytest.raises(ValueError, match="finite"):
             ScoreVector(np.array([1.0, bad, 2.0]), g.labels)
-    assert ScoreVector.for_graph(g, np.array([1.0, 0.0, 2.0])).meta == {}
+    assert ScoreVector.for_graph(g, np.array([1.0, 0.0, 2.0]), {}).meta == {}

@@ -435,7 +435,7 @@ def test_hopping_param_validation():
 @pytest.mark.parametrize("pair", [(0, -1), (-1, 0), (0, 9)])
 def test_hopping_pair_node_ids_outside_the_graph_are_rejected(pair):
     inst = make_instance(grid_graph(3, 3), [4], 2)
-    with pytest.raises(ValueError, match=r"outside \[0,9\)"):
+    with pytest.raises(ValueError, match=r"out of range \[0,9\)"):
         particle_hopping(inst, HoppingParams(duration=5, pairs=((1, 2), pair)))
 
 

@@ -239,6 +239,23 @@ def test_toward_matches_the_oracles(seed):
                 assert from_source[s][sg.n_states + t] == (d + 1 if d >= 0 else -1)
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        # Before, the first two read "has a node id outside [0,9)" and "... that is not an integer",
+        # (0, 1, 2) raised "too many values to unpack" and 5 a TypeError.
+        ((0, 9), r"pair (0, 9): node id 9 out of range [0,9)"),
+        ((0, 2.5), "pair (0, 2.5): node id 2.5 is not an integer"),
+        ((0, 1, 2), "pair (0, 1, 2) must hold two node ids"),
+        (5, "pair 5 must hold two node ids"),
+    ],
+)
+def test_check_pairs_reads_pairs_as_graph_reads_edges(pair, message):
+    with pytest.raises(ValueError) as err:
+        statespace.check_pairs([(1, 2), pair], 9)
+    assert str(err.value) == message
+
+
 def test_toward_rejects_node_ids_out_of_range():
     sg = make_instance(path_graph(3), [], 1).state_graph
     for t in (-1, 3):
