@@ -14,10 +14,9 @@ from .errors import NumericalError
 from .graph import Graph, GraphParseError, load_edge_list, write_snap_tsv
 from .katz import AlphaBound, KatzParams, max_alpha, soc_katz, standard_katz
 from .rwbc import rwbc_all_pairs, soc_rwbc
-from .scores import ScoreVector, align_scores
+from .scores import ScoreVector, align_scores, kendall_tau
 from .simulate import HoppingParams, SirParams, particle_hopping, sir_influence
 from .statespace import SocInstance, StateGraph, make_instance, sample_feasible_pairs
-from .stats import kendall_tau
 
 __all__ = [
     "AlphaBound",

@@ -33,10 +33,9 @@ from .graph import FORMATS, Graph, load_edge_list
 from .katz import KatzParams, soc_katz, standard_katz
 from .oracles import brute_soc_bc, dense_soc_katz
 from .rwbc import rwbc_all_pairs, soc_rwbc
-from .scores import ScoreVector, align_scores
+from .scores import ScoreVector, align_scores, kendall_tau
 from .simulate import POLICIES, HoppingParams, SirParams, particle_hopping, sir_influence
 from .statespace import SocInstance, make_instance, sample_feasible_pairs
-from .stats import kendall_tau
 
 logger = logging.getLogger(__name__)
 

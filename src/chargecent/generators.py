@@ -37,21 +37,12 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges, directed=False)
 
 
-def two_grids_bridged(
-    side: int = 5, bridge_len: int = 5
-) -> tuple[Graph, list[int], tuple[int, int]]:
+def two_grids_bridged(side: int, bridge_len: int) -> tuple[Graph, list[int], tuple[int, int]]:
     """Two side-by-side lattices joined by a path. Returns the graph, the ids
     of the bridge's interior nodes, and the two grid attachment nodes."""
     a = side * side
-    edges = []
-    for base in (0, a):
-        for r in range(side):
-            for c in range(side):
-                v = base + r * side + c
-                if c + 1 < side:
-                    edges.append((v, v + 1))
-                if r + 1 < side:
-                    edges.append((v, v + side))
+    grid = grid_graph(side, side).edges
+    edges = grid + [(u + a, v + a) for u, v in grid]
     # Bridge from the right-middle of grid A to the left-middle of grid B.
     left = (side // 2) * side + (side - 1)
     right = a + (side // 2) * side

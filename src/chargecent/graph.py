@@ -41,7 +41,7 @@ def node_id(v, n: int) -> int:
     try:
         v = operator.index(v)
     except TypeError:
-        raise ValueError(f"node id {v!r} is not an integer") from None
+        raise ValueError(f"node id {v.item() if isinstance(v, np.generic) else v!r} is not an integer") from None
     if not 0 <= v < n:
         raise ValueError(f"node id {v} out of range [0,{n})")
     return v

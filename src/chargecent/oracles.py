@@ -284,25 +284,25 @@ def dense_bkappa(inst: SocInstance) -> np.ndarray:
     return big
 
 
+def _dense_resolvent(big: np.ndarray, alpha: float) -> np.ndarray:
+    """(I - alpha * big)^-1 1 by one dense solve, once alpha is below 1 over big's spectral radius."""
+    radius = max(abs(np.linalg.eigvals(big)))
+    if alpha * radius >= 1.0:
+        raise ValueError(f"alpha={alpha} at or above 1/lambda_max={1.0 / radius if radius else np.inf:.6g}")
+    return np.linalg.solve(np.eye(big.shape[0]) - alpha * big, np.ones(big.shape[0]))
+
+
 def dense_soc_katz(inst: SocInstance, alpha: float) -> ScoreVector:
     """Direct resolvent inversion over the dense state adjacency, of at most ``DENSE_MAX_STATES`` states."""
     n_states = inst.graph.n * (inst.kappa + 1)
     if n_states > DENSE_MAX_STATES:
         raise BudgetExceeded(f"{n_states} states exceeds the dense-oracle cap {DENSE_MAX_STATES}")
-    big = dense_bkappa(inst)
-    radius = max(abs(np.linalg.eigvals(big)))
-    if alpha * radius >= 1.0:
-        raise ValueError(f"alpha={alpha} at or above 1/lambda_max={1.0 / radius if radius else np.inf:.6g}")
-    u = np.linalg.solve(np.eye(n_states) - alpha * big, np.ones(n_states))
+    u = _dense_resolvent(dense_bkappa(inst), alpha)
     return ScoreVector.for_graph(inst.graph, u[: inst.graph.n], {"measure": "soc-katz-dense"})
 
 
 def dense_katz(g: Graph, alpha: float) -> np.ndarray:
-    a = dense_adjacency(g)
-    radius = max(abs(np.linalg.eigvals(a)))
-    if alpha * radius >= 1.0:
-        raise ValueError("alpha at or above the spectral bound")
-    return np.linalg.solve(np.eye(g.n) - alpha * a, np.ones(g.n))
+    return _dense_resolvent(dense_adjacency(g), alpha)
 
 
 @dataclass

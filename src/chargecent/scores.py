@@ -1,9 +1,12 @@
-"""Per-node score vectors with provenance metadata and CSV serialization."""
+"""Per-node score vectors with provenance metadata and CSV serialization, and
+Kendall's tau between two of them once aligned."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -74,3 +77,69 @@ def align_scores(a: ScoreVector, b: ScoreVector) -> tuple[np.ndarray, np.ndarray
     if missing or len(a.labels) != len(b.labels):
         raise ValueError(f"node labels do not align (first missing: {missing[:3]})")
     return a.values.copy(), b.values[[index[lab] for lab in a.labels]]
+
+
+def _inversions(z: np.ndarray) -> int:
+    """Number of strict inversions in z (equal elements are not inversions).
+
+    Bottom-up merge sort, one stable sort per level of block width. Merging a
+    left and a right half, the right-half element at index i lands at merged
+    index j, having passed i - j left-half elements that exceed it.
+    """
+    n = z.shape[0]
+    buf = z.copy()
+    idx = np.arange(n)
+    inversions = 0
+    width = 1
+    while width < n:
+        block = idx // (2 * width)
+        order = np.lexsort((buf, block))  # stable: ties keep left-half elements first
+        merged_at = np.empty(n, dtype=np.int64)
+        merged_at[order] = idx
+        right = idx - block * (2 * width) >= width
+        inversions += int((idx[right] - merged_at[right]).sum())
+        buf = buf[order]
+        width *= 2
+    return inversions
+
+
+def _tie_pairs(*sorted_cols: np.ndarray) -> int:
+    """Pairs of equal rows, given columns sorted so that equal rows are adjacent."""
+    change = np.zeros(sorted_cols[0].shape[0] - 1, dtype=bool)
+    for col in sorted_cols:
+        change |= col[1:] != col[:-1]
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], change, [True]))))
+    return int((runs * (runs - 1) // 2).sum())
+
+
+def kendall_tau(y: Sequence[float], z: Sequence[float], variant: str = "a") -> float:
+    """Kendall rank correlation in [-1, 1].
+
+    Tau-a (the default) counts tied pairs as zero in the numerator and all
+    n(n-1)/2 pairs in the denominator; tau-b divides by the pairs untied in
+    each input instead, for tie-heavy realized scores. Concordant minus
+    discordant pairs come from Knight's decomposition: sort by (y, z) and
+    count the strict inversions of z by merge sort, exactly equal to the
+    quadratic definition; pairs tied in y or z are neither.
+    """
+    y = np.asarray(y)
+    z = np.asarray(z)
+    if y.shape != z.shape or y.ndim != 1:
+        raise ValueError("inputs must be equal-length one-dimensional sequences")
+    n = y.shape[0]
+    if n < 2:
+        raise ValueError("need at least two observations")
+    order = np.lexsort((z, y))
+    ys, zs = y[order], z[order]
+    n0 = n * (n - 1) // 2
+    ties_y = _tie_pairs(ys)
+    ties_z = _tie_pairs(np.sort(z))
+    excess = (n0 - ties_y - ties_z + _tie_pairs(ys, zs)) - 2 * _inversions(zs)
+    if variant == "a":
+        return excess / n0
+    if variant == "b":
+        denom = (n0 - ties_y) * (n0 - ties_z)
+        if denom == 0:
+            raise ValueError("tau-b undefined for a constant input")
+        return excess / math.sqrt(denom)
+    raise ValueError("variant must be 'a' or 'b'")

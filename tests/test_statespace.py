@@ -248,6 +248,8 @@ def test_toward_matches_the_oracles(seed):
         ((0, 2.5), "pair (0, 2.5): node id 2.5 is not an integer"),
         ((0, 1, 2), "pair (0, 1, 2) must hold two node ids"),
         (5, "pair 5 must hold two node ids"),
+        # Before, a numpy row's id was named by its repr, np.float64(0.0).
+        (np.array([0, 2.5]), "pair (0.0, 2.5): node id 0.0 is not an integer"),
     ],
 )
 def test_check_pairs_reads_pairs_as_graph_reads_edges(pair, message):
@@ -263,11 +265,22 @@ def test_toward_rejects_node_ids_out_of_range():
             sg.toward(t)
 
 
-@pytest.mark.parametrize("omega", [[1.5, 3.9], ["2"], [0, 2.0]])
-def test_make_instance_reads_refill_ids_as_integers(omega):
+@pytest.mark.parametrize(
+    "omega, message",
+    [
+        ([1.5, 3.9], "node id 1.5 is not an integer"),
+        (["2"], "node id '2' is not an integer"),
+        ([0, 2.0], "node id 2.0 is not an integer"),
+        (np.array([1.5]), "node id 1.5 is not an integer"),
+    ],
+    ids=["omega0", "omega1", "omega2", "omega3"],
+)
+def test_make_instance_reads_refill_ids_as_integers(omega, message):
     # Before, [1.5, 3.9] built the refill set {1, 3}, ["2"] built {2} and 2.0 counted as node 2.
-    with pytest.raises(ValueError, match="not an integer"):
+    # A numpy scalar was named by its repr, np.float64(1.5).
+    with pytest.raises(ValueError) as err:
         make_instance(path_graph(5), omega, 2)
+    assert str(err.value) == message
 
 
 def test_toward_reads_the_target_as_an_integer():
