@@ -113,7 +113,7 @@ def _tie_pairs(*sorted_cols: np.ndarray) -> int:
 
 
 def kendall_tau(y: Sequence[float], z: Sequence[float], variant: str = "a") -> float:
-    """Kendall rank correlation in [-1, 1].
+    """Kendall rank correlation in [-1, 1] of two finite real vectors, compared as given (integers exactly).
 
     Tau-a (the default) counts tied pairs as zero in the numerator and all
     n(n-1)/2 pairs in the denominator; tau-b divides by the pairs untied in
@@ -122,10 +122,11 @@ def kendall_tau(y: Sequence[float], z: Sequence[float], variant: str = "a") -> f
     count the strict inversions of z by merge sort, exactly equal to the
     quadratic definition; pairs tied in y or z are neither.
     """
-    y = np.asarray(y)
-    z = np.asarray(z)
+    y, z = np.asarray(y), np.asarray(z)
     if y.shape != z.shape or y.ndim != 1:
         raise ValueError("inputs must be equal-length one-dimensional sequences")
+    if not all(a.dtype.kind in "biuf" and np.isfinite(a).all() for a in (y, z)):
+        raise ValueError("inputs must be finite real numbers")
     n = y.shape[0]
     if n < 2:
         raise ValueError("need at least two observations")

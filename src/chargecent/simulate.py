@@ -32,6 +32,17 @@ POLICIES = ("shortest-feasible", "random-feasible")
 # feasibility-preserving successor.
 STALL_REROUTE_AFTER = 3
 STALL_ESCAPE_AFTER = 25
+# Bound on c * runs * n, the (episode, node) cells of one chunk's ``infected``
+# array, for c seed nodes per chunk. sir_influence on 2 vCPUs by SIR_CELLS: the
+# median over 5 processes of each one's median of 7 runs, and peak RSS ("seed":
+# one frontier per seed node). Spread's instance is BA n=300, ratio 0.3, 80
+# runs (c = 43 at 2**20); criterion 5's BA n=500, 1000 runs (c = 2 at 2**20).
+#                seed   2**19  2**20  2**21  2**22  2**23  2**24
+#   spread s     0.047  0.012  0.010  0.009  0.009  0.009  0.009
+#   spread MB    63.2   64.0   64.7   66.0   68.6   72.2   72.2
+#   crit. 5 s    0.164  0.168  0.130  0.107  0.090  0.081  0.069
+#   crit. 5 MB   65.0   65.2   66.0   67.1   69.3   73.7   84.1
+SIR_CELLS = 2**20
 
 # ---------------------------------------------------------------------------
 # Spreading influence
@@ -51,37 +62,40 @@ class SirParams:
             raise ValueError("runs must be positive")
 
 
-def _sir_outbreaks(
-    inst: SocInstance, seed_node: int, rng: np.random.Generator, alpha: float, runs: int
-) -> np.ndarray:
-    """Outbreak sizes of ``runs`` independent episodes from ``seed_node`` at full charge.
+def _sir_outbreaks(inst: SocInstance, seeds, seed: int, alpha: float, runs: int) -> np.ndarray:
+    """Outbreak sizes from full charge, one row of ``runs`` independent episodes per node of ``seeds``.
 
-    The runs advance together, one synchronous round at a time. The frontier
-    holds the (run, node, charge) triples infected in the last round; every
-    out-arc of every frontier entry takes one draw per round, and an arc
-    transmits when its draw is below ``alpha``, its head is still susceptible
-    in that run, and the head is a refill node or the tail has charge left.
-    A head reached by several arcs keeps the largest handed charge.
+    All episodes advance together, one synchronous round at a time; episode e
+    is run e % runs of ``seeds[e // runs]``. The frontier holds the (episode,
+    node, charge) triples infected in the last round, in (episode, node) order.
+    Each round every out-arc of every frontier entry takes one draw from its
+    seed v's stream ``default_rng([seed, v])``, seeds in order, and transmits
+    when the draw is below ``alpha``, its head is still susceptible in that
+    episode, and the head is a refill node or the tail has charge left. A head
+    reached by several arcs keeps the largest handed charge.
     """
     g = inst.graph
     n, kappa, refill = g.n, inst.kappa, inst.refill
-    infected = np.zeros(runs * n, dtype=np.int8)  # ever infected, per (run, node)
-    run = np.arange(runs, dtype=np.int64)
-    node = np.full(runs, seed_node, dtype=np.int64)
-    charge = np.full(runs, kappa, dtype=np.int64)
-    infected[run * n + seed_node] = 1
-    sizes = np.ones(runs, dtype=np.int64)
+    rngs = [np.random.default_rng([seed, int(v)]) for v in seeds]
+    episodes = len(rngs) * runs
+    infected = np.zeros(episodes * n, dtype=np.int8)  # ever infected, per (episode, node)
+    ep = np.arange(episodes, dtype=np.int64)
+    node = np.repeat(np.asarray(seeds, dtype=np.int64), runs)
+    charge = np.full(episodes, kappa, dtype=np.int64)
+    infected[ep * n + node] = 1
+    sizes = np.ones(episodes, dtype=np.int64)
     while True:
         starts = g.indptr[node]
         cnt = g.indptr[node + 1] - starts
         if not cnt.any():
             break
         ends = np.cumsum(cnt)  # frontier entry e owns arcs ends[e] - cnt[e] .. ends[e] - 1
-        # One draw per arc; only the arcs whose draw succeeds are expanded.
-        arc = np.flatnonzero(rng.random(int(ends[-1])) < alpha)
+        # Arcs per seed (a lone seed owns them all); each seed in turn draws one number per arc.
+        arcs = np.bincount(ep // runs, cnt, len(rngs)) if len(rngs) > 1 else ends[-1:]
+        arc = np.flatnonzero(np.concatenate([rng.random(int(k)) < alpha for rng, k in zip(rngs, arcs) if k]))
         entry = np.searchsorted(ends, arc, side="right")
-        head = g.indices[starts[entry] + arc - (ends - cnt)[entry]]
-        key, tail_charge = run[entry] * n + head, charge[entry]
+        head = g.indices[(starts - ends + cnt)[entry] + arc]
+        key, tail_charge = ep[entry] * n + head, charge[entry]
         at_refill = refill[head]
         hit = (infected[key] == 0) & (at_refill | (tail_charge >= 1))
         handed = np.where(at_refill, kappa, tail_charge - 1)[hit]
@@ -89,33 +103,29 @@ def _sir_outbreaks(
         charge = np.full(key.shape[0], -1, dtype=np.int64)
         np.maximum.at(charge, inv, handed)
         infected[key] = 1
-        run, node = np.divmod(key, n)
-        sizes += np.bincount(run, minlength=runs)
-    return sizes
+        ep, node = np.divmod(key, n)
+        sizes += np.bincount(ep, minlength=episodes)
+    return sizes.reshape(-1, runs)
 
 
 def sir_influence(inst: SocInstance, p: SirParams) -> ScoreVector:
     """Mean outbreak size per seed node over ``p.runs`` episodes each.
 
-    All runs of one seed node advance together as columns of one frontier
-    and draw from one stream, ``default_rng([seed, node])``, so results are
-    reproducible and nodes are independent.
+    Seed nodes run in chunks of c = max(1, min(n, ``SIR_CELLS`` // (runs * n))),
+    each chunk's episodes as one frontier. Each node draws from its own stream,
+    ``default_rng([seed, node])``, the same numbers whatever the chunk, so
+    results are reproducible, nodes are independent, and c changes no score.
     """
     g = inst.graph
+    c = max(1, min(g.n, SIR_CELLS // (p.runs * g.n)))
     scores = np.zeros(g.n)
-    for v in range(g.n):
-        sizes = _sir_outbreaks(inst, v, np.random.default_rng([p.seed, v]), p.alpha, p.runs)
+    for first in range(0, g.n, c):
+        sizes = _sir_outbreaks(inst, range(first, min(first + c, g.n)), p.seed, p.alpha, p.runs)
         bad = (sizes < 1) | (sizes > g.n)
         if bad.any():
             raise NumericalError(f"outbreak of {sizes[bad][0]} outside [1, {g.n}] nodes")
-        scores[v] = sizes.sum() / p.runs
-    meta = {
-        "simulation": "sir",
-        "alpha": p.alpha,
-        "runs": p.runs,
-        **inst.meta,
-        "seed": p.seed,
-    }
+        scores[first : first + sizes.shape[0]] = sizes.sum(axis=1) / p.runs
+    meta = {"simulation": "sir", "alpha": p.alpha, "runs": p.runs, **inst.meta, "seed": p.seed}
     return ScoreVector.for_graph(g, scores, meta)
 
 

@@ -215,7 +215,7 @@ def test_importing_the_package_does_not_load_sparse_linalg():
 MAX_OPTIONS = 53
 # Non-blank lines of the package's modules, as ``grep -c .`` counts them. A
 # change that needs more lines raises this in the same diff and says why.
-MAX_SRC_LINES = 2326
+MAX_SRC_LINES = 2337
 
 
 def test_options_do_not_grow():

@@ -72,6 +72,50 @@ def test_sir_outbreaks_within_bounds_and_deterministic():
     assert np.all(a.values >= 1.0) and np.all(a.values <= 12.0)
 
 
+def _pin_instances():
+    # An undirected BA graph with refills, and a directed gnp graph with 4 sinks.
+    ba = make_instance(barabasi_albert_graph(20, 2, seed=3), sample_omega(20, 0.3, seed=4), 2)
+    gnp = make_instance(gnp_random_graph(25, 0.08, seed=9, directed=True), [2, 7], 3)
+    return [(ba, SirParams(alpha=0.4, runs=25, seed=5)), (gnp, SirParams(alpha=0.6, runs=20, seed=6))]
+
+
+_PINNED_SIR = [
+    ["0x1.03d70a3d70a3dp+3", "0x1.c7ae147ae147bp+2", "0x1.a8f5c28f5c28fp+2", "0x1.3c28f5c28f5c3p+3",
+     "0x1.947ae147ae148p+2", "0x1.bae147ae147aep+2", "0x1.e666666666666p+2", "0x1.ca3d70a3d70a4p+2",
+     "0x1.999999999999ap+1", "0x1.9eb851eb851ecp+1", "0x1.2666666666666p+2", "0x1.c7ae147ae147bp+2",
+     "0x1.dc28f5c28f5c3p+1", "0x1.5eb851eb851ecp+2", "0x1.f5c28f5c28f5cp+1", "0x1.3333333333333p+2",
+     "0x1.87ae147ae147bp+2", "0x1.2e147ae147ae1p+2", "0x1.3ae147ae147aep+2", "0x1.147ae147ae148p+2"],
+    ["0x1.7666666666666p+2", "0x1.d333333333333p+1", "0x1.7666666666666p+2", "0x1.1333333333333p+2",
+     "0x1.8000000000000p+0", "0x1.0cccccccccccdp+2", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+     "0x1.c000000000000p+0", "0x1.c000000000000p+1", "0x1.e666666666666p+1", "0x1.7333333333333p+1",
+     "0x1.9cccccccccccdp+2", "0x1.f333333333333p+1", "0x1.8000000000000p+1", "0x1.c000000000000p+1",
+     "0x1.0cccccccccccdp+1", "0x1.799999999999ap+2", "0x1.3000000000000p+2", "0x1.0000000000000p+2",
+     "0x1.0000000000000p+0", "0x1.4000000000000p+2", "0x1.0cccccccccccdp+1", "0x1.3cccccccccccdp+2",
+     "0x1.0000000000000p+0"],
+]
+
+
+def test_sir_scores_are_pinned():
+    # Exact bits of the scores, as one seed node at a time computed them: each
+    # node's stream draws the same numbers in the same order in any chunk.
+    assert int((np.diff(_pin_instances()[1][0].graph.indptr) == 0).sum()) == 4
+    for (inst, p), want in zip(_pin_instances(), _PINNED_SIR):
+        assert [float(x).hex() for x in sir_influence(inst, p).values] == want
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_sir_scores_do_not_depend_on_the_chunk_size(monkeypatch, case):
+    inst, p = _pin_instances()[case]
+    cells = p.runs * inst.graph.n
+    by_chunk = {}
+    for c, bound in ((1, 1), (3, 3 * cells), (inst.graph.n, 2**40)):
+        monkeypatch.setattr(chargecent.simulate, "SIR_CELLS", bound)
+        by_chunk[c] = sir_influence(inst, p).values
+    assert inst.graph.n % 3 != 0
+    for c in (3, inst.graph.n):
+        assert np.array_equal(by_chunk[c], by_chunk[1]), c
+
+
 def test_sir_episode_returns_outbreak_size():
     # Full transmission on a path from one end: the charge bounds the reach.
     rng = np.random.default_rng(0)
@@ -82,13 +126,14 @@ def test_sir_episode_returns_outbreak_size():
 def test_sir_batch_matches_scalar_episode_at_certain_outcomes():
     # At alpha 0 and 1 the draws decide nothing, so every batched run must
     # equal the scalar reference episode exactly.
+    # All seed nodes of an instance run as one frontier here.
     checked = 0
     for inst in instance_corpus(80, seed=505, n_max=10, p=0.35, kappa_max=4):
-        for v in range(inst.graph.n):
-            for alpha in (0.0, 1.0):
+        for alpha in (0.0, 1.0):
+            got = _sir_outbreaks(inst, range(inst.graph.n), 1, alpha, 4)
+            for v in range(inst.graph.n):
                 ref = run_sir_episode(inst, v, np.random.default_rng(0), alpha)
-                got = _sir_outbreaks(inst, v, np.random.default_rng(1), alpha, 4)
-                assert np.array_equal(got, [ref] * 4), (inst.graph.edges, v, alpha)
+                assert np.array_equal(got[v], [ref] * 4), (inst.graph.edges, v, alpha)
                 checked += 1
     assert checked > 500
 
@@ -104,7 +149,7 @@ def test_sir_batch_matches_scalar_episode_in_law(inst):
     # At an uncertain alpha the batched runs and independent scalar episodes
     # have one outbreak-size law (two-sample KS on seeded runs).
     runs = 4000
-    ours = _sir_outbreaks(inst, 0, np.random.default_rng([12, 0]), 0.7, runs)
+    ours = _sir_outbreaks(inst, [0], 12, 0.7, runs)[0]
     rng = np.random.default_rng(4321)
     ref = [run_sir_episode(inst, 0, rng, 0.7) for _ in range(runs)]
     assert scipy.stats.ks_2samp(ours, ref).pvalue > 0.05
@@ -117,7 +162,7 @@ def test_sir_unconstrained_matches_plain_model():
     inst = make_instance(g, [], 30)
     runs = 10_000
     seed_node = 0
-    ours = _sir_outbreaks(inst, seed_node, np.random.default_rng([11, seed_node]), 0.25, runs)
+    ours = _sir_outbreaks(inst, [seed_node], 11, 0.25, runs)[0]
     ref = plain_sir_outbreaks(g, seed_node, 0.25, runs, seed=1234)
     stat = scipy.stats.ks_2samp(ours, ref)
     assert stat.pvalue > 0.05
@@ -454,8 +499,15 @@ def test_hopping_rejects_an_empty_pair_list():
 
 
 def test_sir_outbreak_size_check_raises(monkeypatch):
-    # One impossible episode among valid ones fails the run, whatever the mean.
-    monkeypatch.setattr(chargecent.simulate, "_sir_outbreaks",
-                        lambda inst, v, rng, alpha, runs: np.array([2] * (runs - 1) + [0]))
-    with pytest.raises(NumericalError, match="outbreak of 0"):
-        sir_influence(make_instance(path_graph(3), [], 1), SirParams(alpha=0.5, runs=3))
+    # One impossible episode among valid ones fails the run, whatever the mean,
+    # in the first seed node of a chunk or in a later one (the 3 seed nodes
+    # here run as one chunk).
+    for row in (0, 2):
+        def outbreaks(inst, seeds, seed, alpha, runs):
+            sizes = np.full((len(seeds), runs), 2)
+            sizes[row, -1] = 0
+            return sizes
+
+        monkeypatch.setattr(chargecent.simulate, "_sir_outbreaks", outbreaks)
+        with pytest.raises(NumericalError, match="outbreak of 0"):
+            sir_influence(make_instance(path_graph(3), [], 1), SirParams(alpha=0.5, runs=3))

@@ -49,6 +49,32 @@ def test_fast_equals_naive_with_and_without_ties():
         assert kendall_tau(y, z) == kendall_tau_naive(y, z)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected(bad):
+    # Before, [1, nan, 2, 3] against [1, 2, 3, 4] read 1/3 where the pair
+    # formula reads 1/2: a NaN compares neither above nor below anything.
+    with pytest.raises(ValueError, match="finite real numbers"):
+        kendall_tau([1, bad, 2, 3], [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="finite real numbers"):
+        kendall_tau([1, 2, 3, 4], [1, 2, bad, 3], variant="b")
+
+
+@pytest.mark.parametrize("bad", [["b", "a", "c"], [None, 1, 2], [1j, 2j, 3j], [b"a", b"b", b"c"]])
+def test_non_numeric_input_is_rejected(bad):
+    with pytest.raises(ValueError, match="finite real numbers"):
+        kendall_tau(bad, [1, 2, 3])
+    with pytest.raises(ValueError, match="finite real numbers"):
+        kendall_tau([1, 2, 3], bad)
+
+
+def test_integer_and_boolean_ranks_stay_exact():
+    # Ranks past 2**53 are distinct as integers but not as floats.
+    big = [2**62, 2**62 + 1, 2**62 + 2]
+    assert kendall_tau(big, [3, 2, 1]) == -1.0
+    assert kendall_tau(np.array(big, dtype=np.uint64), [1, 2, 3]) == 1.0
+    assert kendall_tau([True, False, False], [3, 1, 2]) == 2 / 3
+
+
 def test_tau_b_matches_scipy():
     rng = np.random.default_rng(4)
     for _ in range(30):
