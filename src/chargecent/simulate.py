@@ -34,14 +34,14 @@ STALL_REROUTE_AFTER = 3
 STALL_ESCAPE_AFTER = 25
 # Bound on c * runs * n, the (episode, node) cells of one chunk's ``infected``
 # array, for c seed nodes per chunk. sir_influence on 2 vCPUs by SIR_CELLS: the
-# median over 5 processes of each one's median of 7 runs, and peak RSS ("seed":
-# one frontier per seed node). Spread's instance is BA n=300, ratio 0.3, 80
-# runs (c = 43 at 2**20); criterion 5's BA n=500, 1000 runs (c = 2 at 2**20).
-#                seed   2**19  2**20  2**21  2**22  2**23  2**24
-#   spread s     0.047  0.012  0.010  0.009  0.009  0.009  0.009
-#   spread MB    63.2   64.0   64.7   66.0   68.6   72.2   72.2
-#   crit. 5 s    0.164  0.168  0.130  0.107  0.090  0.081  0.069
-#   crit. 5 MB   65.0   65.2   66.0   67.1   69.3   73.7   84.1
+# median over 5 processes of each one's median of 7 runs, and peak RSS ("per
+# seed": one frontier per seed node). Spread's instance is BA n=300, ratio 0.3,
+# 80 runs (c = 43 at 2**20); criterion 5's BA n=500, 1000 runs (c = 2 at 2**20).
+#              per seed  2**19  2**20  2**21  2**22  2**23  2**24
+#   spread s     0.047   0.012  0.010  0.009  0.009  0.009  0.009
+#   spread MB    63.2    64.0   64.7   66.0   68.6   72.2   72.2
+#   crit. 5 s    0.164   0.168  0.130  0.107  0.090  0.081  0.069
+#   crit. 5 MB   65.0    65.2   66.0   67.1   69.3   73.7   84.1
 SIR_CELLS = 2**20
 
 # ---------------------------------------------------------------------------

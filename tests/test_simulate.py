@@ -98,8 +98,9 @@ _PINNED_SIR = [
 def test_sir_scores_are_pinned():
     # Exact bits of the scores, as one seed node at a time computed them: each
     # node's stream draws the same numbers in the same order in any chunk.
-    assert int((np.diff(_pin_instances()[1][0].graph.indptr) == 0).sum()) == 4
-    for (inst, p), want in zip(_pin_instances(), _PINNED_SIR):
+    cases = _pin_instances()
+    assert int((np.diff(cases[1][0].graph.indptr) == 0).sum()) == 4
+    for (inst, p), want in zip(cases, _PINNED_SIR):
         assert [float(x).hex() for x in sir_influence(inst, p).values] == want
 
 
