@@ -29,7 +29,7 @@ from . import __version__
 from .betweenness import ENDPOINT_CONVENTIONS, soc_betweenness, soc_betweenness_scores, standard_betweenness
 from .errors import NumericalError
 from .generators import sample_omega
-from .graph import FORMATS, Graph, load_edge_list
+from .graph import FORMATS, Graph, GraphParseError, load_edge_list, records
 from .katz import KatzParams, soc_katz, standard_katz
 from .oracles import brute_soc_bc, dense_soc_katz
 from .rwbc import rwbc_all_pairs, soc_rwbc
@@ -233,27 +233,25 @@ def _inputs(cfg: ExperimentConfig, g: Graph, takes_pairs: bool) -> tuple[SocInst
     """The run's instance and, where a consumer ``takes_pairs``, its source-target pairs."""
     ids = g.label_to_id
     if cfg.omega_file:
-        labels = [ln.strip() for ln in Path(cfg.omega_file).read_text().splitlines() if ln.strip()]
-        missing = [lab for lab in labels if lab not in ids]
-        if missing:
-            raise ValueError(f"omega labels not in graph: {missing[:5]}")
-        omega = [ids[lab] for lab in labels]
+        omega = []
+        for lineno, lab in records(Path(cfg.omega_file).read_text().splitlines(), None):
+            if lab not in ids:
+                raise GraphParseError(f"omega label {lab!r} not in graph", lineno)
+            omega.append(ids[lab])
     else:
         omega = [] if cfg.omega_ratio is None else sample_omega(g.n, cfg.omega_ratio, cfg.seed)
     inst = make_instance(g, omega, cfg.kappa)
     if takes_pairs and cfg.pairs_file:
         pairs = []
-        for ln in Path(cfg.pairs_file).read_text().splitlines():
-            toks = ln.split()
-            if not toks:
-                continue
+        for lineno, line in records(Path(cfg.pairs_file).read_text().splitlines(), None):
+            toks = line.split()
             if len(toks) != 2:
-                raise ValueError(f"pair line needs two labels: {ln!r}")
+                raise GraphParseError(f"pair line needs two labels: {line!r}", lineno)
             missing = [lab for lab in toks if lab not in ids]
             if missing:
-                raise ValueError(f"pair label {missing[0]!r} not in graph")
+                raise GraphParseError(f"pair label {missing[0]!r} not in graph", lineno)
             if toks[0] == toks[1]:
-                raise ValueError(f"pair line has the same source and target: {ln!r}")
+                raise GraphParseError(f"pair line has the same source and target: {line!r}", lineno)
             pairs.append((ids[toks[0]], ids[toks[1]]))
         if not pairs:
             raise ValueError("empty pairs file")

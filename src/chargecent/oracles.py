@@ -546,9 +546,12 @@ def kendall_tau_naive(y: Sequence[float], z: Sequence[float]) -> float:
     z = np.asarray(z)
     if y.shape != z.shape or y.ndim != 1:
         raise ValueError("inputs must be equal-length one-dimensional sequences")
+    if not all(a.dtype.kind in "biuf" and np.isfinite(a).all() for a in (y, z)):
+        raise ValueError("inputs must be finite real numbers")
     n = y.shape[0]
     if n < 2:
         raise ValueError("need at least two observations")
+    y, z = y.tolist(), z.tolist()  # numpy would wrap uint64 differences and refuse bool ones
     total = 0
     for i in range(n):
         for j in range(i + 1, n):

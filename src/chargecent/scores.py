@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .graph import Graph
+from .graph import Graph, GraphParseError, records
 
 CSV_HEADER = "node_label,score"
 
@@ -53,18 +53,17 @@ class ScoreVector:
     def read_csv(cls, path: str | Path) -> "ScoreVector":
         labels: list[str] = []
         vals: list[float] = []
-        lines = Path(path).read_text().splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if lineno == 1 and line == CSV_HEADER:
+        for lineno, line in records(Path(path).read_text().splitlines(), None):
+            if not labels and line == CSV_HEADER:
                 continue
             parts = line.rsplit(",", 1)
             if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'label,score'")
+                raise GraphParseError(f"expected 'label,score' in {path}", lineno)
+            try:
+                vals.append(float(parts[1]))
+            except ValueError:
+                raise GraphParseError(f"score {parts[1]!r} is not a number in {path}", lineno) from None
             labels.append(parts[0])
-            vals.append(float(parts[1]))
         return cls(np.asarray(vals, dtype=float), labels)
 
 

@@ -246,6 +246,15 @@ def test_non_finite_score_file_is_input_error(tmp_path, capsys):
     assert "scores must be finite" in capsys.readouterr().err
 
 
+def test_unreadable_score_names_its_file_and_line(tmp_path, capsys):
+    # Before, only "could not convert string to float: 'x'".
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("node_label,score\na,1.0\nb,2.0\n")
+    bad.write_text("node_label,score\na,1.0\nb,x\n")
+    assert run("correlate", "--expected", good, "--realized", bad) == 1
+    assert f"input error: line 3: score 'x' is not a number in {bad}" in capsys.readouterr().err
+
+
 def test_state_dump_for_soc_bc(graph_file, tmp_path):
     out = tmp_path / "dump"
     assert run("centrality", "--input", graph_file, "--kappa", "2",
@@ -437,6 +446,27 @@ def test_unknown_pair_label_is_named(graph_file, tmp_path, capsys):
                "--pairs-file", pairs, "--out", tmp_path / "r") == 1
     err = capsys.readouterr().err
     assert "input error" in err and "pair label '99' not in graph" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 2\n\n1 99\n", "line 3: pair label '99' not in graph"),
+    ("0 1\n0\n", "line 2: pair line needs two labels: '0'"),
+    ("\n1 1\n", "line 2: pair line has the same source and target: '1 1'"),
+], ids=["label", "fields", "self-pair"])
+def test_pairs_file_errors_name_the_line(graph_file, tmp_path, capsys, text, message):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(text)
+    assert run("centrality", "--input", graph_file, "--kappa", "2", "--measure", "rwbc",
+               "--pairs-file", pairs, "--out", tmp_path / "r") == 1
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
+def test_omega_file_error_names_the_line(graph_file, tmp_path, capsys):
+    omega = tmp_path / "omega.txt"
+    omega.write_text("1\n\n x \n2\n")
+    assert run("centrality", "--input", graph_file, "--kappa", "2", "--measure", "soc-katz",
+               "--alpha", "0.1", "--omega-file", omega, "--out", tmp_path / "r") == 1
+    assert "input error: line 3: omega label 'x' not in graph" in capsys.readouterr().err
 
 
 def test_experiment_hopping_uses_config_pairs_file(tmp_path):

@@ -62,6 +62,10 @@ def test_csv_with_and_without_header(tmp_path):
     f2 = tmp_path / "g2.csv"
     f2.write_text("0,1\n1,2\n")
     assert load_edge_list(f2, "csv").m == 2
+    # A header after blank lines is still the header; before, it read as the edge u-v.
+    f3 = tmp_path / "g3.csv"
+    f3.write_text("\n\nsource,target\na,b\n")
+    assert load_edge_list(f3, "csv").labels == ["a", "b"]
 
 
 def test_matrix_market_pattern_symmetric(tmp_path):

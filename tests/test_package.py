@@ -71,6 +71,22 @@ def test_one_rule_reads_node_ids():
     assert found == ["graph.py:node_id"]
 
 
+def test_one_reader_numbers_the_lines_of_text_inputs():
+    # ``graph.records`` alone numbers, strips and skips lines: the edge-list parsers,
+    # the refill and pairs files and ``ScoreVector.read_csv`` read their lines through it.
+    def numbers_lines(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "enumerate"
+                and (len(node.args) > 1 or any(k.arg == "start" for k in node.keywords)))
+
+    found = [
+        f"{path.name}:{fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(fn, ast.FunctionDef) and any(numbers_lines(node) for node in ast.walk(fn))
+    ]
+    assert found == ["graph.py:records"]
+
+
 def test_one_dense_solve_checks_the_radius():
     # ``dense_katz`` and ``dense_soc_katz`` share one eigenvalue check and dense solve.
     found = [
@@ -215,7 +231,7 @@ def test_importing_the_package_does_not_load_sparse_linalg():
 MAX_OPTIONS = 53
 # Non-blank lines of the package's modules, as ``grep -c .`` counts them. A
 # change that needs more lines raises this in the same diff and says why.
-MAX_SRC_LINES = 2337
+MAX_SRC_LINES = 2335
 
 
 def test_options_do_not_grow():

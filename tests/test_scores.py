@@ -11,6 +11,9 @@ def test_csv_round_trip(tmp_path):
     back = ScoreVector.read_csv(path)
     assert back.labels == sv.labels
     assert np.array_equal(back.values, sv.values)
+    # Blank lines before the header are skipped; before, the header read as a score.
+    path.write_text("\n" + path.read_text())
+    assert ScoreVector.read_csv(path).labels == sv.labels
 
 
 def test_align_by_label():

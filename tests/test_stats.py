@@ -57,6 +57,8 @@ def test_non_finite_input_is_rejected(bad):
         kendall_tau([1, bad, 2, 3], [1, 2, 3, 4])
     with pytest.raises(ValueError, match="finite real numbers"):
         kendall_tau([1, 2, 3, 4], [1, 2, bad, 3], variant="b")
+    with pytest.raises(ValueError, match="finite real numbers"):  # the reference read 1/2
+        kendall_tau_naive([1, bad, 2, 3], [1, 2, 3, 4])
 
 
 @pytest.mark.parametrize("bad", [["b", "a", "c"], [None, 1, 2], [1j, 2j, 3j], [b"a", b"b", b"c"]])
@@ -65,6 +67,8 @@ def test_non_numeric_input_is_rejected(bad):
         kendall_tau(bad, [1, 2, 3])
     with pytest.raises(ValueError, match="finite real numbers"):
         kendall_tau([1, 2, 3], bad)
+    with pytest.raises(ValueError, match="finite real numbers"):
+        kendall_tau_naive([1, 2, 3], bad)
 
 
 def test_integer_and_boolean_ranks_stay_exact():
@@ -73,6 +77,9 @@ def test_integer_and_boolean_ranks_stay_exact():
     assert kendall_tau(big, [3, 2, 1]) == -1.0
     assert kendall_tau(np.array(big, dtype=np.uint64), [1, 2, 3]) == 1.0
     assert kendall_tau([True, False, False], [3, 1, 2]) == 2 / 3
+    # The reference too: it wrapped the uint64 differences and raised numpy's TypeError on bools.
+    assert kendall_tau_naive(np.array(big, dtype=np.uint64), [1, 2, 3]) == 1.0
+    assert kendall_tau_naive([True, False, False], [3, 1, 2]) == 2 / 3
 
 
 def test_tau_b_matches_scipy():
