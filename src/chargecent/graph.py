@@ -45,12 +45,17 @@ def records(lines: Iterable[str], comment: str | None) -> Iterator[tuple[int, st
     return compress(enumerate(lines, start=1), keep)
 
 
-def node_id(v, n: int) -> int:
-    """``v`` as a node id in [0, n), read by ``operator.index`` (neither 2.5 nor 2.0 is one), else ``ValueError``."""
+def integer(v, what: str) -> int:
+    """``v`` read by ``operator.index`` (neither 2.5, 2.0 nor "2" is an integer), else a ``ValueError`` naming ``what``."""
     try:
-        v = operator.index(v)
+        return operator.index(v)
     except TypeError:
-        raise ValueError(f"node id {v.item() if isinstance(v, np.generic) else v!r} is not an integer") from None
+        raise ValueError(f"{what} {v.item() if isinstance(v, np.generic) else v!r} is not an integer") from None
+
+
+def node_id(v, n: int) -> int:
+    """``v`` as a node id in [0, n), read by ``integer``, else ``ValueError``."""
+    v = integer(v, "node id")
     if not 0 <= v < n:
         raise ValueError(f"node id {v} out of range [0,{n})")
     return v

@@ -63,14 +63,14 @@ class ScoreVector:
                 vals.append(float(parts[1]))
             except ValueError:
                 raise GraphParseError(f"score {parts[1]!r} is not a number in {path}", lineno) from None
-            labels.append(parts[0])
+            labels.append(parts[0].strip())
         return cls(np.asarray(vals, dtype=float), labels)
 
 
 def align_scores(a: ScoreVector, b: ScoreVector) -> tuple[np.ndarray, np.ndarray]:
     """Align two score vectors on node labels; order follows ``a``."""
     index = {lab: i for i, lab in enumerate(b.labels)}
-    if len(index) != len(b.labels):
+    if len(index) != len(b.labels) or len(set(a.labels)) != len(a.labels):
         raise ValueError("duplicate labels in score vector")
     missing = [lab for lab in a.labels if lab not in index]
     if missing or len(a.labels) != len(b.labels):

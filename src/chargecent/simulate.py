@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .graph import integer
 from .scores import ScoreVector
 from .statespace import SocInstance, check_pairs, draw_feasible_pair
 
@@ -58,7 +59,7 @@ class SirParams:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("transmission probability must lie in [0,1]")
-        if self.runs < 1:
+        if integer(self.runs, "runs") < 1:
             raise ValueError("runs must be positive")
 
 
@@ -146,8 +147,10 @@ class HoppingParams:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if self.duration < 1:
+        if integer(self.duration, "duration") < 1:
             raise ValueError("duration must be positive")
+        if self.max_injections is not None and integer(self.max_injections, "max_injections") < 0:
+            raise ValueError(f"max_injections must be nonnegative, not {self.max_injections}")
         if not 0 <= self.injection_rate < np.inf:  # also false for nan
             raise ValueError(f"injection rate must be finite and nonnegative, not {self.injection_rate}")
 

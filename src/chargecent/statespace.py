@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalError
-from .graph import Digraph, Graph, bfs, node_id, node_pair
+from .graph import Digraph, Graph, bfs, integer, node_id, node_pair
 
 # Random source-target draws before an input counts as having no feasible pair.
 MAX_PAIR_DRAWS = 1000
@@ -57,6 +57,7 @@ class SocInstance:
     kappa: int
 
     def __post_init__(self):
+        object.__setattr__(self, "kappa", integer(self.kappa, "kappa"))  # the int it reads as; frozen, so set here
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
         if self.refill.shape != (self.graph.n,) or self.refill.dtype != bool:
@@ -84,7 +85,7 @@ def make_instance(graph: Graph, omega: Iterable[int], kappa: int) -> SocInstance
     ids = [node_id(v, graph.n) for v in omega]
     refill = np.zeros(graph.n, dtype=bool)
     refill[ids] = True
-    return SocInstance(graph, refill, int(kappa))
+    return SocInstance(graph, refill, kappa)
 
 
 class StateGraph(Digraph):

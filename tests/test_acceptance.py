@@ -22,6 +22,7 @@ from chargecent.generators import (
 )
 from chargecent.graph import bfs, radius_bracket
 
+import reference
 from conftest import instance_corpus
 
 
@@ -41,12 +42,12 @@ def test_criterion_1_walk_count_oracle_equivalence(corpus200):
         by_len = {}
         for s in range(n):
             for t in range(n):
-                walks = oracles.enumerate_feasible_walks(inst, s, t, max_len=6)
+                walks = reference.enumerate_feasible_walks(inst, s, t, max_len=6)
                 for w in walks:
                     by_len.setdefault(len(w) - 1, {}).setdefault((s, t), 0)
                     by_len[len(w) - 1][(s, t)] += 1
         for k in range(7):
-            counts = oracles.count_feasible_walks(inst, k).counts
+            counts = reference.count_feasible_walks(inst, k).counts
             for s in range(n):
                 for t in range(n):
                     assert counts[s][t] == by_len.get(k, {}).get((s, t), 0)
@@ -95,11 +96,11 @@ def test_criterion_3_reductions():
         if s == t:
             continue
         try:
-            flow = oracles.current_flow_throughflow(g, s, t)
+            flow = reference.current_flow_throughflow(g, s, t)
         except ValueError:
             continue
         net = cc.rwbc_all_pairs(g, [(s, t)]).values
-        nodes = oracles.walk_subgraph(g, s, t).nodes
+        nodes = reference.walk_subgraph(g, s, t).nodes
         assert np.max(np.abs(flow[nodes] - net[nodes])) <= 1e-6
         checked += 1
     report(3, "reductions to baseline measures hold")
@@ -156,12 +157,12 @@ def test_criterion_7_rwbc_monte_carlo_consistency():
         s, t = int(rng.integers(n)), int(rng.integers(n))
         if s == t:
             continue
-        sub = oracles.walk_subgraph(g, s, t)
+        sub = reference.walk_subgraph(g, s, t)
         if sub.empty or sub.n > 20 or sub.n < 3:
             continue
         insts += 1
         exact = cc.rwbc_all_pairs(g, [(s, t)]).values
-        mc = oracles.monte_carlo_rwbc(g, s, t, walks=100_000, seed=int(rng.integers(2**31)))
+        mc = reference.monte_carlo_rwbc(g, s, t, walks=100_000, seed=int(rng.integers(2**31)))
         nodes = sub.nodes
         ok = np.abs(exact[nodes] - mc.estimate[nodes]) <= 3 * mc.stderr[nodes] + 1e-9
         total += nodes.shape[0]
@@ -185,7 +186,7 @@ def test_criterion_8_kendall_tau_exactness():
         else:
             y = rng.normal(size=n)
             z = rng.normal(size=n)
-        assert cc.kendall_tau(y, z) == oracles.kendall_tau_naive(y, z)
+        assert cc.kendall_tau(y, z) == reference.kendall_tau_naive(y, z)
     report(8, "fast Kendall tau equals quadratic definition", "(1000 vectors)")
 
 

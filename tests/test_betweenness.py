@@ -20,14 +20,10 @@ from chargecent.generators import (
 import chargecent.betweenness as betweenness
 from chargecent.betweenness import ENDPOINT_CONVENTIONS
 from chargecent.graph import bfs
-from chargecent.oracles import (
-    bfs_shortest_paths,
-    brute_soc_bc,
-    shortest_feasible_walks,
-    target_restricted_dependency,
-)
+from chargecent.oracles import brute_soc_bc, shortest_feasible_walks
 
 from conftest import instance_corpus, sink_dominance, with_sinks
+from reference import bfs_shortest_paths, target_restricted_dependency
 
 
 def test_path_kappa_one_only_adjacent_pairs():

@@ -145,6 +145,17 @@ def test_correlate_label_mismatch(tmp_path):
     assert run("correlate", "--expected", pa, "--realized", pb) == 1
 
 
+@pytest.mark.parametrize("dup_first", [True, False])
+def test_correlate_rejects_duplicate_labels_in_either_file(tmp_path, capsys, dup_first):
+    # Before, a duplicate label in --expected went unseen: the run exited 0 with tau 0.0.
+    dup, ok = tmp_path / "dup.csv", tmp_path / "ok.csv"
+    dup.write_text("x,1.0\nx,2.0\n")
+    ok.write_text("x,1.0\ny,2.0\n")
+    expected, realized = (dup, ok) if dup_first else (ok, dup)
+    assert run("correlate", "--expected", expected, "--realized", realized) == 1
+    assert "duplicate labels in score vector" in capsys.readouterr().err
+
+
 def test_missing_input_is_input_error(tmp_path):
     assert run("centrality", "--input", tmp_path / "nope.tsv", "--measure", "bc",
                "--kappa", "1", "--out", tmp_path) == 1

